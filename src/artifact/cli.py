@@ -5,7 +5,7 @@ Field elements are passed as the doubled coordinates (p, q) meaning
 output is the default; --json switches to one compact JSON record per
 line with a fixed schema_version.  Exit codes: 0 success, 1 domain
 error (the error class name goes to stderr), 2 usage error, 3
-factorization budget exhausted.
+factorization budget exhausted, 4 internal inconsistency (a bug).
 """
 
 from __future__ import annotations
@@ -304,7 +304,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--json", action="store_true", help="emit JSON records")
     parser.add_argument(
         "--budget", type=int, metavar="B",
-        help="factorization effort limit (trial-division bound)",
+        help="Pollard-rho iteration budget per factorization",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -399,6 +399,9 @@ def main(argv: list[str] | None = None) -> int:
     except FactorizationLimit as err:
         print(f"FactorizationLimit: {err}", file=sys.stderr)
         return 3
+    except InternalInconsistency as err:  # an AssertionError, so first
+        print(f"InternalInconsistency: {err}", file=sys.stderr)
+        return 4
     except (
         ArithmeticError, ValueError, TypeError, AssertionError, RuntimeError
     ) as err:

@@ -20,6 +20,7 @@ from .quadring import (
     InternalInconsistency,
     NotADNumber,
     NotApplicable,
+    NotDivisible,
     QuadField,
     QuadInt,
     ZeroElement,
@@ -89,7 +90,7 @@ def dnumber_order(x: QuadInt) -> int:
         return 2
     try:
         y = exact_divide(x, x.field.integer(s))
-    except Exception:
+    except NotDivisible:
         return 2
     return 1 if abs(y.norm()) == 1 else 2
 
@@ -308,7 +309,7 @@ def dnumber_divides(y: QuadInt, x: QuadInt) -> DivisibilityVerdict:
     try:
         exact_divide(x, y)
         return DivisibilityVerdict(True, None)
-    except Exception:
+    except NotDivisible:
         return DivisibilityVerdict(False, "exact_divide")
 
 

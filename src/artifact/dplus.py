@@ -4,8 +4,11 @@ Call a d-number alpha dominant when alpha >= sigma(alpha) >= 1 (sigma the
 nontrivial automorphism).  Below any cutoff M the dominant d-numbers form a
 finite set: in the canonical form alpha = ell * eps^m * g^delta, dominance
 plus sigma-positivity force m >= 0 and kill most delta combinations, and
-ell is squeezed between 1/sigma(base) and M/base.  The enumerators walk
-exactly that cell structure; every cutoff is decided in integer arithmetic.
+ell is squeezed between 1/sigma(base) and M/base.  enumerate_field walks
+exactly that cell structure.  enumerate_all finds the fields that own
+members by a walk over traces and the divisors of their squares, which
+needs no unit, and runs the cell walk only there, each route checking the
+other.  Every cutoff is decided in integer arithmetic.
 """
 
 from __future__ import annotations
@@ -23,11 +26,14 @@ from .quadring import (
     QuadField,
     QuadInt,
     _floor_value_scaled,
+    _parts,
     compare_values,
     decimal_str,
+    divisors,
     field,
+    is_square,
     make,
-    squarefree_range,
+    squarefree_decompose,
 )
 from .units import fundamental_unit
 
@@ -154,37 +160,59 @@ def norm_minus_one_field_filter(N: int, M) -> bool:
     return b >= 0 and 4 * N <= b * b
 
 
+def _trace_walk(M: Fraction) -> dict[int, list[tuple[int, int]]]:
+    """(p, q) of every dominant irrational d-number (p + q*sqrt(N))/2 <= M,
+    keyed by N.
+
+    With D = q^2 * N the norm is n = (p^2 - D)/4.  sigma(x) >= 1 and x <= M
+    bound sqrt(D) by p - 2 and by 2M - p, and x is a d-number iff n | p^2
+    (x/sigma(x) has norm 1 and trace p^2/n - 2).  D = p^2 - 4n forces the
+    parity of (p, q), so every hit is an algebraic integer.
+    """
+    found: dict[int, list[tuple[int, int]]] = {}
+    for p in range(3, math.floor(2 * M) + 1):
+        bound = min(p - 2, 2 * M - p) ** 2
+        for n in divisors(p * p):
+            D = p * p - 4 * n
+            if 0 < D <= bound and not is_square(D):
+                q, N = squarefree_decompose(D)
+                found.setdefault(N, []).append((p, q))
+    return found
+
+
 def enumerate_all(M, include_integers: bool = False) -> list[DPlusElement]:
     """Dominant d-numbers in [1, M] across every real field, ascending.
 
-    Fields range over squarefree 2 <= N <= (2M-1)^2; beyond that even the
-    fundamental unit exceeds M because 2*eps >= 1 + sqrt(N).  Rational
-    integers join once, not per field, and only on request.
+    The trace walk names the member fields and their coordinates; the cell
+    walk of each such field supplies the factorizations, and the two must
+    agree exactly.  Rational integers join once, not per field, and only on
+    request.
     """
     M = Fraction(M)
     if M < 1:
         raise ValueError("cutoff M must be at least 1")
-    top = math.floor((2 * M - 1) ** 2)
     out: list[DPlusElement] = []
-    for N in squarefree_range(top):
-        if N < 2:
-            continue
-        fu = fundamental_unit(N)
-        if fu.unit_norm == -1 and not norm_minus_one_field_filter(N, M):
-            continue
-        out.extend(enumerate_field(N, M))
+    for N, coords in sorted(_trace_walk(M).items()):
+        members = enumerate_field(N, M)
+        cells = sorted((e.value.p, e.value.q) for e in members)
+        if cells != sorted(coords):
+            raise InternalInconsistency(
+                f"N={N}, M={M}: cell walk gives (p, q) {cells}, "
+                f"trace walk {sorted(coords)}"
+            )
+        out.extend(members)
     if include_integers:
         out.extend(
             DPlusElement(k, None, decimal_str(k))
             for k in range(1, math.floor(M) + 1)
         )
-    out.sort(key=cmp_to_key(lambda a, b: compare_values(a.value, b.value)))
-    deduped: list[DPlusElement] = []
-    for elem in out:
-        if deduped and compare_values(deduped[-1].value, elem.value) == 0:
-            continue
-        deduped.append(elem)
-    return deduped
+    # floor(value * 2^64) orders almost every pair in integers; only a tie
+    # falls back to the exact comparison, which may escalate intervals
+    exact = cmp_to_key(compare_values)
+    scale = 1 << 64
+    out.sort(key=lambda e: (_floor_value_scaled(*_parts(e.value), scale),
+                            exact(e.value)))
+    return out
 
 
 def cardinality_bound(M: int) -> int:

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from artifact import dplus
 from artifact.cli import main
 from artifact.quadring import DEFAULT_FACTOR_BUDGET, set_factor_budget
 
@@ -161,3 +162,13 @@ def test_exit_codes(capsys):
         assert code == 3 and err.startswith("FactorizationLimit")
     finally:
         set_factor_budget(DEFAULT_FACTOR_BUDGET)
+
+
+def test_internal_inconsistency_exits_4(capsys, monkeypatch):
+    # a bug is told apart from a domain error (exit 1) even though
+    # InternalInconsistency is an AssertionError
+    real = dplus.enumerate_field
+    monkeypatch.setattr(dplus, "enumerate_field", lambda N, M: real(N, M)[1:])
+    code, out, err = run(capsys, "enumerate", "5")
+    assert code == 4 and out == ""
+    assert err.startswith("InternalInconsistency: N=3")

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from artifact import dnumbers
 from artifact.dnumbers import (
     CASE_ELSE,
     CASE_KAPPA_PRODUCT_EQ_N,
@@ -22,6 +23,7 @@ from artifact.dnumbers import (
 )
 from artifact.quadring import (
     FieldMismatch,
+    InternalInconsistency,
     NotApplicable,
     ZeroElement,
     divides,
@@ -279,6 +281,24 @@ def test_dnumber_divides_examples():
     assert not v.divides and v.rejected_by == "ell"
     with pytest.raises(FieldMismatch):
         dnumber_divides(make(2, 2, 2), make(3, 6, 2))
+
+
+def test_order_and_divides_let_bugs_propagate(monkeypatch):
+    """Only NotDivisible means "no quotient"; any other error out of
+    exact_divide is a bug and must not turn into an answer."""
+    real = dnumbers.exact_divide
+    seven, beta, alpha = make(3, 14, 0), make(3, 2, 2), make(3, 6, 2)
+
+    def broken(x, y):
+        if (x, y) in ((seven, field(3).integer(7)), (alpha, beta)):
+            raise InternalInconsistency("injected")
+        return real(x, y)
+
+    monkeypatch.setattr(dnumbers, "exact_divide", broken)
+    with pytest.raises(InternalInconsistency):
+        dnumber_order(seven)  # norm 49 is a square, so it tries 7 | x
+    with pytest.raises(InternalInconsistency):
+        dnumber_divides(beta, alpha)
 
 
 def test_divisibility_corollary_counterexample():

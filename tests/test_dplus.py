@@ -1,10 +1,13 @@
 """Tests for the dominant d-number enumerators."""
 
+import math
 from collections import Counter
 from fractions import Fraction
+from functools import cmp_to_key
 
 import pytest
 
+from artifact import dplus
 from artifact.dnumbers import CanonicalFactorization, canonical_factor
 from artifact.dplus import (
     DPlusElement,
@@ -19,6 +22,8 @@ from artifact.dplus import (
 from artifact.quadring import (
     InternalInconsistency,
     NotApplicable,
+    compare_values,
+    decimal_str,
     field,
     make,
     squarefree_range,
@@ -118,6 +123,44 @@ def test_oracle_equivalence():
         for M in range(1, 31):
             expect = [x for x in widest if x <= M]
             assert [e.value for e in enumerate_field(N, M)] == expect, (N, M)
+
+
+def _squarefree_fields(M):
+    """Squarefree 2 <= N <= (2M-1)^2: beyond, 2*eps >= 1 + sqrt(N) > 2M."""
+    return [N for N in squarefree_range(math.floor((2 * M - 1) ** 2)) if N > 1]
+
+
+@pytest.mark.parametrize(
+    "M", [1, Fraction(37, 10), 5, 12, 20, Fraction(121, 4), 60]
+)
+def test_trace_walk_matches_field_sweep(M):
+    M = Fraction(M)
+    swept = [
+        e
+        for N in _squarefree_fields(M)
+        if fundamental_unit(N).unit_norm == 1 or norm_minus_one_field_filter(N, M)
+        for e in enumerate_field(N, M)
+    ]
+    swept += [
+        DPlusElement(k, None, decimal_str(k)) for k in range(1, math.floor(M) + 1)
+    ]
+    swept.sort(key=cmp_to_key(lambda a, b: compare_values(a.value, b.value)))
+    walked = enumerate_all(M, include_integers=True)
+    assert [e.record() for e in walked] == [e.record() for e in swept]
+    if M <= 12:
+        brute = [x for N in _squarefree_fields(M) for x in brute_force_oracle(N, M)]
+        brute.sort(key=cmp_to_key(compare_values))
+        assert [e.value for e in walked if e.factorization] == brute
+
+
+@pytest.mark.parametrize(
+    "corrupt", [lambda xs: xs[1:], lambda xs: xs + xs[:1]], ids=["drop", "duplicate"]
+)
+def test_trace_walk_checks_cell_walk(monkeypatch, corrupt):
+    real = dplus.enumerate_field
+    monkeypatch.setattr(dplus, "enumerate_field", lambda N, M: corrupt(real(N, M)))
+    with pytest.raises(InternalInconsistency):
+        enumerate_all(5)
 
 
 def test_oracle_integer_handling():
