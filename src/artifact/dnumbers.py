@@ -71,7 +71,8 @@ def is_dnumber_via_charpoly(x: QuadInt) -> bool:
     tr = m00 + m11
     det = m00 * m11 - m01 * m10
     if x.field.omega_kind != "HalfOnePlusSqrtN":
-        assert tr % 2 == 0 and det % 4 == 0
+        if tr % 2 or det % 4:
+            raise InternalInconsistency(f"doubled matrix of {x} is not integral")
         tr, det = tr // 2, det // 4
     # monic lambda^2 + a1*lambda + a2: need a1^2 divisible by a2^1
     a1, a2 = -tr, det
@@ -218,24 +219,27 @@ def evaluate(fact: CanonicalFactorization) -> QuadInt:
 def _unit_exponent(u: QuadInt, fld: QuadField) -> int:
     """m with u = eps^m, for u a power of the fundamental unit.
 
-    Floating-point log estimate, then exact verification with a widening
-    scan around it.
+    Exact bit descent on v = u or 1/u, whichever is > 1.  The trace of
+    eps^j rises strictly with j >= 1, so traces order the powers: square
+    eps^(2^k) until its trace passes v's, then take the bits of m from the
+    top down, keeping each one whose product still has trace <= v's.  The
+    power so built must equal v, or u was not a power of eps.
     """
     if u == 1:
         return 0
-    fu = fundamental_unit(fld)
-    log_eps = math.log(fu.t) - math.log(2) if fu.t > 4 else math.log(
-        (fu.t + fu.u * math.sqrt(fld.N)) / 2
-    )
-    tr = abs(u.trace())
-    est = max(1, round(math.log(tr) / log_eps)) if tr >= 2 else 1
-    if u < 1:
-        est = -est
-    for width in (2, 8, 32, 128):
-        for m in range(est - width, est + width + 1):
-            if fu.eps**m == u:
-                return m
-    raise InternalInconsistency(f"{u} is not a power of eps_{fld.N}")
+    inverted = u < 1
+    v = u.inverse() if inverted else u
+    powers = [fundamental_unit(fld).eps]
+    while powers[-1].p <= v.p:
+        powers.append(powers[-1] * powers[-1])
+    m, acc = 0, None
+    for k in range(len(powers) - 1, -1, -1):
+        step = powers[k] if acc is None else acc * powers[k]
+        if step.p <= v.p:
+            m, acc = m + (1 << k), step
+    if acc != v:
+        raise InternalInconsistency(f"{u} is not a power of eps_{fld.N}")
+    return -m if inverted else m
 
 
 def canonical_factor(x: QuadInt) -> CanonicalFactorization:

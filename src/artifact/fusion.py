@@ -34,7 +34,7 @@ from .quadring import (
     QuadField,
     QuadInt,
     Rejected,
-    _floor_value_scaled,
+    _floor_sqrt_scaled,
     divisors,
     exact_divide,
     field,
@@ -109,7 +109,8 @@ class DecompositionScan:
 
 
 def _exact_floor(x: QuadInt) -> int:
-    return _floor_value_scaled(Fraction(x.p, 2), Fraction(x.q, 2), x.N, 1)
+    """floor((p + q*sqrt(N))/2) = (p + floor(q*sqrt(N))) // 2, exactly."""
+    return (x.p + _floor_sqrt_scaled(x.q, 1, x.N, 1)) // 2
 
 
 def decompose_global_dim(
@@ -137,7 +138,10 @@ def decompose_global_dim(
     while fu.eps ** (j_max + 1) <= target:
         j_max += 1
     js = [j for j in range(1, j_max + 1) if j % step == 0]
-    caps = {j: _exact_floor(target * fu.eps**-j) for j in js}
+    # eps^j and eps^-j for every j the walk visits, built once per call
+    power = {j: fu.eps**j for j in js}
+    inverse = {j: fu.eps**-j for j in js}
+    caps = {j: _exact_floor(target * inverse[j]) for j in js}
     scanned = len(pool)
     for j in js:
         scanned *= caps[j]
@@ -151,10 +155,9 @@ def decompose_global_dim(
                 solutions.append(Decomposition(fld, fact, d, coeffs))
             return
         j = js[idx]
-        power = fu.eps**j
-        top = 0 if rem.sign() <= 0 else _exact_floor(rem * fu.eps**-j)
+        top = 0 if rem.sign() <= 0 else _exact_floor(rem * inverse[j])
         for lj in range(top, -1, -1):
-            walk(idx - 1, rem - power * lj, chosen + [(j, lj)])
+            walk(idx - 1, rem - power[j] * lj, chosen + [(j, lj)])
 
     for d in pool:
         rem0 = target - d
@@ -165,7 +168,7 @@ def decompose_global_dim(
     for sol in solutions:
         total = fld.integer(sol.d_int)
         for j, lj in sol.coeffs:
-            total = total + fu.eps**j * lj
+            total = total + power[j] * lj
         lhs = quantum_int(fld, m).value * sol.d_int
         rhs = fld.zero()
         for j, lj in sol.coeffs:

@@ -5,10 +5,19 @@ coordinates: ``x = (p + q*sqrt(N)) / 2`` with ``p``, ``q`` integers of equal
 parity, and both even when N is not 1 mod 4.  This gives one uniform code
 path for both integral bases (sqrt(N) and (1+sqrt(N))/2).
 
-Everything on a correctness path is integer arithmetic: signs of
-``p + q*sqrt(N)`` are decided by comparing p^2 against N*q^2, real values are
-bracketed with ``math.isqrt`` when a decimal is needed, and floating point
-never decides anything.
+Everything on a correctness path is integer arithmetic: the sign of
+``a + b*sqrt(N)`` is decided by comparing a^2 against N*b^2 (`_sign`), real
+values are bracketed with ``math.isqrt`` when a decimal is needed, and
+floating point never decides anything.  The order (`sign`, `<`, `compare`)
+and `==` against an int or a `Fraction` are integer-only: a rational cutoff
+n/d is cross-multiplied by d, not subtracted as a `Fraction`.
+`compare_values` settles same-field and single-radical pairs with the same
+`_sign`.
+
+Parity is checked where coordinates enter (`make`, `exact_divide`).  Ring
+operations build their results with the unchecked `_raw`, since sums,
+products, conjugates and powers of algebraic integers are algebraic
+integers.
 """
 
 from __future__ import annotations
@@ -216,7 +225,8 @@ def squarefree_decompose(n: int) -> tuple[int, int]:
         s *= p ** (e // 2)
         if e % 2:
             f *= p
-    assert s * s * f == n
+    if s * s * f != n:
+        raise InternalInconsistency(f"{s}^2 * {f} != {n}")
     return s, f
 
 
@@ -282,20 +292,20 @@ class QuadField:
     def omega(self) -> "QuadInt":
         """The second basis element: sqrt(N), or (1+sqrt(N))/2 when N = 1 mod 4."""
         if self.omega_kind == HALF_ONE_PLUS_SQRT_N:
-            return QuadInt(self, 1, 1)
-        return QuadInt(self, 0, 2)
+            return _raw(self, 1, 1)
+        return _raw(self, 0, 2)
 
     def sqrt_n(self) -> "QuadInt":
-        return QuadInt(self, 0, 2)
+        return _raw(self, 0, 2)
 
     def one(self) -> "QuadInt":
-        return QuadInt(self, 2, 0)
+        return _raw(self, 2, 0)
 
     def zero(self) -> "QuadInt":
-        return QuadInt(self, 0, 0)
+        return _raw(self, 0, 0)
 
     def integer(self, k: int) -> "QuadInt":
-        return QuadInt(self, 2 * k, 0)
+        return _raw(self, 2 * k, 0)
 
 
 @lru_cache(maxsize=None)
@@ -325,9 +335,9 @@ class QuadInt:
         if not isinstance(p, int) or not isinstance(q, int):
             raise TypeError("coordinates must be int")
         _check_parity(fld, p, q)
-        object.__setattr__(self, "field", fld)
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "q", q)
+        _set_field(self, fld)
+        _set_p(self, p)
+        _set_q(self, q)
 
     def __setattr__(self, name, value):
         raise AttributeError("QuadInt is immutable")
@@ -353,11 +363,12 @@ class QuadInt:
         return abs(self.norm()) == 1
 
     def conjugate(self) -> "QuadInt":
-        return QuadInt(self.field, self.p, -self.q)
+        return _raw(self.field, self.p, -self.q)
 
     def norm(self) -> int:
         num = self.p * self.p - self.N * self.q * self.q
-        assert num % 4 == 0
+        if num % 4:
+            raise InternalInconsistency(f"{self!r} has a non-integral norm")
         return num // 4
 
     def trace(self) -> int:
@@ -367,18 +378,19 @@ class QuadInt:
 
     def _coerce(self, other):
         if isinstance(other, QuadInt):
-            if other.field != self.field:
+            # fields are interned by field(), so identity settles most calls
+            if other.field is not self.field and other.field != self.field:
                 raise FieldMismatch(f"{self.field} vs {other.field}")
             return other
         if isinstance(other, int):
-            return QuadInt(self.field, 2 * other, 0)
+            return _raw(self.field, 2 * other, 0)
         return None
 
     def __add__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return QuadInt(self.field, self.p + o.p, self.q + o.q)
+        return _raw(self.field, self.p + o.p, self.q + o.q)
 
     __radd__ = __add__
 
@@ -386,27 +398,27 @@ class QuadInt:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return QuadInt(self.field, self.p - o.p, self.q - o.q)
+        return _raw(self.field, self.p - o.p, self.q - o.q)
 
     def __rsub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return QuadInt(self.field, o.p - self.p, o.q - self.q)
+        return _raw(self.field, o.p - self.p, o.q - self.q)
 
     def __neg__(self):
-        return QuadInt(self.field, -self.p, -self.q)
+        return _raw(self.field, -self.p, -self.q)
 
     def __mul__(self, other):
         if isinstance(other, int):
-            return QuadInt(self.field, self.p * other, self.q * other)
+            return _raw(self.field, self.p * other, self.q * other)
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        pp = self.p * o.p + self.N * self.q * o.q
-        qq = self.p * o.q + self.q * o.p
-        assert pp % 2 == 0 and qq % 2 == 0
-        return QuadInt(self.field, pp // 2, qq // 2)
+        # both halves are even by the parity invariant of the factors
+        p, q = self.p, self.q
+        return _raw(self.field, (p * o.p + self.field.N * q * o.q) // 2,
+                    (p * o.q + q * o.p) // 2)
 
     __rmul__ = __mul__
 
@@ -421,14 +433,18 @@ class QuadInt:
         if not isinstance(k, int):
             return NotImplemented
         base = self if k >= 0 else self.inverse()
-        out = self.field.one()
+        N, bp, bq = self.field.N, base.p, base.q
+        p, q = 2, 0  # the doubled coordinates of 1
         for bit in bin(abs(k))[2:]:
-            out = out * out
+            p, q = (p * p + N * q * q) // 2, p * q
             if bit == "1":
-                out = out * base
-        return out
+                p, q = (p * bp + N * q * bq) // 2, (p * bq + q * bp) // 2
+        return _raw(self.field, p, q)
 
     # -- comparisons (exact; real fields only for order) -------------------
+
+    # The rationals of the ring are integers (q = 0 forces p even), so an
+    # int or a Fraction n/d equals x exactly when q = 0 and p*d = 2n.
 
     def __eq__(self, other):
         if isinstance(other, QuadInt):
@@ -440,36 +456,39 @@ class QuadInt:
                 and self.q == other.q
             )
         if isinstance(other, (int, Fraction)):
-            return self.q == 0 and Fraction(self.p, 2) == other
+            return self.q == 0 and self.p * other.denominator == 2 * other.numerator
         return NotImplemented
 
     def __hash__(self):
         if self.q == 0:
-            return hash(Fraction(self.p, 2))
+            return hash(self.p // 2)  # equal to hash(Fraction(p, 2))
         return hash((self.N, self.p, self.q))
 
     def sign(self) -> int:
         """Sign of the real value; NotApplicable for imaginary fields."""
-        if self.N < 0:
+        N = self.field.N
+        if N < 0:
             raise NotApplicable("no real ordering for N < 0")
-        return _sign_of_radical(Fraction(self.p), Fraction(self.q), self.N)
+        return _sign(self.p, self.q, N)
 
     def _cmp(self, other) -> int:
+        """Sign of self - other; 2*d*(self - n/d) keeps integer coordinates."""
+        N = self.field.N
         if isinstance(other, QuadInt):
-            if other.field != self.field:
+            if other.field is not self.field and other.field != self.field:
                 raise FieldMismatch(
                     "ordering two quadratic integers needs a common field; "
                     "use compare_values for cross-field comparison"
                 )
-            return (self - other).sign()
-        if isinstance(other, int):
-            return (self - other).sign()
-        if isinstance(other, Fraction):
-            if self.N < 0:
-                raise NotApplicable("no real ordering for N < 0")
-            r = Fraction(self.p, 2) - other
-            return _sign_of_radical(r, Fraction(self.q, 2), self.N)
-        raise TypeError(f"cannot order QuadInt and {type(other).__name__}")
+            a, b = self.p - other.p, self.q - other.q
+        elif isinstance(other, (int, Fraction)):
+            d = other.denominator
+            a, b = self.p * d - 2 * other.numerator, self.q * d
+        else:
+            raise TypeError(f"cannot order QuadInt and {type(other).__name__}")
+        if N < 0:
+            raise NotApplicable("no real ordering for N < 0")
+        return _sign(a, b, N)
 
     def __lt__(self, other):
         return self._cmp(other) < 0
@@ -490,6 +509,23 @@ class QuadInt:
 
     def __repr__(self):
         return f"QuadInt({self.N}, {self.p}, {self.q})"
+
+
+# the slot setters; QuadInt.__setattr__ refuses every write
+_set_field = QuadInt.field.__set__
+_set_p = QuadInt.p.__set__
+_set_q = QuadInt.q.__set__
+
+
+def _raw(fld: QuadField, p: int, q: int) -> QuadInt:
+    """QuadInt without the parity check, for results integral by closure.
+
+    Callers outside this module go through `make`, which validates."""
+    x = object.__new__(QuadInt)
+    _set_field(x, fld)
+    _set_p(x, p)
+    _set_q(x, q)
+    return x
 
 
 def make(field_or_n, p: int, q: int) -> QuadInt:
@@ -521,7 +557,7 @@ def compare(x: QuadInt, y) -> int:
 
 def exact_divide(x: QuadInt, y: QuadInt) -> QuadInt:
     """x / y when the quotient lies in the ring; NotDivisible otherwise."""
-    if y.field != x.field:
+    if y.field is not x.field and y.field != x.field:
         raise FieldMismatch(f"{x.field} vs {y.field}")
     if y.is_zero():
         raise DivByZero("division by zero element")
@@ -549,17 +585,17 @@ def divides(y: QuadInt, x: QuadInt) -> bool:
 # exact sign / interval machinery
 
 
-def _sign_of_radical(r: Fraction, s: Fraction, N: int) -> int:
-    """Sign of r + s*sqrt(N) for N > 0 squarefree, exactly."""
-    if s == 0:
-        return (r > 0) - (r < 0)
-    if s > 0:
-        if r >= 0:
-            return 1
-        return 1 if r * r < s * s * N else (-1 if r * r > s * s * N else 0)
-    if r <= 0:
-        return -1
-    return -1 if r * r < s * s * N else (1 if r * r > s * s * N else 0)
+def _sign(a: int, b: int, N: int) -> int:
+    """Sign of a + b*sqrt(N) for integers a, b and N > 0 (any N if b = 0)."""
+    if b == 0:
+        return (a > 0) - (a < 0)
+    if a == 0 or (a > 0) == (b > 0):
+        return 1 if b > 0 else -1
+    # opposite signs: the larger of a^2 and N*b^2 wins
+    d = a * a - N * b * b
+    if a < 0:
+        d = -d
+    return (d > 0) - (d < 0)
 
 
 def _floor_sqrt_scaled(a: int, b: int, N: int, scale: int) -> int:
@@ -616,12 +652,11 @@ def compare_values(a, b) -> int:
     """
     ra, sa, Na = _parts(a)
     rb, sb, Nb = _parts(b)
-    if sa == 0 and sb == 0:
-        d = ra - rb
-        return (d > 0) - (d < 0)
     if sa == 0 or sb == 0 or Na == Nb:
-        N = Na if sa != 0 else Nb
-        return _sign_of_radical(ra - rb, sa - sb, N)
+        r, s = ra - rb, sa - sb
+        d = math.lcm(r.denominator, s.denominator)  # clears both denominators
+        return _sign(r.numerator * (d // r.denominator),
+                     s.numerator * (d // s.denominator), Na or Nb)
     # distinct radicands, both irrational: never equal
     scale = 10**8
     while True:

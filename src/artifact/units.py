@@ -67,7 +67,10 @@ def _cf_states(N: int, P0: int, Q0: int):
         yield a, P, Q
         P = a * Q - P
         num = N - P * P
-        assert num % Q == 0, "continued-fraction state left the integer lattice"
+        if num % Q:
+            raise InternalInconsistency(
+                f"continued-fraction state left the integer lattice for N={N}"
+            )
         Q = num // Q
 
 

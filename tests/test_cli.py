@@ -1,6 +1,9 @@
 """CLI tests: golden outputs, JSON record schema, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -42,6 +45,19 @@ def test_golden_enumerate(capsys):
     code, out, _ = run(capsys, "--json", "enumerate", "5")
     assert code == 0
     assert out == (FIXTURES / "enumerate_5.jsonl").read_text()
+
+
+def test_golden_enumerate_under_optimised_python():
+    """Internal invariants raise InternalInconsistency instead of using
+    assert, so they still run under python -O; the output is unchanged."""
+    src = str(FIXTURES.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-O", "-m", "artifact", "enumerate", "5"],
+        capture_output=True, env=env, timeout=120, check=True,
+    )
+    assert done.stdout == (FIXTURES / "enumerate_5.txt").read_bytes()
 
 
 def test_golden_decompose(capsys):

@@ -272,6 +272,25 @@ def test_nonnegative_coordinates_bound_unit_exponent():
     assert (f.ell, f.m, f.delta) == (6, -1, (0, 1, 1))
 
 
+def test_unit_exponent_exact_for_large_powers():
+    """canonical_factor recovers m exactly for far powers of eps, also
+    where t > 4 (N = 6, 7), which a log estimate taking eps ~ t/2 missed."""
+    for N in (2, 5, 6, 7):
+        eps = fundamental_unit(N).eps
+        for m in (1, -1, 2, -2, 400, -400, 1000):
+            for ell in (1, 3, -7):
+                f = canonical_factor(eps**m * ell)
+                assert (f.ell, f.m, f.delta) == (ell, m, (0, 0, 0)), (N, m, ell)
+
+
+def test_unit_exponent_rejects_non_powers():
+    eps = fundamental_unit(3).eps
+    with pytest.raises(InternalInconsistency):
+        dnumbers._unit_exponent(-eps, field(3))
+    with pytest.raises(InternalInconsistency):
+        dnumbers._unit_exponent(make(3, 6, 2), field(3))  # norm 6, no unit
+
+
 def test_dnumber_divides_examples():
     v = dnumber_divides(make(3, 2, 2), make(3, 6, 2))
     assert v.divides and v.rejected_by is None

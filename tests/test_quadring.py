@@ -18,6 +18,7 @@ from artifact.quadring import (
     make,
     render,
 )
+from artifact.units import fundamental_unit
 
 
 def test_make_validates_parity():
@@ -266,3 +267,126 @@ def test_real_interval_brackets_value():
         assert hi - lo == Fraction(1, 10**12)
         v = (x.p + x.q * math.sqrt(x.N)) / 2
         assert float(lo) <= v <= float(hi) or abs(v - float(lo)) < 1e-9
+
+
+# ---------------------------------------------------------------------------
+# the integer order against an independent oracle
+
+
+def _oracle_sign(r: Fraction, s: Fraction, N: int) -> int:
+    """Sign of r + s*sqrt(N) by Fraction arithmetic and isqrt brackets of
+    sqrt(N), refined until the bracket excludes zero.  Zero only for s = 0:
+    sqrt(N) is irrational for the squarefree N > 1 used here."""
+    if s == 0:
+        return (r > 0) - (r < 0)
+    scale = 1 << 32
+    while True:
+        root = math.isqrt(N * scale * scale)
+        ends = (r + s * Fraction(root, scale), r + s * Fraction(root + 1, scale))
+        if min(ends) > 0:
+            return 1
+        if max(ends) < 0:
+            return -1
+        scale <<= 32
+
+
+def _oracle_value(x):
+    """(rational part, coefficient of sqrt(N)) as Fractions."""
+    if isinstance(x, qr.QuadInt):
+        return Fraction(x.p, 2), Fraction(x.q, 2)
+    return Fraction(x), Fraction(0)
+
+
+def _random_element(rng, N, box):
+    p, q = rng.randrange(-box, box + 1), rng.randrange(-box, box + 1)
+    if field(N).omega_kind == "SqrtN":
+        return make(N, 2 * p, 2 * q)
+    return make(N, p, q + (p - q) % 2)
+
+
+def _check_order(x, y):
+    rx, sx = _oracle_value(x)
+    ry, sy = _oracle_value(y)
+    want = _oracle_sign(rx - ry, sx - sy, x.N)
+    assert x.sign() == _oracle_sign(rx, sx, x.N)
+    assert qr.compare(x, y) == want
+    assert compare_values(x, y) == want
+    assert (x < y, x <= y, x > y, x >= y, x == y) == (
+        want < 0, want <= 0, want > 0, want >= 0, want == 0
+    ), (x, y)
+
+
+def test_integer_order_matches_oracle():
+    """sign, compare, <, <=, >, >=, == against QuadInt, int and Fraction,
+    for N = 1 mod 4 and N != 1 mod 4, agree with the Fraction oracle."""
+    rng = random.Random(4)
+    for N in (2, 3, 6, 7, 5, 13, 21, 93):
+        for _ in range(120):
+            x = _random_element(rng, N, 60)
+            others = [
+                x,
+                _random_element(rng, N, 60),
+                rng.randrange(-40, 41),
+                Fraction(rng.randrange(-400, 401), rng.randrange(1, 30)),
+            ]
+            # a rational just beside the value, from its decimal floor
+            lo, hi = qr.real_interval(x, 10**6)
+            others += [lo, hi, int(math.floor(lo)), int(math.floor(lo)) + 1]
+            for y in others:
+                _check_order(x, y)
+
+
+def test_integer_order_near_rationals():
+    """Values within 1/k^2 of a rational h/k: sqrt2 against its convergents,
+    the golden ratio against Fibonacci ratios, and the tiny h - k*sqrt2 and
+    (2b - a) - a*sqrt5 against 0."""
+    h, k = 1, 1
+    for _ in range(40):
+        for x in (make(2, 0, 2), make(2, 2 * h, -2 * k), make(2, -2 * h, 2 * k)):
+            for y in (Fraction(h, k), Fraction(2 * k, h), 0, h, make(2, 2 * h, 0)):
+                _check_order(x, y)
+        h, k = h + 2 * k, h + k
+    phi = make(5, 1, 1)
+    a, b = 1, 1
+    for _ in range(60):
+        a, b = b, a + b
+        _check_order(phi, Fraction(b, a))
+        _check_order(phi**7, Fraction(b, a) ** 7)
+        tiny = make(5, 2 * (2 * b - a), -2 * a)
+        for y in (0, Fraction(1, a * a), Fraction(-1, a * a), make(5, 0, 0)):
+            _check_order(tiny, y)
+
+
+def test_rationals_of_the_ring_are_integers():
+    """q = 0 forces p even, so == and hash agree with int and Fraction."""
+    for N in (2, 3, 5, 13, -1, -3):
+        for k in (-7, -1, 0, 1, 2, 10**30):
+            x = make(N, 2 * k, 0)
+            assert x == k == Fraction(k) and x.as_fraction() == k
+            assert x != Fraction(2 * k + 1, 2) and x != k + 1
+            assert hash(x) == hash(k) == hash(Fraction(k))
+
+
+# ---------------------------------------------------------------------------
+# closure: results of ring operations pass make's parity check
+
+
+def test_ring_operations_stay_integral():
+    """Every ring operation builds its result without a parity check; each
+    result must still pass make(N, p, q), in both integral bases."""
+    rng = random.Random(12)
+    for N in (2, 3, 7, 5, 13, 21, -1, -3, -7):
+        units = [field(N).one(), -field(N).one()]
+        if N > 0:
+            eps = fundamental_unit(N).eps
+            units += [eps, -eps, eps.conjugate()]
+        for _ in range(80):
+            a, b = _random_element(rng, N, 40), _random_element(rng, N, 40)
+            results = [a + b, a - b, a * b, -a, a.conjugate(), a + 3, 3 - a, a * -5]
+            results += [a**k for k in range(7)]
+            u = rng.choice(units)
+            results += [u.inverse()] + [u**k for k in range(-6, 7)]
+            results += [field(N).omega(), field(N).sqrt_n(), field(N).integer(-4)]
+            for z in results:
+                assert make(N, z.p, z.q) == z
+
