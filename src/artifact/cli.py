@@ -11,6 +11,7 @@ factorization budget exhausted, 4 internal inconsistency (a bug).
 from __future__ import annotations
 
 import argparse
+import contextvars
 import json
 import sys
 from collections import Counter
@@ -391,6 +392,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one `dnum` command and return its exit code.  It runs in a copy
+    of the caller's context, so --budget lasts for this call only."""
+    return contextvars.copy_context().run(_run, argv)
+
+
+def _run(argv: list[str] | None) -> int:
     args = _build_parser().parse_args(argv)
     if args.budget is not None:
         set_factor_budget(args.budget)

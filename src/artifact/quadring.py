@@ -23,8 +23,10 @@ integers.
 from __future__ import annotations
 
 import math
+from contextvars import ContextVar
 from fractions import Fraction
 from functools import lru_cache
+from itertools import compress
 from random import Random
 
 
@@ -85,33 +87,60 @@ class Rejected(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# integer factorization (trial division + Miller-Rabin + Brent's rho)
+# integer factorization (trial division by prime blocks + Miller-Rabin +
+# perfect-power roots + Brent's rho)
+#
+# Trial division tries the primes below 100 one by one, which is cheaper
+# than a block gcd for the small n that are done by then.  It walks the
+# other primes below 10^6 in blocks and skips a block whose product is
+# coprime to n, so a large cofactor costs one gcd per block rather than one
+# division per prime.  What is left is 1, a prime, or
+# a product of primes above 10^6.  The norms this package factorizes are
+# ell^2 times a small signature, so that cofactor is often a perfect power:
+# its exact integer root is taken before rho, and rho runs only on
+# cofactors that are not perfect powers.
 
 _SIEVE_BOUND = 10**6
-_small_primes: list[int] | None = None
+_BELOW_100 = (  # the first 25 entries of _primes()
+    2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67,
+    71, 73, 79, 83, 89, 97,
+)
+_BLOCK = 256
+# Every prime factor of a cofactor past trial division exceeds 10^6 > 2^19,
+# so the cofactor can only be an r**k with k <= bit_length // 19.
+_ROOT_BITS = 19
 
-#: Iteration budget for Pollard rho; set_factor_budget / CLI --budget adjust it.
+#: Iteration budget for Pollard rho.  set_factor_budget / CLI --budget set it
+#: in the current context only (a ContextVar), so no caller leaks it to others.
 DEFAULT_FACTOR_BUDGET = 10**7
-_factor_budget = DEFAULT_FACTOR_BUDGET
+_factor_budget: ContextVar[int] = ContextVar(
+    "factor_budget", default=DEFAULT_FACTOR_BUDGET
+)
 
 
 def set_factor_budget(budget: int) -> None:
-    global _factor_budget
     if budget <= 0:
         raise ValueError("budget must be positive")
-    _factor_budget = budget
+    _factor_budget.set(budget)
 
 
+@lru_cache(maxsize=None)
 def _primes() -> list[int]:
-    global _small_primes
-    if _small_primes is None:
-        sieve = bytearray([1]) * (_SIEVE_BOUND + 1)
-        sieve[0] = sieve[1] = 0
-        for i in range(2, math.isqrt(_SIEVE_BOUND) + 1):
-            if sieve[i]:
-                sieve[i * i :: i] = bytearray(len(sieve[i * i :: i]))
-        _small_primes = [i for i in range(_SIEVE_BOUND + 1) if sieve[i]]
-    return _small_primes
+    """The primes up to _SIEVE_BOUND, ascending (sieve of Eratosthenes)."""
+    sieve = bytearray([1]) * (_SIEVE_BOUND + 1)
+    sieve[0] = sieve[1] = 0
+    for i in range(2, math.isqrt(_SIEVE_BOUND) + 1):
+        if sieve[i]:
+            sieve[i * i :: i] = bytes((_SIEVE_BOUND - i * i) // i + 1)
+    return list(compress(range(_SIEVE_BOUND + 1), sieve))
+
+
+@lru_cache(maxsize=None)
+def _prime_block(start: int) -> tuple[int, tuple[int, ...]]:
+    """Product and primes of the block of _BLOCK sieve primes from index
+    start, built on first use, so that start-up pays only for the sieve."""
+    block = tuple(_primes()[start : start + _BLOCK])
+    return math.prod(block), block
 
 
 def _is_probable_prime(n: int) -> bool:
@@ -143,8 +172,29 @@ def _is_probable_prime(n: int) -> bool:
     return True
 
 
-def _brent_rho(n: int, budget: list[int]) -> int:
-    """One nontrivial factor of odd composite n, or raise FactorizationLimit."""
+def _perfect_power(m: int) -> tuple[int, int]:
+    """(r, k) with m == r**k for the least prime k <= m.bit_length() // 19,
+    found by exact integer roots; (m, 1) when there is none.  The bound
+    finds every power of a cofactor whose prime factors exceed 2^19."""
+    for k in _primes():
+        if k > m.bit_length() // _ROOT_BITS:
+            break
+        if k == 2:
+            r = math.isqrt(m)
+        else:  # integer Newton iteration from above for floor(m^(1/k))
+            r = 1 << -(-m.bit_length() // k)
+            while (s := ((k - 1) * r + m // r ** (k - 1)) // k) < r:
+                r = s
+        if r**k == m:
+            return r, k
+    return m, 1
+
+
+def _brent_rho(n: int, spent: list[int]) -> int:
+    """One nontrivial factor of odd composite n, or raise FactorizationLimit
+    once spent[0], the rho iterations of this factorization, reaches the
+    budget of the current context."""
+    budget = _factor_budget.get()
     rng = Random(n)
     while True:
         y, c, m = rng.randrange(1, n), rng.randrange(1, n), 128
@@ -158,10 +208,10 @@ def _brent_rho(n: int, budget: list[int]) -> int:
                 ys = y
                 for _ in range(min(m, r - k)):
                     y = (y * y + c) % n
-                    q = q * abs(x - y) % n
-                budget[0] -= min(m, r - k)
-                if budget[0] <= 0:
-                    raise FactorizationLimit(f"factor budget exhausted on {n}")
+                    q = q * (x - y) % n
+                spent[0] += min(m, r - k)
+                if spent[0] >= budget:
+                    raise _budget_exhausted(n, spent[0], budget)
                 g = math.gcd(q, n)
                 k += m
             r *= 2
@@ -169,42 +219,67 @@ def _brent_rho(n: int, budget: list[int]) -> int:
             g = 1
             while g == 1:
                 ys = (ys * ys + c) % n
-                g = math.gcd(abs(x - ys), n)
-                budget[0] -= 1
-                if budget[0] <= 0:
-                    raise FactorizationLimit(f"factor budget exhausted on {n}")
+                g = math.gcd(x - ys, n)
+                spent[0] += 1
+                if spent[0] >= budget:
+                    raise _budget_exhausted(n, spent[0], budget)
         if g != n:
             return g
 
 
-def factorize(n: int) -> dict[int, int]:
-    """Prime factorization of n >= 1 as an exponent dict.
+def _budget_exhausted(n: int, spent: int, budget: int) -> FactorizationLimit:
+    return FactorizationLimit(
+        f"factor budget {budget} exhausted after {spent} rho iterations "
+        f"on a {n.bit_length()}-bit cofactor"
+    )
 
-    Raises FactorizationLimit if the rho budget runs out; never returns a
-    wrong factorization.
+
+def factorize(n: int) -> dict[int, int]:
+    """Prime factorization of n >= 1 as an exponent dict, ascending.
+
+    Trial division by the primes up to 10^6 (above 100, one gcd per block
+    of them); then, on what is left, Miller-Rabin, exact perfect-power
+    roots, and Brent's rho on composites that are not perfect powers.
+    Raises FactorizationLimit if rho spends the budget of the current
+    context (set_factor_budget); never returns a wrong factorization.
     """
     if n < 1:
         raise ValueError("factorize expects n >= 1")
     out: dict[int, int] = {}
-    for p in _primes():
+    for p in _BELOW_100:
         if p * p > n:
             break
         while n % p == 0:
             out[p] = out.get(p, 0) + 1
             n //= p
+    primes, start = _primes(), len(_BELOW_100)
+    while start < len(primes) and primes[start] * primes[start] <= n:
+        product, block = _prime_block(start)
+        start += _BLOCK
+        g = math.gcd(product % n, n)  # the block primes dividing n, squarefree
+        for p in block:
+            if g == 1:
+                break
+            if g % p == 0:
+                g //= p
+                while n % p == 0:
+                    out[p] = out.get(p, 0) + 1
+                    n //= p
     if n == 1:
         return out
-    budget = [_factor_budget]
-    stack = [n]
+    spent = [0]
+    stack = [(n, 1)]  # (cofactor, exponent it carries)
     while stack:
-        m = stack.pop()
-        if m == 1:
-            continue
+        m, e = stack.pop()
         if _is_probable_prime(m):
-            out[m] = out.get(m, 0) + 1
+            out[m] = out.get(m, 0) + e
             continue
-        d = _brent_rho(m, budget)
-        stack += [d, m // d]
+        r, k = _perfect_power(m)
+        if k > 1:
+            stack.append((r, k * e))
+            continue
+        d = _brent_rho(m, spent)
+        stack += [(d, e), (m // d, e)]
     return dict(sorted(out.items()))
 
 

@@ -10,7 +10,7 @@ import pytest
 
 from artifact import dplus
 from artifact.cli import main
-from artifact.quadring import DEFAULT_FACTOR_BUDGET, set_factor_budget
+from artifact.quadring import DEFAULT_FACTOR_BUDGET, factorize, set_factor_budget
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -178,6 +178,31 @@ def test_exit_codes(capsys):
         assert code == 3 and err.startswith("FactorizationLimit")
     finally:
         set_factor_budget(DEFAULT_FACTOR_BUDGET)
+
+
+def test_budget_lasts_one_call(capsys):
+    code, _, err = run(
+        capsys, "--budget", "1", "factor", "5", "2000000032000000126", "0"
+    )
+    assert code == 3
+    assert err.startswith(
+        "FactorizationLimit: factor budget 1 exhausted after 1 rho iterations"
+        " on a 60-bit cofactor"
+    )
+    # no reset: the next factorization in the process has the default budget
+    assert factorize(999999999989 * 999999999961) == {
+        999999999961: 1, 999999999989: 1,
+    }
+
+
+def test_factor_square_of_large_prime(capsys):
+    # x = P, a prime near 3.8e16, so N(x) = P^2: rho alone would need about
+    # sqrt(P) iterations, the exact square root needs none
+    code, out, _ = run(
+        capsys, "--budget", "300000", "factor", "17", "75798175521524242", "0"
+    )
+    assert code == 0
+    assert out == "ell=37899087760762121 m=0 delta=000\n"
 
 
 def test_internal_inconsistency_exits_4(capsys, monkeypatch):

@@ -1,5 +1,7 @@
+import contextvars
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -248,6 +250,97 @@ def test_factorize():
         fac = qr.factorize(n)
         assert math.prod(pr**e for pr, e in fac.items()) == n
         assert all(qr._is_probable_prime(pr) for pr in fac)
+
+
+def _under_budget(budget, fn, *args):
+    """fn(*args) with the factor budget set in a copy of the context."""
+
+    def run():
+        qr.set_factor_budget(budget)
+        return fn(*args)
+
+    return contextvars.copy_context().run(run)
+
+
+def _trial_division(n):
+    """Oracle for the block scan: divide by 2 and each odd d while d*d <= n."""
+    out, d = {}, 2
+    while d * d <= n:
+        while n % d == 0:
+            out[d] = out.get(d, 0) + 1
+            n //= d
+        d += 1 if d == 2 else 2
+    if n > 1:
+        out[n] = out.get(n, 0) + 1
+    return out
+
+
+def test_factorize_against_sympy():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(5)
+    for _ in range(300):
+        n = rng.randrange(1, 10**15 + 1)
+        fac = qr.factorize(n)
+        assert fac == sympy.factorint(n), n
+        assert list(fac) == sorted(fac)
+
+
+def test_block_scan_matches_trial_division():
+    primes = qr._primes()
+    # the last prime tried one by one and the first of the blocks, the last
+    # prime of a block and the first of the next, then the largest prime of
+    # the sieve and the first prime after it
+    edges = [
+        (primes[start - 1], primes[start])
+        for start in range(len(qr._BELOW_100), len(primes), qr._BLOCK)
+    ]
+    edges = edges[:3] + edges[150:151] + edges[-1:]
+    edges.append((999983, 1000003))
+    cases = [999983 * 1000003, 999983**2 * 1000003**3]
+    for lo, hi in edges:
+        cases += [lo * hi, lo**2 * hi**2, 2 * lo * hi**3, 3**5 * lo * 1619 * hi]
+    rng = random.Random(17)
+    for _ in range(40):
+        n = 2 ** rng.randrange(4)
+        for _ in range(rng.randrange(1, 4)):
+            n *= rng.choice(primes[: 3 * qr._BLOCK]) ** rng.randrange(1, 3)
+        cases.append(n * rng.choice(primes) ** rng.randrange(1, 3))
+    # what trial division leaves of these is 1, a prime or a prime power,
+    # so a prime it missed would send a composite to rho, which a budget of
+    # one iteration refuses
+    for n in cases:
+        assert _under_budget(1, qr.factorize, n) == _trial_division(n), n
+
+
+def test_perfect_powers_are_rooted_before_rho():
+    P = 37899087760762121  # prime: rho alone needs about sqrt(P) steps on P^k
+    for k in range(2, 6):
+        assert _under_budget(300_000, qr.factorize, P**k * 6) == {2: 1, 3: 1, P: k}
+    # prime powers are split by exact roots only, so one rho iteration of
+    # budget is enough; 17 * 19.93 bits is where a bit_length // 20 bound
+    # would miss the root of 1000003^17
+    for p, k in [(P, 7), (1000003, 6), (1000003, 17), (999999999989, 4)]:
+        assert _under_budget(1, qr.factorize, 5 * p**k) == {5: 1, p: k}
+    # a composite root goes on to rho with the exponent it carries
+    p, q = 1000003, 1000033
+    assert qr.factorize((p * q) ** 3 * 7) == {7: 1, p: 3, q: 3}
+    assert qr.factorize(p**2 * q**3) == {p: 2, q: 3}
+
+
+def test_factor_budget_is_per_context_and_reported():
+    n = 999999999989 * 999999999961
+    with pytest.raises(qr.FactorizationLimit) as err:
+        _under_budget(1000, qr.factorize, n)
+    found = re.fullmatch(
+        r"factor budget (\d+) exhausted after (\d+) rho iterations "
+        r"on a (\d+)-bit cofactor",
+        str(err.value),
+    )
+    budget, spent, bits = map(int, found.groups())
+    assert budget == 1000 and 1000 <= spent < 1000 + 128
+    assert bits == n.bit_length()
+    # the budget set in that context ends with it
+    assert qr.factorize(n) == {999999999961: 1, 999999999989: 1}
 
 
 def test_divisors():
