@@ -16,6 +16,7 @@ import json
 import sys
 from collections import Counter
 from fractions import Fraction
+from functools import lru_cache
 
 from . import dnumbers, dplus, fusion, units
 from .quadring import (
@@ -121,11 +122,10 @@ def _cmd_divides(args):
 
 
 def _cmd_enumerate(args):
-    bound = Fraction(args.M)
     if args.field is not None:
-        elements = dplus.enumerate_field(args.field, bound)
+        elements = dplus.enumerate_field(args.field, args.M)
     else:
-        elements = dplus.enumerate_all(bound, include_integers=not args.no_integers)
+        elements = dplus.enumerate_all(args.M, include_integers=not args.no_integers)
     lines, payloads = [], []
     for el in elements:
         lines.append(el.record())
@@ -297,7 +297,17 @@ def _cmd_complex(args):
 # parser
 
 
+def fraction(text: str) -> Fraction:
+    """argparse type for M; a zero denominator is a usage error too."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
+
+
+@lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
+    """The `dnum` parser, built once per process; parsing never mutates it."""
     parser = argparse.ArgumentParser(
         prog="dnum",
         description="Exact arithmetic of d-numbers in quadratic fields.",
@@ -342,7 +352,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_divides)
 
     p = sub.add_parser("enumerate", help="dominant d-numbers up to M")
-    p.add_argument("M", help="upper bound (integer or fraction like 37/10)")
+    p.add_argument(
+        "M", type=fraction, help="upper bound (integer or fraction like 37/10)"
+    )
     p.add_argument("--field", type=int, metavar="N", help="restrict to one field")
     p.add_argument(
         "--no-integers", action="store_true",

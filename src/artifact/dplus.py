@@ -25,8 +25,8 @@ from .quadring import (
     NotApplicable,
     QuadField,
     QuadInt,
+    _floor_sqrt_scaled,
     _floor_value_scaled,
-    _parts,
     compare_values,
     decimal_str,
     divisors,
@@ -146,7 +146,7 @@ def enumerate_field(field_or_n, M) -> list[DPlusElement]:
                 fact = CanonicalFactorization(fld.N, ell, m, delta, gs.case)
                 found.append((value, fact))
         m += 1
-    found.sort(key=cmp_to_key(lambda a, b: compare_values(a[0], b[0])))
+    found.sort(key=lambda t: t[0])
     return [DPlusElement(v, f, decimal_str(v)) for v, f in found]
 
 
@@ -206,12 +206,18 @@ def enumerate_all(M, include_integers: bool = False) -> list[DPlusElement]:
             DPlusElement(k, None, decimal_str(k))
             for k in range(1, math.floor(M) + 1)
         )
-    # floor(value * 2^64) orders almost every pair in integers; only a tie
-    # falls back to the exact comparison, which may escalate intervals
+    # floor(value * 2^64) = (p*2^64 + floor(q*2^64*sqrt(N))) // 2 orders
+    # almost every pair in integers; only a tie falls back to compare_values
     exact = cmp_to_key(compare_values)
     scale = 1 << 64
-    out.sort(key=lambda e: (_floor_value_scaled(*_parts(e.value), scale),
-                            exact(e.value)))
+
+    def key(e: DPlusElement):
+        v = e.value
+        if isinstance(v, int):
+            return v * scale, exact(v)
+        return (v.p * scale + _floor_sqrt_scaled(v.q, 1, v.N, scale)) // 2, exact(v)
+
+    out.sort(key=key)
     return out
 
 

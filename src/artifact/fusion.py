@@ -15,7 +15,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from pathlib import Path
+from typing import NamedTuple
 
 from .dnumbers import (
     CanonicalFactorization,
@@ -35,6 +37,8 @@ from .quadring import (
     QuadInt,
     Rejected,
     _floor_sqrt_scaled,
+    _floor_value_scaled,
+    _radical_sub,
     divisors,
     exact_divide,
     field,
@@ -327,11 +331,17 @@ def generalized_near_group_check(
 
 
 # ---------------------------------------------------------------------------
-# certified bounds on 4cos^2(pi/n)
+# the small-dimension screen
+#
+# 4cos^2(pi/n) and 2cos(pi/n) are exact {radicand: coefficient} sums when
+# they are rational or quadratic, and such a sum of square roots of distinct
+# squarefree integers is zero only when it is empty (see
+# quadring.radical_sign).  Certified intervals remain only for the values of
+# degree >= 3, and only they can leave a test undecided.
 
 
 class _Ambiguous(Exception):
-    """Internal: interval too wide to decide; retry at higher precision."""
+    """Internal: a degree >= 3 interval is too wide; retry at higher precision."""
 
 
 def _atan_inv_scaled(x: int, scale: int) -> tuple[int, int]:
@@ -366,6 +376,7 @@ def _cos_scaled(x: int, scale: int) -> tuple[int, int]:
     return total - slack, total + slack
 
 
+@lru_cache(maxsize=None)
 def _cos_value_bounds(n: int, prec: int) -> tuple[Fraction, Fraction]:
     """Certified bounds on 4cos^2(pi/n) = 2 + 2cos(2pi/n), n >= 7."""
     guard = 32
@@ -403,145 +414,88 @@ _EXACT_COS_DIMS = {
 }
 
 
-def _dict_sub(a: dict, b: dict) -> dict:
-    out = dict(a)
-    for rad, coeff in b.items():
-        out[rad] = out.get(rad, Fraction(0)) - coeff
-    return {rad: c for rad, c in out.items() if c}
+class _Value(NamedTuple):
+    """A real value: an exact {radicand: coefficient} sum, or None when it
+    has degree >= 3, plus certified bounds lo <= value <= hi."""
 
-
-def _dict_add_scaled(a: dict, b: dict, k: int) -> dict:
-    out = dict(a)
-    for rad, coeff in b.items():
-        out[rad] = out.get(rad, Fraction(0)) + k * coeff
-    return {rad: c for rad, c in out.items() if c}
-
-
-def _dict_bounds(d: dict, prec: int) -> tuple[Fraction, Fraction]:
-    scale = 1 << prec
-    lo = hi = Fraction(0)
-    for rad, coeff in d.items():
-        if rad == 1:
-            lo += coeff
-            hi += coeff
-            continue
-        root = math.isqrt(rad * scale * scale)
-        r_lo, r_hi = Fraction(root, scale), Fraction(root + 1, scale)
-        if coeff >= 0:
-            lo += coeff * r_lo
-            hi += coeff * r_hi
-        else:
-            lo += coeff * r_hi
-            hi += coeff * r_lo
-    return lo, hi
-
-
-@dataclass(frozen=True)
-class _Screened:
-    """One candidate squared dimension 4cos^2(pi/n) with certified handles."""
-
-    n: int
-    exact: tuple | None  # sorted (radicand, coeff) pairs or None
+    exact: dict | None
     lo: Fraction
     hi: Fraction
 
-    @property
-    def exact_dict(self) -> dict | None:
-        return dict(self.exact) if self.exact is not None else None
+
+def _exact_value(exact: dict, prec: int) -> _Value:
+    """The sum with the floors and the ceilings of its terms as bounds."""
+    scale = 1 << prec
+    lo = sum(_floor_value_scaled(0, c, r, scale) for r, c in exact.items())
+    hi = -sum(_floor_value_scaled(0, -c, r, scale) for r, c in exact.items())
+    return _Value(exact, Fraction(lo, scale), Fraction(hi, scale))
 
 
-def _screened_value(n: int, prec: int) -> _Screened:
+def _cos_square(n: int, prec: int) -> _Value:
+    """4cos^2(pi/n) for n >= 3."""
     exact = _EXACT_COS_SQUARES.get(n)
     if exact is not None:
-        lo, hi = _dict_bounds(exact, prec)
-        return _Screened(n, tuple(sorted(exact.items())), lo, hi)
+        return _exact_value(exact, prec)
+    return _Value(None, *_cos_value_bounds(n, prec))
+
+
+def _cos_dim(n: int, prec: int) -> _Value:
+    """2cos(pi/n) for n >= 3; bounded by the roots of 4cos^2's bounds."""
+    exact = _EXACT_COS_DIMS.get(n)
+    if exact is not None:
+        return _exact_value(exact, prec)
+    scale = 1 << prec
     lo, hi = _cos_value_bounds(n, prec)
-    return _Screened(n, None, lo, hi)
+    return _Value(
+        None,
+        Fraction(math.isqrt(math.floor(lo * scale * scale)), scale),
+        Fraction(math.isqrt(math.floor(hi * scale * scale)) + 1, scale),
+    )
 
 
-def _dict_is_zero_or_sign(d: dict, prec: int) -> int:
-    """Sign of a sum of rational multiples of square roots, exactly (0 on
-    exact zero), via intervals with a square-root-conjugation fallback."""
-    if not d:
-        return 0
-    lo, hi = _dict_bounds(d, prec)
-    if lo > 0:
-        return 1
-    if hi < 0:
-        return -1
-    # narrow interval straddling zero: the only way the value is zero is
-    # literal cancellation, which _dict_sub would have produced; escalate
-    for extra in (64, 256, 1024):
-        lo, hi = _dict_bounds(d, prec + extra)
-        if lo > 0:
-            return 1
-        if hi < 0:
-            return -1
-    raise _Ambiguous(str(d))
+def _combinations(need: _Value, parts: list[_Value]):
+    """Yield every tuple of counts k_i >= 0 with sum k_i * parts[i] == need.
 
-
-def _match_as_combination(
-    need_exact: dict | None,
-    need_bounds: tuple[Fraction, Fraction],
-    dims: list[tuple[dict | None, tuple[Fraction, Fraction]]],
-    prec: int,
-) -> bool:
-    """Is `need` a nonnegative-integer combination of the given dims?
-
-    Exact dictionaries decide whenever every participant has one;
-    otherwise certified intervals refute, and a straddling interval
-    raises _Ambiguous for the caller to retry at higher precision.
+    A remainder that stays exact is zero only when its dict is empty.  One
+    that took a degree >= 3 part is refuted by its bounds, or raises
+    _Ambiguous when they straddle zero.
     """
 
-    def rec(idx: int, exact: dict | None, lo: Fraction, hi: Fraction) -> bool:
-        if hi < 0:
-            return False
-        if idx == len(dims):
-            if exact is not None:
-                return not exact
-            if lo > 0 or hi < 0:
-                return False
-            raise _Ambiguous("zero test on interval-only remainder")
-        d_exact, (d_lo, d_hi) = dims[idx]
-        top = math.floor(hi / d_lo) if d_lo > 0 else 0
-        for count in range(top + 1):
-            if count == 0:
-                nxt_exact = exact
-            elif exact is not None and d_exact is not None:
-                nxt_exact = _dict_add_scaled(exact, d_exact, -count)
-            else:
-                nxt_exact = None
-            if rec(idx + 1, nxt_exact, lo - count * d_hi, hi - count * d_lo):
-                return True
-        return False
+    def rec(idx: int, rest: _Value, counts: tuple[int, ...]):
+        if rest.hi < 0:
+            return
+        if idx == len(parts):
+            if rest.exact is None and rest.lo <= 0:
+                raise _Ambiguous("zero test on an interval-only remainder")
+            if rest.exact == {}:
+                yield counts
+            return
+        part = parts[idx]
+        top = math.floor(rest.hi / part.lo) if part.lo > 0 else 0
+        for k in range(top + 1):
+            exact = rest.exact if k == 0 else None
+            if k and rest.exact is not None and part.exact is not None:
+                exact = _radical_sub(rest.exact, part.exact, k)
+            yield from rec(
+                idx + 1,
+                _Value(exact, rest.lo - k * part.hi, rest.hi - k * part.lo),
+                counts + (k,),
+            )
 
-    return rec(0, need_exact, need_bounds[0], need_bounds[1])
+    return rec(0, need, ())
 
 
 def _tensor_square_consistent(members: tuple[int, ...], prec: int) -> bool:
     """Necessary fusion condition on a candidate simple-dimension multiset:
     for each member X, dim(X)^2 - 1 must be a nonnegative-integer
     combination of the members' dimensions (X (x) dual(X) minus the unit)."""
-    dims = []
-    for n in sorted(set(members)):
-        exact = _EXACT_COS_DIMS.get(n)
-        if exact is not None:
-            dims.append((exact, _dict_bounds(exact, prec)))
-        else:
-            v_lo, v_hi = _cos_value_bounds(n, prec)
-            scale = 1 << prec
-            root_lo = Fraction(math.isqrt((v_lo.numerator * scale * scale) // v_lo.denominator), scale)
-            root_hi = Fraction(math.isqrt((v_hi.numerator * scale * scale) // v_hi.denominator) + 1, scale)
-            dims.append((None, (root_lo, root_hi)))
-    for n in sorted(set(members)):
-        v = _screened_value(n, prec)
-        need_exact = (
-            _dict_sub(v.exact_dict, {1: Fraction(1)})
-            if v.exact is not None
-            else None
-        )
-        bounds = (v.lo - 1, v.hi - 1)
-        if not _match_as_combination(need_exact, bounds, dims, prec):
+    kinds = sorted(set(members))
+    dims = [_cos_dim(n, prec) for n in kinds]
+    for n in kinds:
+        square = _cos_square(n, prec)
+        exact = None if square.exact is None else _radical_sub(square.exact, {1: 1})
+        need = _Value(exact, square.lo - 1, square.hi - 1)
+        if next(_combinations(need, dims), None) is None:
             return False
     return True
 
@@ -549,62 +503,22 @@ def _tensor_square_consistent(members: tuple[int, ...], prec: int) -> bool:
 def _screen_once(
     target: QuadInt, prec: int, apply_tensor_filter: bool
 ) -> list[tuple[int, ...]]:
-    goal = {1: Fraction(target.p, 2) - 1}
-    if target.q:
-        goal[target.N] = Fraction(target.q, 2)
-    goal = {rad: c for rad, c in goal.items() if c}
-    goal_lo, goal_hi = _dict_bounds(goal, prec)
-    # candidate list: every n with 4cos^2(pi/n) <= target - 1
-    values: list[_Screened] = []
+    goal = {1: Fraction(target.p - 2, 2), target.N: Fraction(target.q, 2)}
+    goal = _exact_value({r: c for r, c in goal.items() if c}, prec)
+    # every n with 4cos^2(pi/n) <= target - 1 by the bounds, in descending
+    # order for the search; it counts a value above target - 1 zero times.
+    # The values approach 4 from below, so the list ends once goal.hi < 4.
+    if goal.hi >= 4:
+        raise _Ambiguous("target - 1 not separated from 4")
     n = 3
-    while True:
-        v = _screened_value(n, prec)
-        if v.exact is not None:
-            sign = _dict_is_zero_or_sign(_dict_sub(v.exact_dict, goal), prec)
-            if sign > 0:
-                break
-        else:
-            if v.lo > goal_hi:
-                break
-            if v.hi > goal_lo:
-                # straddles the cutoff; degree >= 3 forbids equality
-                raise _Ambiguous(f"cutoff test for n={n}")
-        values.append(v)
+    while _cos_square(n, prec).lo <= goal.hi:
         n += 1
-    values.reverse()  # descending magnitude for the search
-
-    survivors: list[tuple[int, ...]] = []
-
-    def rec(idx: int, exact: dict | None, lo: Fraction, hi: Fraction,
-            chosen: list[int]) -> None:
-        if hi < 0:
-            return
-        if idx == len(values):
-            if exact is not None:
-                if not exact:
-                    survivors.append(tuple(sorted(chosen)))
-                return
-            if lo > 0 or hi < 0:
-                return
-            raise _Ambiguous("sum test with interval-only members")
-        v = values[idx]
-        top = math.floor(hi / v.lo) if v.lo > 0 else 0
-        for count in range(top + 1):
-            if count == 0:
-                nxt_exact = exact
-            elif exact is not None and v.exact is not None:
-                nxt_exact = _dict_add_scaled(exact, v.exact_dict, -count)
-            else:
-                nxt_exact = None
-            rec(
-                idx + 1,
-                nxt_exact,
-                lo - count * v.hi,
-                hi - count * v.lo,
-                chosen + [v.n] * count,
-            )
-
-    rec(0, goal, goal_lo, goal_hi, [])
+    ns = range(n - 1, 2, -1)
+    values = [_cos_square(k, prec) for k in ns]
+    survivors = [
+        tuple(sorted(n for n, k in zip(ns, counts) for _ in range(k)))
+        for counts in _combinations(goal, values)
+    ]
     if apply_tensor_filter:
         survivors = [s for s in survivors if _tensor_square_consistent(s, prec)]
     return sorted(survivors)

@@ -11,8 +11,8 @@ values are bracketed with ``math.isqrt`` when a decimal is needed, and
 floating point never decides anything.  The order (`sign`, `<`, `compare`)
 and `==` against an int or a `Fraction` are integer-only: a rational cutoff
 n/d is cross-multiplied by d, not subtracted as a `Fraction`.
-`compare_values` settles same-field and single-radical pairs with the same
-`_sign`.
+`compare_values` is exact for any radicands: `radical_sign` decides the sign
+of a sum of rational multiples of square roots by squaring, with no interval.
 
 Parity is checked where coordinates enter (`make`, `exact_divide`).  Ring
 operations build their results with the unchecked `_raw`, since sums,
@@ -657,7 +657,7 @@ def divides(y: QuadInt, x: QuadInt) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# exact sign / interval machinery
+# exact signs and floors
 
 
 def _sign(a: int, b: int, N: int) -> int:
@@ -711,37 +711,64 @@ def _parts(x) -> tuple[Fraction, Fraction, int]:
     raise TypeError(f"cannot interpret {type(x).__name__} as a real value")
 
 
-def real_interval(x, scale: int) -> tuple[Fraction, Fraction]:
-    """A width-1/scale interval [lo, hi] certified to contain the value."""
-    r, s, N = _parts(x)
-    f = _floor_value_scaled(r, s, N, scale)
-    return Fraction(f, scale), Fraction(f + 1, scale)
+def _radical_sub(a: dict, b: dict, k=1) -> dict:
+    """a - k*b for {radicand: coefficient} sums, without zero entries."""
+    out = dict(a)
+    for r, c in b.items():
+        out[r] = out.get(r, 0) - k * c
+    return {r: c for r, c in out.items() if c}
+
+
+def _radical_square(terms: dict[int, int]) -> dict[int, int]:
+    """The square of sum c*sqrt(r), as such a sum: for squarefree r and s
+    with g = gcd(r, s), sqrt(r)*sqrt(s) = g*sqrt((r/g)*(s/g)), squarefree."""
+    out: dict[int, int] = {}
+    for r, c in terms.items():
+        for s, e in terms.items():
+            g = math.gcd(r, s)
+            key = r // g * (s // g)
+            out[key] = out.get(key, 0) + c * e * g
+    return out
+
+
+def radical_sign(terms: dict) -> int:
+    """Sign of sum(c * sqrt(r) for r, c in terms.items()), exactly.
+
+    Each r is a positive squarefree integer, r = 1 holding the rational
+    part, and each c an int or a Fraction.  Square roots of distinct
+    squarefree integers are linearly independent over Q (Besicovitch
+    1940), so the sum is zero only when every c is.
+    """
+    d = math.lcm(1, *(c.denominator for c in terms.values()))
+    terms = {r: c.numerator * (d // c.denominator) for r, c in terms.items() if c}
+    if len(terms) <= 1:
+        return _sign(sum(terms.values()), 0, 1)
+    # p > 1 dividing the largest radicand, shrunk by gcds until it divides
+    # every radicand or is coprime to it
+    p = max(terms)
+    for r in terms:
+        g = math.gcd(p, r)
+        if g > 1:
+            p = g
+    # sum = X + sqrt(p)*Y, and no radicand of X or Y shares a prime with p
+    x = {r: c for r, c in terms.items() if r % p}
+    y = {r // p: c for r, c in terms.items() if r % p == 0}
+    sx, sy = radical_sign(x), radical_sign(y)
+    if sx * sy >= 0:
+        return sx or sy
+    # opposite signs: |X| against sqrt(p)*|Y|, compared by their squares,
+    # whose radicands again share no prime with p, so the recursion ends
+    return sx * radical_sign(_radical_sub(_radical_square(x), _radical_square(y), p))
 
 
 def compare_values(a, b) -> int:
-    """Exact three-way comparison of mixed QuadInt / int / Fraction values.
-
-    Same-field and single-radical cases resolve by integer sign arguments;
-    genuinely mixed radicals (which can never be equal) escalate certified
-    intervals until they separate.
-    """
+    """Exact three-way comparison of mixed QuadInt / int / Fraction values,
+    in any fields: the sign of a - b by `radical_sign`."""
     ra, sa, Na = _parts(a)
     rb, sb, Nb = _parts(b)
-    if sa == 0 or sb == 0 or Na == Nb:
-        r, s = ra - rb, sa - sb
-        d = math.lcm(r.denominator, s.denominator)  # clears both denominators
-        return _sign(r.numerator * (d // r.denominator),
-                     s.numerator * (d // s.denominator), Na or Nb)
-    # distinct radicands, both irrational: never equal
-    scale = 10**8
-    while True:
-        lo_a, hi_a = real_interval(a, scale)
-        lo_b, hi_b = real_interval(b, scale)
-        if hi_a < lo_b:
-            return -1
-        if hi_b < lo_a:
-            return 1
-        scale *= 10**8
+    diff = {1: ra - rb, Na: sa}
+    diff[Nb] = diff.get(Nb, 0) - sb
+    return radical_sign(diff)
 
 
 def decimal_str(x, places: int = 6) -> str:

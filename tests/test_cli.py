@@ -170,6 +170,11 @@ def test_exit_codes(capsys):
         main([])
     assert exc.value.code == 2
     capsys.readouterr()
+    for bad in ("abc", "1/0"):  # a malformed cutoff M is a usage error too
+        with pytest.raises(SystemExit) as exc:
+            main(["enumerate", bad])
+        assert exc.value.code == 2
+        assert "invalid fraction value" in capsys.readouterr().err
     # 3: factorization budget exhausted (semiprime of two 10-digit primes)
     try:
         code, _, err = run(
@@ -178,6 +183,13 @@ def test_exit_codes(capsys):
         assert code == 3 and err.startswith("FactorizationLimit")
     finally:
         set_factor_budget(DEFAULT_FACTOR_BUDGET)
+
+
+def test_parsed_flags_do_not_leak_between_calls(capsys):
+    # the parser is built once per process; each call parses afresh
+    code, out, _ = run(capsys, "--json", "unit", "19")
+    assert code == 0 and json.loads(out)["command"] == "unit"
+    assert run(capsys, "unit", "19") == (0, "t=340 u=78 norm=+1\n", "")
 
 
 def test_budget_lasts_one_call(capsys):

@@ -4,7 +4,7 @@ dimension formulas, and the small-dimension screen."""
 import pytest
 
 from artifact.dnumbers import canonical_factor, is_dnumber
-from artifact.dplus import in_dplus
+from artifact.dplus import enumerate_field, in_dplus
 from artifact.fusion import (
     Decomposition,
     decompose_global_dim,
@@ -223,6 +223,26 @@ def test_kronecker_screen_preconditions():
         kronecker_screen(make(5, 10, 2))  # 5+sqrt(5): dominant but too big
     # precision parameter is honored (low start still escalates cleanly)
     assert kronecker_screen(make(5, 5, 1), precision_bits=32) == [(5,)]
+
+
+def test_kronecker_screen_independent_of_precision():
+    """Rational and quadratic values are compared exactly, so the starting
+    precision changes no answer: every dominant d-number below 5 in a field
+    with N <= 40, the integers 1..4 included, with the filter on and off.
+    At 1 bit the bounds on target - 1 reach 4 for one target, and the
+    precision must double before the candidate list can end."""
+    targets = []
+    for N in squarefree_range(40)[1:]:
+        targets += [field(N).integer(k) for k in range(1, 5)]
+        targets += [e.value for e in enumerate_field(N, 5) if e.value < 5]
+    assert len(targets) == 102
+    for target in targets:
+        for apply in (True, False):
+            got = [
+                kronecker_screen(target, bits, apply_tensor_filter=apply)
+                for bits in (1, 2, 32, 128, 512)
+            ]
+            assert all(g == got[0] for g in got), (target, apply)
 
 
 def test_quantum_group_table():

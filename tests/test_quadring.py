@@ -354,14 +354,6 @@ def test_is_square():
     assert not qr.is_square(2) and not qr.is_square(-4)
 
 
-def test_real_interval_brackets_value():
-    for x in (make(2, 2, 2), make(5, 1, 1), make(3, -6, -2), make(7, 0, 2)):
-        lo, hi = qr.real_interval(x, 10**12)
-        assert hi - lo == Fraction(1, 10**12)
-        v = (x.p + x.q * math.sqrt(x.N)) / 2
-        assert float(lo) <= v <= float(hi) or abs(v - float(lo)) < 1e-9
-
-
 # ---------------------------------------------------------------------------
 # the integer order against an independent oracle
 
@@ -423,7 +415,8 @@ def test_integer_order_matches_oracle():
                 Fraction(rng.randrange(-400, 401), rng.randrange(1, 30)),
             ]
             # a rational just beside the value, from its decimal floor
-            lo, hi = qr.real_interval(x, 10**6)
+            f = qr._floor_value_scaled(Fraction(x.p, 2), Fraction(x.q, 2), N, 10**6)
+            lo, hi = Fraction(f, 10**6), Fraction(f + 1, 10**6)
             others += [lo, hi, int(math.floor(lo)), int(math.floor(lo)) + 1]
             for y in others:
                 _check_order(x, y)
@@ -483,3 +476,83 @@ def test_ring_operations_stay_integral():
             for z in results:
                 assert make(N, z.p, z.q) == z
 
+
+
+# ---------------------------------------------------------------------------
+# the exact sign of a sum of square roots
+
+
+_NINE_PRIMES = 2 * 3 * 5 * 7 * 11 * 13 * 17 * 19 * 23
+_RADICANDS = [2, 3, 5, 6, 7, 10, 30, 105, 1001, _NINE_PRIMES, _NINE_PRIMES // 6]
+
+
+def _mp_sign(mpmath, terms):
+    """Sign of sum c*sqrt(r) at the working precision, which must leave no
+    doubt: the value is asserted to be far above the rounding error."""
+    value = mpmath.fsum(
+        mpmath.mpf(c.numerator) / c.denominator * mpmath.sqrt(r)
+        for r, c in terms.items()
+    )
+    assert abs(value) > mpmath.mpf(10) ** -400
+    return (value > 0) - (value < 0)
+
+
+def test_radical_sign_against_mpmath():
+    """Random sums over products of up to nine primes; in half of them the
+    rational part cancels the irrational part to within 10^-40.  Then
+    compare_values on near pairs from different fields."""
+    mpmath = pytest.importorskip("mpmath")
+    rng = random.Random(6)
+    with mpmath.workdps(500):
+        for i in range(300):
+            terms = {
+                r: Fraction(rng.randrange(-10**6, 10**6) or 1, rng.randrange(1, 1000))
+                for r in rng.sample(_RADICANDS, rng.randrange(1, 6))
+            }
+            if i % 2:
+                irrational = mpmath.fsum(
+                    mpmath.mpf(c.numerator) / c.denominator * mpmath.sqrt(r)
+                    for r, c in terms.items()
+                )
+                tip = int(mpmath.floor(-irrational * 10**40)) + rng.randrange(2)
+                terms[1] = Fraction(tip, 10**40)
+            else:
+                terms[1] = Fraction(rng.randrange(-100, 100), rng.randrange(1, 9))
+            assert qr.radical_sign(terms) == _mp_sign(mpmath, terms), terms
+        for _ in range(200):
+            N1, N2 = rng.sample([2, 3, 5, 6, 7, 30, 105, 1001], 2)
+            x = make(N1, 0, 2 * rng.randrange(1, 10**6))
+            # y = a + b*sqrt(N2) with a chosen so that y is within 1 of x
+            b = rng.randrange(1, 10**3)
+            a = qr._floor_sqrt_scaled(x.q, 2, N1, 1)
+            a -= qr._floor_sqrt_scaled(b, 1, N2, 1)
+            y = make(N2, 2 * (a + rng.randrange(-1, 2)), 2 * b)
+            want = _mp_sign(mpmath, {N1: Fraction(x.q, 2), 1: -Fraction(y.p, 2),
+                                     N2: -Fraction(y.q, 2)})
+            assert compare_values(x, y) == want, (x, y)
+            assert compare_values(y, x) == -want
+
+
+def test_radical_sign_zero_and_near_zero_over_2_3_6():
+    """Sums over {1, 2, 3, 6} that cancel or nearly cancel, with integer
+    square-root brackets as the oracle.  Splitting off only the largest
+    radical never ends on such sums; radical_sign must return."""
+    assert qr.radical_sign({}) == 0
+    assert qr.radical_sign({1: 0, 2: Fraction(0)}) == 0
+    square = {1: 6, 2: 2, 3: 2, 6: 2}  # (1 + sqrt2 + sqrt3)^2, by hand
+    assert qr._radical_square({1: 1, 2: 1, 3: 1}) == square
+    assert qr.radical_sign(qr._radical_sub(square, square)) == 0
+    for k in range(1, 60):
+        ten = 10**k
+        root2, root3 = math.isqrt(2 * ten * ten), math.isqrt(3 * ten * ten)
+        # (1 + sqrt2 + sqrt3) * ten lies in (s, s + 2)
+        s = ten + root2 + root3
+        below = qr._radical_sub(square, {1: Fraction(s * s, ten * ten)})
+        above = qr._radical_sub(square, {1: Fraction((s + 2) ** 2, ten * ten)})
+        assert qr.radical_sign(below) == 1
+        assert qr.radical_sign(above) == -1
+        # c < (sqrt2 + sqrt3)/sqrt6 = sqrt3/3 + sqrt2/2 < c + 1/ten
+        c = Fraction(root3, 3 * ten) + Fraction(root2, 2 * ten)
+        assert qr.radical_sign({2: 1, 3: 1, 6: -c}) == 1
+        assert qr.radical_sign({2: 1, 3: 1, 6: -c - Fraction(1, ten)}) == -1
+        assert qr.radical_sign({2: -1, 3: -1, 6: c}) == -1
