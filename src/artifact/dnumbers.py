@@ -368,28 +368,35 @@ def complex_classify(field_or_n) -> ComplexClassification:
 # square classes of c * eps^j
 
 
-def sqrt_class(c: int, j_parity: int, field_or_n) -> bool:
-    """Is c * eps^j (c squarefree > 0) the square of a d-number in this field?
+def sqrt_classes(j_parity: int, field_or_n) -> frozenset[int]:
+    """The squarefree c > 0 with c * eps^j the square of a d-number, for j
+    of this parity: at most four integers, the same for every such j.
 
-    Even j: c must be 1 or N.  Odd j with unit norm +1: c must be kappa_1 or
-    kappa_2 (or N*kappa_i in the degenerate squarefree case, which collapses
-    into the former).  Odd j with unit norm -1: never.
+    Even j: 1 and N.  Odd j with unit norm +1: kappa_1 and kappa_2, and
+    N*kappa_i where it is squarefree (the degenerate case, which collapses
+    into the former; N and kappa_i are squarefree, so exactly when they are
+    coprime).  Odd j with unit norm -1: none.
     """
-    if c <= 0 or squarefree_part(c) != c:
-        raise ValueError("c must be positive and squarefree")
     if j_parity not in (0, 1):
         raise ValueError("j_parity is 0 or 1")
     fld = field_or_n if isinstance(field_or_n, QuadField) else field(field_or_n)
     if fld.N < 0:
         raise NotApplicable("square classes are a real-field notion")
     if j_parity == 0:
-        return c in (1, fld.N)
-    fu = fundamental_unit(fld)
-    if fu.unit_norm == -1:
-        return False
+        return frozenset((1, fld.N))
+    if fundamental_unit(fld).unit_norm == -1:
+        return frozenset()
     k1, k2 = kappas(fld)
-    allowed = {k1, k2}
-    for nk in (fld.N * k1, fld.N * k2):
-        if squarefree_part(nk) == nk:
-            allowed.add(nk)
-    return c in allowed
+    return frozenset(
+        [k1, k2] + [fld.N * k for k in (k1, k2) if math.gcd(fld.N, k) == 1]
+    )
+
+
+def sqrt_class(c: int, j_parity: int, field_or_n) -> bool:
+    """Is c * eps^j (c squarefree > 0) the square of a d-number in this field?
+
+    Membership of c in sqrt_classes(j_parity, field_or_n).
+    """
+    if c <= 0 or squarefree_part(c) != c:
+        raise ValueError("c must be positive and squarefree")
+    return c in sqrt_classes(j_parity, field_or_n)

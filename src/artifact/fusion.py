@@ -24,13 +24,12 @@ from .dnumbers import (
     evaluate,
     generator_set,
     is_dnumber,
-    sqrt_class,
+    sqrt_classes,
 )
 from .dplus import in_dplus
 from .quadring import (
     InternalInconsistency,
     NotApplicable,
-    NotDivisible,
     NotInDPlus,
     PrecisionInsufficient,
     QuadField,
@@ -39,9 +38,11 @@ from .quadring import (
     _floor_sqrt_scaled,
     _floor_value_scaled,
     _radical_sub,
+    divides,
     divisors,
     exact_divide,
     field,
+    is_square,
     make,
     squarefree_decompose,
 )
@@ -117,67 +118,108 @@ def _exact_floor(x: QuadInt) -> int:
     return (x.p + _floor_sqrt_scaled(x.q, 1, x.N, 1)) // 2
 
 
+def _last_coefficients(
+    rp: int, rq: int, terms: list[tuple[int, int, int]]
+) -> list[tuple[int, int]] | None:
+    """The integers ell_j >= 0 with (rp + rq*sqrt(N))/2 = sum ell_j * eps^j
+    over at most two terms (j, P, Q), eps^j = (P + Q*sqrt(N))/2, or None.
+
+    Two terms: Cramer's rule, with det = P0*Q1 - P1*Q0 nonzero because
+    eps^a and eps^b are independent over Q.  One term: rem * eps^-j must be
+    a rational integer, that is (rp, rq) = ell_j * (P, Q).  None: rem = 0.
+    """
+    if len(terms) == 2:
+        (a, p0, q0), (b, p1, q1) = terms
+        det = p0 * q1 - p1 * q0
+        la, ra = divmod(rp * q1 - p1 * rq, det)
+        lb, rb = divmod(p0 * rq - rp * q0, det)
+        if ra or rb or la < 0 or lb < 0:
+            return None
+        return [(a, la), (b, lb)]
+    if terms:
+        [(a, p, q)] = terms
+        la, ra = divmod(rq, q)
+        return None if ra or la < 0 or la * p != rp else [(a, la)]
+    return None if rp or rq else []
+
+
 def decompose_global_dim(
     field_or_n, ell: int, m: int, divisor_constraint: int | None = None
 ) -> DecompositionScan:
     """All ways to write ell * eps^m as d_int + sum ell_j * eps^j.
 
-    d_int ranges over the divisors of divisor_constraint (default: of
-    ell); j over 1..j_max with eps^j <= target, even j only when the unit
-    norm is -1.  Solutions are matched coordinatewise in the basis
-    (1, eps) and re-checked against the quantum-integer identity
-    [m]*d_int = sum ell_j * [j-m].
+    d_int ranges over the divisors of divisor_constraint (default, when it
+    is None: of ell); j over 1..j_max with eps^j <= target, even j only
+    when the unit norm is -1.  A walk fixes ell_j from the largest j down
+    to the third smallest.  Every j it visits has sigma(eps^j) = eps^-j > 0,
+    so a remainder must stay >= 0 in both real embeddings: ell_j is capped
+    by the floor of the smaller embedding of rem * eps^-j.  The last two
+    coefficients are then decided exactly by Cramer's rule on doubled
+    coordinates (one j: rem * eps^-j must be a rational integer; no j: rem
+    must be 0).  candidates_scanned is still the raw box size, the number
+    of d_int times the product of the caps floor(target * eps^-j).  Every
+    solution is re-checked against the target and against the
+    quantum-integer identity [m]*d_int = sum ell_j * [j-m].
     """
     fld = field_or_n if isinstance(field_or_n, QuadField) else field(field_or_n)
     if ell < 1 or m < 0:
         raise ValueError("need ell >= 1 and m >= 0")
+    if divisor_constraint is not None and divisor_constraint < 1:
+        raise ValueError(
+            f"divisor_constraint must be >= 1, got {divisor_constraint}"
+        )
     fu = fundamental_unit(fld)
     target = fu.eps**m * ell
     if not in_dplus(target):
         raise NotInDPlus(f"{target} = {ell}*eps^{m} is not a dominant d-number")
     gs = generator_set(fld)
     step = 2 if fu.unit_norm == -1 else 1
-    pool = divisors(divisor_constraint if divisor_constraint else ell)
+    pool = divisors(ell if divisor_constraint is None else divisor_constraint)
     j_max = 0
     while fu.eps ** (j_max + 1) <= target:
         j_max += 1
     js = [j for j in range(1, j_max + 1) if j % step == 0]
-    # eps^j and eps^-j for every j the walk visits, built once per call
     power = {j: fu.eps**j for j in js}
-    inverse = {j: fu.eps**-j for j in js}
-    caps = {j: _exact_floor(target * inverse[j]) for j in js}
     scanned = len(pool)
     for j in js:
-        scanned *= caps[j]
+        scanned *= _exact_floor(target * fu.eps**-j)
+    N = fld.N
+    # (j, P, Q) with eps^j = (P + Q*sqrt(N))/2; the first two close the walk
+    terms = [(j, power[j].p, power[j].q) for j in js]
     solutions: list[Decomposition] = []
-    fact = CanonicalFactorization(fld.N, ell, m, (0, 0, 0), gs.case)
+    fact = CanonicalFactorization(N, ell, m, (0, 0, 0), gs.case)
 
-    def walk(idx: int, rem: QuadInt, chosen: list[tuple[int, int]]) -> None:
-        if idx < 0:
-            if rem.is_zero():
-                coeffs = tuple((j, lj) for j, lj in sorted(chosen) if lj)
+    def walk(idx: int, rp: int, rq: int, chosen: list[tuple[int, int]]) -> None:
+        if idx < 2:
+            last = _last_coefficients(rp, rq, terms[: idx + 1])
+            if last is not None:
+                coeffs = tuple((j, lj) for j, lj in sorted(chosen + last) if lj)
                 solutions.append(Decomposition(fld, fact, d, coeffs))
             return
-        j = js[idx]
-        top = 0 if rem.sign() <= 0 else _exact_floor(rem * inverse[j])
+        j, p, q = terms[idx]
+        # rem * eps^-j = (x + y*sqrt(N))/2 with eps^-j = (p - q*sqrt(N))/2
+        x = (rp * p - N * rq * q) // 2
+        y = (rq * p - rp * q) // 2
+        top = (x + _floor_sqrt_scaled(-abs(y), 1, N, 1)) // 2
         for lj in range(top, -1, -1):
-            walk(idx - 1, rem - power[j] * lj, chosen + [(j, lj)])
+            walk(idx - 1, rp - lj * p, rq - lj * q, chosen + [(j, lj)])
 
     for d in pool:
-        rem0 = target - d
-        if rem0.sign() < 0:
-            continue
-        walk(len(js) - 1, rem0, [])
+        walk(len(js) - 1, target.p - 2 * d, target.q, [])
 
+    if solutions:
+        q_m = quantum_int(fld, m).value
+        q_j = {
+            j: quantum_int(fld, j - m).value
+            for j in {j for sol in solutions for j, _ in sol.coeffs}
+        }
     for sol in solutions:
         total = fld.integer(sol.d_int)
-        for j, lj in sol.coeffs:
-            total = total + power[j] * lj
-        lhs = quantum_int(fld, m).value * sol.d_int
         rhs = fld.zero()
         for j, lj in sol.coeffs:
-            rhs = rhs + quantum_int(fld, j - m).value * lj
-        if total != target or lhs != rhs:
+            total = total + power[j] * lj
+            rhs = rhs + q_j[j] * lj
+        if total != target or q_m * sol.d_int != rhs:
             raise InternalInconsistency(f"solver check failed on {sol}")
     solutions.sort(key=lambda s: (-s.d_int, s.coeffs))
     return DecompositionScan(fld, fact, scanned, tuple(solutions))
@@ -216,25 +258,26 @@ def refine_simple_dims(
 ) -> list[SimpleDimProfile]:
     """Split every ell_j into parts c with sqrt(c * eps^j) a d-number.
 
-    A part c qualifies when c = k^2 * c0 with squarefree c0 admitted by
-    sqrt_class for the parity of j; the optional filter additionally
-    requires target/(c * eps^j) to be an algebraic integer.
+    A part c qualifies when c = c0 * k^2 for one of the squarefree classes
+    c0 that sqrt_classes admits for the parity of j (found once per j, so
+    no part is factorized); the optional filter additionally requires
+    target/(c * eps^j) to be an algebraic integer, that is, c to divide
+    target * eps^-j.
     """
     fld = d.field
     fu = fundamental_unit(fld)
     target_value = evaluate(d.target)
     per_j: list[list[tuple[tuple[int, int], ...]]] = []
     for j, lj in d.coeffs:
+        classes = sqrt_classes(j % 2, fld)
+        if apply_modular_filter:
+            scaled = target_value * fu.eps**-j
         allowed = []
         for c in range(1, lj + 1):
-            _, c0 = squarefree_decompose(c)
-            if not sqrt_class(c0, j % 2, fld):
+            if not any(c % c0 == 0 and is_square(c // c0) for c0 in classes):
                 continue
-            if apply_modular_filter:
-                try:
-                    exact_divide(target_value, fu.eps**j * c)
-                except NotDivisible:
-                    continue
+            if apply_modular_filter and not divides(fld.integer(c), scaled):
+                continue
             allowed.append(c)
         choices = [
             tuple((c, j) for c in partition)
@@ -533,8 +576,11 @@ def kronecker_screen(
     consistent under the tensor-square condition; empty means the target
     is eliminated as a global dimension built from dimensions below 2.
 
-    Requires the target to be a dominant d-number with target - 1 < 4.
+    Requires the target to be a dominant d-number with target - 1 < 4, and
+    precision_bits >= 1 (the precision doubles while a test is undecided).
     """
+    if precision_bits < 1:
+        raise ValueError(f"precision_bits must be >= 1, got {precision_bits}")
     if not in_dplus(target):
         raise NotInDPlus(f"{target} is not a dominant d-number")
     if (target - 5).sign() >= 0:

@@ -185,6 +185,14 @@ def test_exit_codes(capsys):
         set_factor_budget(DEFAULT_FACTOR_BUDGET)
 
 
+def test_decompose_rejects_divisor_constraint_below_one(capsys):
+    # 0 once meant "divisors of ell" and -4 leaked a factorize message
+    for bad in ("0", "-4"):
+        code, out, err = run(capsys, "decompose", "5", "4", "0", "--dint-divides", bad)
+        assert code == 1 and out == ""
+        assert err == f"ValueError: divisor_constraint must be >= 1, got {bad}\n"
+
+
 def test_parsed_flags_do_not_leak_between_calls(capsys):
     # the parser is built once per process; each call parses afresh
     code, out, _ = run(capsys, "--json", "unit", "19")

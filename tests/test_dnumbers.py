@@ -20,6 +20,7 @@ from artifact.dnumbers import (
     is_dnumber_via_charpoly,
     kappas,
     sqrt_class,
+    sqrt_classes,
 )
 from artifact.quadring import (
     FieldMismatch,
@@ -401,6 +402,27 @@ def test_sqrt_class():
     assert sqrt_class(6, 1, 3) and sqrt_class(2, 1, 3) and not sqrt_class(3, 1, 3)
     with pytest.raises(ValueError):
         sqrt_class(12, 1, 3)  # not squarefree
+
+
+def test_sqrt_classes():
+    """The admitted classes are one small set per parity, and agree with
+    the definition by squarefree parts on every real field N <= 300."""
+    assert sqrt_classes(0, 21) == {1, 21}
+    assert sqrt_classes(1, 21) == {3, 7}
+    assert sqrt_classes(1, 5) == frozenset()
+    assert sqrt_classes(1, 3) == {2, 6}
+    with pytest.raises(ValueError):
+        sqrt_classes(2, 3)
+    with pytest.raises(NotApplicable):
+        sqrt_classes(0, -1)
+    for N in squarefree_range(300)[1:]:
+        assert sqrt_classes(0, N) == {1, N}
+        if fundamental_unit(N).unit_norm == -1:
+            assert sqrt_classes(1, N) == frozenset()
+            continue
+        k1, k2 = kappas(N)
+        want = {k1, k2} | {N * k for k in (k1, k2) if squarefree_part(N * k) == N * k}
+        assert sqrt_classes(1, N) == want, N
 
 
 def test_sqrt_class_constructive():

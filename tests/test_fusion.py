@@ -1,12 +1,22 @@
 """Tests for quantum integers, the global-dimension solver, family
 dimension formulas, and the small-dimension screen."""
 
+import itertools
+import math
+from fractions import Fraction
+
 import pytest
 
-from artifact.dnumbers import canonical_factor, is_dnumber
+from artifact.dnumbers import canonical_factor, evaluate, is_dnumber, sqrt_class
 from artifact.dplus import enumerate_field, in_dplus
 from artifact.fusion import (
     Decomposition,
+    _Ambiguous,
+    _combinations,
+    _cos_dim,
+    _cos_square,
+    _cos_value_bounds,
+    _last_coefficients,
     decompose_global_dim,
     generalized_near_group_check,
     haagerup_izumi_dim,
@@ -21,9 +31,12 @@ from artifact.quadring import (
     NotApplicable,
     NotInDPlus,
     Rejected,
+    divides,
+    divisors,
     exact_divide,
     field,
     make,
+    squarefree_decompose,
     squarefree_range,
 )
 from artifact.units import fundamental_unit
@@ -113,6 +126,150 @@ def test_decompose_solutions_satisfy_both_identities():
             assert quantum_int(N, m).value * sol.d_int == rhs
             if fu.unit_norm == -1:
                 assert all(j % 2 == 0 for j, _ in sol.coeffs)
+
+
+def full_walk(N, ell, m, divisor_constraint=None):
+    """Oracle for decompose_global_dim: every ell_j walked from its cap down
+    to 0, largest j first, and a solution wherever the remainder is exactly
+    zero.  No conjugate pruning and no linear solve.  Returns the sorted
+    (d_int, coeffs) pairs."""
+    fu = fundamental_unit(N)
+    target = fu.eps**m * ell
+    step = 2 if fu.unit_norm == -1 else 1
+    js = []
+    while fu.eps ** ((len(js) + 1) * step) <= target:
+        js.append((len(js) + 1) * step)
+    power = {j: fu.eps**j for j in js}
+
+    def floor_of(x):  # floor((p + q*sqrt(N))/2) by an integer square root
+        r = math.isqrt(x.q * x.q * N)
+        if x.q < 0:
+            r = -r if r * r == x.q * x.q * N else -r - 1
+        return (x.p + r) // 2
+
+    found = []
+
+    def walk(idx, rem, chosen):
+        if idx < 0:
+            if rem.is_zero():
+                found.append((d, tuple(sorted((j, lj) for j, lj in chosen if lj))))
+            return
+        j = js[idx]
+        top = 0 if rem.sign() <= 0 else floor_of(rem * fu.eps**-j)
+        for lj in range(top, -1, -1):
+            walk(idx - 1, rem - power[j] * lj, chosen + [(j, lj)])
+
+    for d in divisors(ell if divisor_constraint is None else divisor_constraint):
+        if (target - d).sign() >= 0:
+            walk(len(js) - 1, target - d, [])
+    return sorted(found, key=lambda s: (-s[0], s[1]))
+
+
+def small_targets():
+    """Every dominant ell*eps^m <= 200 with 1 <= m <= 3 over N <= 60."""
+    out = []
+    for N in squarefree_range(60)[1:]:
+        eps = fundamental_unit(N).eps
+        for m in range(1, 4):
+            ell = 1
+            while eps**m * ell <= 200:
+                if in_dplus(eps**m * ell):
+                    out.append((N, ell, m))
+                ell += 1
+    return out
+
+
+def test_decompose_matches_full_walk_oracle():
+    """The exact last two levels and the conjugate prune find exactly the
+    solutions of the full walk: on every small target, and with pools of
+    d_int that differ from the divisors of ell."""
+    targets = small_targets()
+    assert len(targets) == 233
+    total = 0
+    for N, ell, m in targets:
+        got = decompose_global_dim(N, ell, m).solutions
+        assert [(s.d_int, s.coeffs) for s in got] == full_walk(N, ell, m), (N, ell, m)
+        total += len(got)
+    assert total == 1033
+    for N, ell, m in [(21, 21, 1), (3, 10, 1), (5, 4, 2), (2, 6, 2)]:
+        for dc in (1, 7, 12, 30, 60):
+            got = decompose_global_dim(N, ell, m, divisor_constraint=dc).solutions
+            want = full_walk(N, ell, m, divisor_constraint=dc)
+            assert [(s.d_int, s.coeffs) for s in got] == want, (N, ell, m, dc)
+
+
+def test_last_coefficients_against_brute_force():
+    """The exact last step of the solver, on every remainder of value <= 30
+    in a box of doubled coordinates, including those outside Z[eps] (the
+    decompose targets never leave it) and those with a negative or
+    fractional coordinate; the expected coefficients come from a table of
+    all sums with l_j * eps^j <= 30."""
+    bound = 30
+    for N in (2, 3, 5, 13, 21):
+        fu = fundamental_unit(N)
+        step = 2 if fu.unit_norm == -1 else 1
+        for js in ([], [step], [step, 2 * step], [step, 3 * step]):
+            powers = [fu.eps**j for j in js]
+            caps = [max(k for k in range(bound + 1) if e * k <= bound) for e in powers]
+            table = {}
+            for ls in itertools.product(*(range(c + 1) for c in caps)):
+                x = sum((e * lj for e, lj in zip(powers, ls)), field(N).zero())
+                table[(x.p, x.q)] = [(j, lj) for j, lj in zip(js, ls)]
+            terms = [(j, e.p, e.q) for j, e in zip(js, powers)]
+            for rq in range(-12, 13):
+                for rp in range(-2 * bound, 2 * bound + 1):
+                    if (rp - rq) % 2 or (N % 4 != 1 and rp % 2):
+                        continue  # not a ring element
+                    if make(N, rp, rq) > bound:
+                        continue
+                    got = _last_coefficients(rp, rq, terms)
+                    assert got == table.get((rp, rq)), (N, js, rp, rq)
+
+
+def refine_per_part(d, apply_modular_filter):
+    """Oracle for refine_simple_dims: each part c factorized and its
+    squarefree part tested by sqrt_class, the filter as one exact division
+    per part, and the profiles built by a separate recursion."""
+    fu = fundamental_unit(d.field)
+    target_value = evaluate(d.target)
+    per_j = []
+    for j, lj in d.coeffs:
+        allowed = [
+            c for c in range(1, lj + 1)
+            if sqrt_class(squarefree_decompose(c)[1], j % 2, d.field)
+            and (not apply_modular_filter or divides(fu.eps**j * c, target_value))
+        ]
+
+        def splits(rest, largest):  # partitions of rest, parts <= largest
+            if rest == 0:
+                return [()]
+            return [
+                (c,) + more
+                for c in allowed if c <= min(rest, largest)
+                for more in splits(rest - c, c)
+            ]
+
+        per_j.append([tuple((c, j) for c in p) for p in splits(lj, lj)])
+    profiles = [()]
+    for choices in per_j:
+        profiles = [got + extra for got in profiles for extra in choices]
+    return [tuple(sorted(parts)) for parts in sorted(profiles)]
+
+
+def test_refine_matches_per_part_oracle():
+    """Every solution of the small targets with the filter on; with it off,
+    those whose ell_j are all <= 24 (beyond that the unfiltered profiles
+    run into the thousands per solution)."""
+    checked = 0
+    for N, ell, m in small_targets():
+        for sol in decompose_global_dim(N, ell, m).solutions:
+            for apply in (True, False):
+                if not apply and any(lj > 24 for _, lj in sol.coeffs):
+                    continue
+                got = [p.parts for p in refine_simple_dims(sol, apply)]
+                assert got == refine_per_part(sol, apply), (N, ell, m, sol, apply)
+                checked += 1
+    assert checked == 1737  # 1033 filtered, 704 unfiltered
 
 
 def test_refine_modular_filter_effect():
@@ -223,6 +380,37 @@ def test_kronecker_screen_preconditions():
         kronecker_screen(make(5, 10, 2))  # 5+sqrt(5): dominant but too big
     # precision parameter is honored (low start still escalates cleanly)
     assert kronecker_screen(make(5, 5, 1), precision_bits=32) == [(5,)]
+
+
+def test_kronecker_screen_rejects_precision_below_one():
+    # at 0 bits the precision could never double, below 0 it is meaningless
+    for bits in (0, -1):
+        with pytest.raises(ValueError, match="precision_bits"):
+            kronecker_screen(make(5, 5, 1), precision_bits=bits)
+
+
+def test_interval_only_remainder_is_ambiguous():
+    """A remainder that took a degree >= 3 value is zero only if its bounds
+    say so: 4cos^2(pi/7) minus itself straddles 0 and must raise, while the
+    remainder that took nothing stays positive and is simply no match."""
+    for prec in (1, 8, 64):
+        c7 = _cos_square(7, prec)
+        assert c7.exact is None and 3 < c7.lo < c7.hi < 4
+        with pytest.raises(_Ambiguous):
+            list(_combinations(c7, [c7]))
+        assert list(_combinations(c7, [_cos_square(3, prec)])) == []
+
+
+def test_cos_dim_bounds_contain_the_root():
+    """2cos(pi/n) for n >= 7 is bounded by integer square roots of the
+    bounds on its square; squaring the bounds must contain those bounds,
+    which certifies that they contain 2cos(pi/n) itself."""
+    for prec in (1, 2, 8, 32, 128):
+        for n in range(7, 40):
+            dim, (lo, hi) = _cos_dim(n, prec), _cos_value_bounds(n, prec)
+            assert dim.exact is None
+            assert dim.lo**2 <= lo and hi <= dim.hi**2, (n, prec)
+            assert dim.hi - dim.lo <= Fraction(2, 1 << prec), (n, prec)
 
 
 def test_kronecker_screen_independent_of_precision():
