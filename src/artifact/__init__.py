@@ -14,7 +14,6 @@ from .quadring import (
     FieldMismatch,
     InternalInconsistency,
     NotADNumber,
-    NotAlgebraicInteger,
     NotApplicable,
     NotDivisible,
     NotInDPlus,
@@ -49,7 +48,6 @@ __all__ = [
     "FieldMismatch",
     "InternalInconsistency",
     "NotADNumber",
-    "NotAlgebraicInteger",
     "NotApplicable",
     "NotDivisible",
     "NotInDPlus",

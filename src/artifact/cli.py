@@ -129,7 +129,7 @@ def _cmd_enumerate(args):
     lines, payloads = [], []
     for el in elements:
         lines.append(el.record())
-        n, p, q, ell, m, delta, approx = el.record().split("\t")
+        n, p, q, ell, m, delta, approx = lines[-1].split("\t")
         payloads.append(
             (
                 "enumerate",

@@ -49,36 +49,6 @@ def is_dnumber(x: QuadInt) -> bool:
     return (x.p * x.p) % x.norm() == 0
 
 
-def is_dnumber_via_charpoly(x: QuadInt) -> bool:
-    """Independent route: coefficient divisibility on the characteristic
-    polynomial of multiplication by x over the integral basis (1, omega).
-
-    Used by the test suite to cross-validate `is_dnumber`; deliberately
-    avoids the norm()/trace() helpers.
-    """
-    if x.is_zero():
-        raise ZeroElement("0 is not a d-number")
-    p, q, N = x.p, x.q, x.N
-    if x.field.omega_kind == "HalfOnePlusSqrtN":
-        # x = a + b*omega with omega^2 = omega + (N-1)/4
-        a, b = (p - q) // 2, q
-        m00, m10 = a, b
-        m01, m11 = b * (N - 1) // 4, a + b
-    else:
-        # x = a' + b'*sqrt(N) in halves; doubled matrix keeps integers
-        m00, m10 = p, q
-        m01, m11 = q * N, p
-    tr = m00 + m11
-    det = m00 * m11 - m01 * m10
-    if x.field.omega_kind != "HalfOnePlusSqrtN":
-        if tr % 2 or det % 4:
-            raise InternalInconsistency(f"doubled matrix of {x} is not integral")
-        tr, det = tr // 2, det // 4
-    # monic lambda^2 + a1*lambda + a2: need a1^2 divisible by a2^1
-    a1, a2 = -tr, det
-    return (a1 * a1) % a2 == 0
-
-
 def dnumber_order(x: QuadInt) -> int:
     """1 for integer multiples of units, 2 for every other d-number."""
     if x.is_zero():
@@ -102,7 +72,7 @@ def dnumber_order(x: QuadInt) -> int:
 
 def kappas(field_or_n) -> tuple[int, int]:
     """(kappa_1, kappa_2) = squarefree parts of t +- 2; norm +1 fields only."""
-    fld = field_or_n if isinstance(field_or_n, QuadField) else field(field_or_n)
+    fld = field(field_or_n)
     if fld.N < 0:
         raise NotApplicable("kappa invariants live in real fields")
     fu = fundamental_unit(fld)
@@ -186,7 +156,7 @@ def _generator_set_cached(N: int) -> GeneratorSet:
 
 
 def generator_set(field_or_n) -> GeneratorSet:
-    fld = field_or_n if isinstance(field_or_n, QuadField) else field(field_or_n)
+    fld = field(field_or_n)
     if fld.N < 0:
         raise NotApplicable("use complex_classify for imaginary fields")
     return _generator_set_cached(fld.N)
@@ -344,7 +314,7 @@ def complex_classify(field_or_n) -> ComplexClassification:
     """Shape of the d-number set for N < 0: rational multiples of 1 and
     sqrt(N), plus the extra unit orbits in the Gaussian and Eisenstein
     rings."""
-    fld = field_or_n if isinstance(field_or_n, QuadField) else field(field_or_n)
+    fld = field(field_or_n)
     N = fld.N
     if N > 0:
         raise NotApplicable("complex_classify is for N < 0")
@@ -379,7 +349,7 @@ def sqrt_classes(j_parity: int, field_or_n) -> frozenset[int]:
     """
     if j_parity not in (0, 1):
         raise ValueError("j_parity is 0 or 1")
-    fld = field_or_n if isinstance(field_or_n, QuadField) else field(field_or_n)
+    fld = field(field_or_n)
     if fld.N < 0:
         raise NotApplicable("square classes are a real-field notion")
     if j_parity == 0:

@@ -8,7 +8,8 @@ ell is squeezed between 1/sigma(base) and M/base.  enumerate_field walks
 exactly that cell structure.  enumerate_all finds the fields that own
 members by a walk over traces and the divisors of their squares, which
 needs no unit, and runs the cell walk only there, each route checking the
-other.  Every cutoff is decided in integer arithmetic.
+other.  Every cutoff is decided in integer arithmetic: both ell cutoffs
+are one floor of a/(b*x) on the doubled coordinates of x (`_floor_over`).
 """
 
 from __future__ import annotations
@@ -20,19 +21,15 @@ from functools import cmp_to_key
 
 from .dnumbers import CanonicalFactorization, generator_set, is_dnumber
 from .quadring import (
-    HALF_ONE_PLUS_SQRT_N,
     InternalInconsistency,
     NotApplicable,
-    QuadField,
     QuadInt,
     _floor_sqrt_scaled,
-    _floor_value_scaled,
     compare_values,
     decimal_str,
     divisors,
     field,
     is_square,
-    make,
     squarefree_decompose,
 )
 from .units import fundamental_unit
@@ -75,28 +72,21 @@ def in_dplus(x: QuadInt) -> bool:
 # exact ell cutoffs
 
 
-def _recip_parts(x: QuadInt) -> tuple[Fraction, Fraction]:
-    """1/x = r + s*sqrt(N) with rational r, s (x nonzero, real field)."""
-    r, s = Fraction(x.p, 2), Fraction(x.q, 2)
-    nrm = r * r - s * s * x.N
-    return r / nrm, -s / nrm
+def _floor_over(a: int, b: int, x: QuadInt) -> int:
+    """floor(a / (b*x)) for b > 0 and x, sigma(x) > 0, so n = norm(x) > 0:
+    a/(b*x) = (a*p - a*q*sqrt(N)) / (2*b*n), and 2*b*n is a positive integer,
+    so flooring the numerator first leaves the floor unchanged (q = 0 too)."""
+    return (a * x.p + _floor_sqrt_scaled(-a * x.q, 1, x.N, 1)) // (2 * b * x.norm())
 
 
 def _least_ell(sigma_base: QuadInt) -> int:
-    """Smallest ell >= 1 with ell * sigma_base >= 1 (sigma_base > 0)."""
-    r, s = _recip_parts(sigma_base)
-    if s == 0:
-        return max(1, math.ceil(r))
-    # 1/sigma_base is irrational, so its ceiling is floor + 1
-    return max(1, _floor_value_scaled(r, s, sigma_base.N, 1) + 1)
+    """Smallest ell >= 1 with ell * sigma_base >= 1 (sigma_base totally > 0)."""
+    return max(1, -_floor_over(-1, 1, sigma_base))
 
 
 def _greatest_ell(base: QuadInt, M: Fraction) -> int:
-    """Largest ell with ell * base <= M (base > 0); may be 0."""
-    r, s = _recip_parts(base)
-    if s == 0:
-        return math.floor(M * r)
-    return _floor_value_scaled(M * r, M * s, base.N, 1)
+    """Largest ell with ell * base <= M (base totally > 0); may be 0."""
+    return _floor_over(M.numerator, M.denominator, base)
 
 
 # ---------------------------------------------------------------------------
@@ -109,7 +99,7 @@ def enumerate_field(field_or_n, M) -> list[DPlusElement]:
     Rational integers are left to enumerate_all, so they appear once
     globally instead of once per field.
     """
-    fld = field_or_n if isinstance(field_or_n, QuadField) else field(field_or_n)
+    fld = field(field_or_n)
     if fld.N < 2:
         raise NotApplicable("enumeration needs a real field")
     M = Fraction(M)
@@ -148,16 +138,6 @@ def enumerate_field(field_or_n, M) -> list[DPlusElement]:
         m += 1
     found.sort(key=lambda t: t[0])
     return [DPlusElement(v, f, decimal_str(v)) for v, f in found]
-
-
-def norm_minus_one_field_filter(N: int, M) -> bool:
-    """Can a field whose unit has norm -1 own any dominant d-number <= M?
-
-    Necessary condition N + 2*sqrt(N) <= 4M - 1: every member is at least
-    eps^2, and 2*eps >= 1 + sqrt(N).
-    """
-    b = 4 * Fraction(M) - 1 - N
-    return b >= 0 and 4 * N <= b * b
 
 
 def _trace_walk(M: Fraction) -> dict[int, list[tuple[int, int]]]:
@@ -226,49 +206,3 @@ def cardinality_bound(M: int) -> int:
     if M < 1:
         raise ValueError("M must be at least 1")
     return 8 * M * (M + 1) * (2 * M - 1) ** 2
-
-
-def norm_minus_one_bounds(field_or_n, x: DPlusElement) -> dict:
-    """Exact lower-bound checks special to unit norm -1 fields.
-
-    Verifies ell >= eps^m / sqrt(N)^d0 and value >= eps^(2m) on one
-    enumerated element; raises InternalInconsistency if either fails,
-    NotApplicable when the unit norm is +1.
-    """
-    fld = field_or_n if isinstance(field_or_n, QuadField) else field(field_or_n)
-    fu = fundamental_unit(fld)
-    if fu.unit_norm != -1:
-        raise NotApplicable(f"unit norm is +1 for N={fld.N}")
-    if x.factorization is None:
-        ell, m, d0 = x.value, 0, 0
-    else:
-        f = x.factorization
-        ell, m, d0 = f.ell, f.m, f.delta[0]
-    lhs = fld.integer(ell) * (fld.sqrt_n() if d0 else fld.one())
-    if not lhs >= fu.eps**m:
-        raise InternalInconsistency(f"ell lower bound fails on {x.value}")
-    if compare_values(x.value, fu.eps ** (2 * m)) < 0:
-        raise InternalInconsistency(f"eps^(2m) lower bound fails on {x.value}")
-    return {"ell_bound": True, "value_bound": True}
-
-
-def brute_force_oracle(field_or_n, M, include_integers: bool = False) -> list[QuadInt]:
-    """Scan every coordinate pair up to the trace cutoff and keep what
-    passes in_dplus and <= M.  No generator machinery; for cross-checks."""
-    fld = field_or_n if isinstance(field_or_n, QuadField) else field(field_or_n)
-    if fld.N < 2:
-        raise NotApplicable("enumeration needs a real field")
-    M = Fraction(M)
-    omega = fld.omega_kind == HALF_ONE_PLUS_SQRT_N
-    out = []
-    for p in range(2, math.floor(2 * M) + 1):  # trace(x) <= 2x <= 2M
-        q = 0
-        while q * q * fld.N <= p * p:
-            parity_ok = q % 2 == p % 2 if omega else q % 2 == 0 == p % 2
-            if parity_ok and (q or include_integers):
-                x = make(fld, p, q)
-                if x <= M and in_dplus(x):
-                    out.append(x)
-            q += 1
-    out.sort(key=cmp_to_key(compare_values))
-    return out

@@ -68,7 +68,7 @@ def quantum_int(field_or_n, m: int) -> QuantumInt:
     integer; with unit norm -1 and even m it lies in Z*sqrt(N).  Both
     facts are asserted.
     """
-    fld = field_or_n if isinstance(field_or_n, QuadField) else field(field_or_n)
+    fld = field(field_or_n)
     if fld.N < 2:
         raise NotApplicable("quantum integers need a real field")
     fu = fundamental_unit(fld)
@@ -161,7 +161,7 @@ def decompose_global_dim(
     solution is re-checked against the target and against the
     quantum-integer identity [m]*d_int = sum ell_j * [j-m].
     """
-    fld = field_or_n if isinstance(field_or_n, QuadField) else field(field_or_n)
+    fld = field(field_or_n)
     if ell < 1 or m < 0:
         raise ValueError("need ell >= 1 and m >= 0")
     if divisor_constraint is not None and divisor_constraint < 1:

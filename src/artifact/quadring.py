@@ -38,10 +38,6 @@ class ParityError(ValueError):
     """Raw coordinates (p, q) do not describe an algebraic integer."""
 
 
-class NotAlgebraicInteger(ParityError):
-    """Membership-level wrapper for ParityError on user-facing queries."""
-
-
 class FieldMismatch(ValueError):
     """Operands live in different quadratic fields."""
 
@@ -360,10 +356,6 @@ class QuadField:
     def __repr__(self):
         return f"QuadField({self.N})"
 
-    @property
-    def is_real(self) -> bool:
-        return self.N > 0
-
     def omega(self) -> "QuadInt":
         """The second basis element: sqrt(N), or (1+sqrt(N))/2 when N = 1 mod 4."""
         if self.omega_kind == HALF_ONE_PLUS_SQRT_N:
@@ -383,9 +375,12 @@ class QuadField:
         return _raw(self, 2 * k, 0)
 
 
-@lru_cache(maxsize=None)
-def field(N: int) -> QuadField:
-    return QuadField(N)
+_field = lru_cache(maxsize=None)(QuadField)
+
+
+def field(field_or_n) -> QuadField:
+    """The interned field of N; a QuadField is returned as it is."""
+    return field_or_n if isinstance(field_or_n, QuadField) else _field(field_or_n)
 
 
 def _check_parity(fld: QuadField, p: int, q: int) -> None:
@@ -433,9 +428,6 @@ class QuadInt:
         if self.q != 0:
             raise ValueError(f"{self} is irrational")
         return Fraction(self.p, 2)
-
-    def is_unit(self) -> bool:
-        return abs(self.norm()) == 1
 
     def conjugate(self) -> "QuadInt":
         return _raw(self.field, self.p, -self.q)
@@ -605,8 +597,7 @@ def _raw(fld: QuadField, p: int, q: int) -> QuadInt:
 
 def make(field_or_n, p: int, q: int) -> QuadInt:
     """Build (p + q*sqrt(N))/2, validating integrality of the coordinates."""
-    fld = field_or_n if isinstance(field_or_n, QuadField) else field(field_or_n)
-    return QuadInt(fld, p, q)
+    return QuadInt(field(field_or_n), p, q)
 
 
 def conjugate(x: QuadInt) -> QuadInt:

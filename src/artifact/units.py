@@ -7,9 +7,10 @@ recurrence
     P_{i+1} = a_i * Q_i - P_i,
     Q_{i+1} = (N - P_{i+1}^2) / Q_i   (always exact),
 
-with the period read off at the first repeated (P, Q) state.  Convergents
-are accumulated alongside; the first one giving p^2 - N q^2 = +-4 is the
-fundamental unit, in either integral basis.
+`cf_expand` reads the period off at the first repeated (P, Q) state.  The
+fundamental unit needs no period: it is read off the state stream in one
+pass, accumulating convergents alongside the digits, and the first one
+giving p^2 - N q^2 = +-4 is the unit, in either integral basis.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from .quadring import (
     HALF_ONE_PLUS_SQRT_N,
     InternalInconsistency,
     NotApplicable,
-    QuadField,
     QuadInt,
     field,
     is_square,
@@ -54,10 +54,6 @@ class CFExpansion:
         return list(islice(chain(self.preamble, cycle(self.period)), count))
 
 
-def _resolve(field_or_n) -> QuadField:
-    return field_or_n if isinstance(field_or_n, QuadField) else field(field_or_n)
-
-
 def _cf_states(N: int, P0: int, Q0: int):
     """Yield (a_i, P_i, Q_i) forever for the expansion of (P0+sqrt(N))/Q0."""
     r = math.isqrt(N)
@@ -80,7 +76,7 @@ def cf_expand(field_or_n, kind: str = SQRT_KIND) -> CFExpansion:
     The Omega kind is only defined when N = 1 mod 4 (otherwise the
     half-integer point is not in the ring).
     """
-    fld = _resolve(field_or_n)
+    fld = field(field_or_n)
     if fld.N < 0:
         raise NotApplicable("continued fractions need a real field")
     if kind == SQRT_KIND:
@@ -122,10 +118,10 @@ class FundamentalUnit:
 def _fundamental_unit_cached(N: int) -> FundamentalUnit:
     fld = field(N)
     omega_basis = fld.omega_kind == HALF_ONE_PLUS_SQRT_N
-    exp = cf_expand(fld, OMEGA_KIND if omega_basis else SQRT_KIND)
+    P0, Q0 = (1, 2) if omega_basis else (0, 1)  # omega = (P0 + sqrt(N))/Q0
     h1, h2 = 1, 0  # h_{-1}, h_{-2}
     k1, k2 = 0, 1
-    for a in islice(chain(exp.preamble, cycle(exp.period)), _MAX_CF_STEPS):
+    for a, _, _ in islice(_cf_states(N, P0, Q0), _MAX_CF_STEPS):
         h1, h2 = a * h1 + h2, h1
         k1, k2 = a * k1 + k2, k1
         # convergent h/k approximates omega; rebuild doubled coordinates
@@ -138,7 +134,7 @@ def _fundamental_unit_cached(N: int) -> FundamentalUnit:
 
 
 def fundamental_unit(field_or_n) -> FundamentalUnit:
-    fld = _resolve(field_or_n)
+    fld = field(field_or_n)
     if fld.N < 0:
         raise NotApplicable("imaginary quadratic fields have no unit > 1")
     return _fundamental_unit_cached(fld.N)
@@ -150,7 +146,7 @@ def negative_pell_solvable(field_or_n) -> bool:
     Decided two independent ways — parity of the sqrt(N) period, and the
     norm of the fundamental unit — which must agree.
     """
-    fld = _resolve(field_or_n)
+    fld = field(field_or_n)
     if fld.N < 0:
         raise NotApplicable("negative Pell is a real-field question")
     by_period = len(cf_expand(fld, SQRT_KIND).period) % 2 == 1
@@ -173,7 +169,7 @@ def pell_witness_search(field_or_n, bound: int) -> tuple[int, int] | None:
     unit has norm -1.  Both kappa and n are capped by `bound`; pairs are
     scanned in lexicographic order, so the first hit is the least witness.
     """
-    fld = _resolve(field_or_n)
+    fld = field(field_or_n)
     if fld.N < 0:
         raise NotApplicable("witness search is a real-field operation")
     N = fld.N

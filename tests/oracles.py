@@ -1,0 +1,108 @@
+"""Independent oracles for the tests; the library never runs them.
+
+Membership by characteristic polynomial, a brute-force scan of coordinate
+pairs for the enumerators, and the lower bounds of unit norm -1 fields.
+"""
+
+import math
+from fractions import Fraction
+from functools import cmp_to_key
+
+from artifact.dplus import DPlusElement, in_dplus
+from artifact.quadring import (
+    HALF_ONE_PLUS_SQRT_N,
+    InternalInconsistency,
+    NotApplicable,
+    QuadInt,
+    ZeroElement,
+    compare_values,
+    field,
+    make,
+)
+from artifact.units import fundamental_unit
+
+
+def is_dnumber_via_charpoly(x: QuadInt) -> bool:
+    """Independent route: coefficient divisibility on the characteristic
+    polynomial of multiplication by x over the integral basis (1, omega).
+
+    Used by the test suite to cross-validate `is_dnumber`; deliberately
+    avoids the norm()/trace() helpers.
+    """
+    if x.is_zero():
+        raise ZeroElement("0 is not a d-number")
+    p, q, N = x.p, x.q, x.N
+    if x.field.omega_kind == "HalfOnePlusSqrtN":
+        # x = a + b*omega with omega^2 = omega + (N-1)/4
+        a, b = (p - q) // 2, q
+        m00, m10 = a, b
+        m01, m11 = b * (N - 1) // 4, a + b
+    else:
+        # x = a' + b'*sqrt(N) in halves; doubled matrix keeps integers
+        m00, m10 = p, q
+        m01, m11 = q * N, p
+    tr = m00 + m11
+    det = m00 * m11 - m01 * m10
+    if x.field.omega_kind != "HalfOnePlusSqrtN":
+        if tr % 2 or det % 4:
+            raise InternalInconsistency(f"doubled matrix of {x} is not integral")
+        tr, det = tr // 2, det // 4
+    # monic lambda^2 + a1*lambda + a2: need a1^2 divisible by a2^1
+    a1, a2 = -tr, det
+    return (a1 * a1) % a2 == 0
+
+
+def norm_minus_one_field_filter(N: int, M) -> bool:
+    """Can a field whose unit has norm -1 own any dominant d-number <= M?
+
+    Necessary condition N + 2*sqrt(N) <= 4M - 1: every member is at least
+    eps^2, and 2*eps >= 1 + sqrt(N).
+    """
+    b = 4 * Fraction(M) - 1 - N
+    return b >= 0 and 4 * N <= b * b
+
+
+def norm_minus_one_bounds(field_or_n, x: DPlusElement) -> dict:
+    """Exact lower-bound checks special to unit norm -1 fields.
+
+    Verifies ell >= eps^m / sqrt(N)^d0 and value >= eps^(2m) on one
+    enumerated element; raises InternalInconsistency if either fails,
+    NotApplicable when the unit norm is +1.
+    """
+    fld = field(field_or_n)
+    fu = fundamental_unit(fld)
+    if fu.unit_norm != -1:
+        raise NotApplicable(f"unit norm is +1 for N={fld.N}")
+    if x.factorization is None:
+        ell, m, d0 = x.value, 0, 0
+    else:
+        f = x.factorization
+        ell, m, d0 = f.ell, f.m, f.delta[0]
+    lhs = fld.integer(ell) * (fld.sqrt_n() if d0 else fld.one())
+    if not lhs >= fu.eps**m:
+        raise InternalInconsistency(f"ell lower bound fails on {x.value}")
+    if compare_values(x.value, fu.eps ** (2 * m)) < 0:
+        raise InternalInconsistency(f"eps^(2m) lower bound fails on {x.value}")
+    return {"ell_bound": True, "value_bound": True}
+
+
+def brute_force_oracle(field_or_n, M, include_integers: bool = False) -> list[QuadInt]:
+    """Scan every coordinate pair up to the trace cutoff and keep what
+    passes in_dplus and <= M.  No generator machinery; for cross-checks."""
+    fld = field(field_or_n)
+    if fld.N < 2:
+        raise NotApplicable("enumeration needs a real field")
+    M = Fraction(M)
+    omega = fld.omega_kind == HALF_ONE_PLUS_SQRT_N
+    out = []
+    for p in range(2, math.floor(2 * M) + 1):  # trace(x) <= 2x <= 2M
+        q = 0
+        while q * q * fld.N <= p * p:
+            parity_ok = q % 2 == p % 2 if omega else q % 2 == 0 == p % 2
+            if parity_ok and (q or include_integers):
+                x = make(fld, p, q)
+                if x <= M and in_dplus(x):
+                    out.append(x)
+            q += 1
+    out.sort(key=cmp_to_key(compare_values))
+    return out

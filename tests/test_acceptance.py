@@ -19,11 +19,9 @@ from artifact.dnumbers import (
     evaluate,
     generator_set,
     is_dnumber,
-    is_dnumber_via_charpoly,
     kappas,
 )
 from artifact.dplus import (
-    brute_force_oracle,
     cardinality_bound,
     enumerate_all,
     enumerate_field,
@@ -45,6 +43,7 @@ from artifact.quadring import (
     squarefree_range,
 )
 from artifact.units import fundamental_unit, negative_pell_solvable
+from oracles import brute_force_oracle, is_dnumber_via_charpoly
 
 
 def test_criterion_01_fundamental_unit_table():

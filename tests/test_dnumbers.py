@@ -17,7 +17,6 @@ from artifact.dnumbers import (
     evaluate,
     generator_set,
     is_dnumber,
-    is_dnumber_via_charpoly,
     kappas,
     sqrt_class,
     sqrt_classes,
@@ -35,6 +34,7 @@ from artifact.quadring import (
     squarefree_range,
 )
 from artifact.units import fundamental_unit
+from oracles import is_dnumber_via_charpoly
 
 
 def rand_element(rng, N):

@@ -11,13 +11,10 @@ from artifact import dplus
 from artifact.dnumbers import CanonicalFactorization, canonical_factor
 from artifact.dplus import (
     DPlusElement,
-    brute_force_oracle,
     cardinality_bound,
     enumerate_all,
     enumerate_field,
     in_dplus,
-    norm_minus_one_bounds,
-    norm_minus_one_field_filter,
 )
 from artifact.quadring import (
     InternalInconsistency,
@@ -29,6 +26,11 @@ from artifact.quadring import (
     squarefree_range,
 )
 from artifact.units import fundamental_unit
+from oracles import (
+    brute_force_oracle,
+    norm_minus_one_bounds,
+    norm_minus_one_field_filter,
+)
 
 
 def test_in_dplus_examples():

@@ -130,6 +130,43 @@ def test_large_unit_2593_against_sympy():
     assert diop_DN(2593, 4)[0] == (sq.p, sq.q)
 
 
+def test_fundamental_unit_against_sympy_diop_dn():
+    """For every squarefree N <= 10^4 the unit is the least positive
+    solution of x^2 - N y^2 = +-4, ordered by y and then x (only N = 5 has
+    a tie: eps and eps^2 both have y = 1).  diop_DN shares no code with the
+    continued-fraction walk; its x may come back negative."""
+    pytest.importorskip("sympy")
+    from sympy.solvers.diophantine.diophantine import diop_DN
+
+    from artifact.quadring import squarefree_range
+
+    for N in squarefree_range(10**4):
+        if N < 2:
+            continue
+        fu = fundamental_unit(N)
+        sols = [(y, abs(x)) for d in (4, -4) for x, y in diop_DN(N, d) if y > 0]
+        u, t = min(sols)
+        assert (fu.t, fu.u) == (t, u), N
+        assert fu.unit_norm == (t * t - N * u * u) // 4, N
+
+
+def test_cf_expand_against_sympy():
+    """sympy's continued_fraction_periodic(P, Q, N) expands (P + sqrt(N))/Q
+    as preamble digits followed by the period as a list, in both kinds."""
+    pytest.importorskip("sympy")
+    from sympy import continued_fraction_periodic
+
+    from artifact.quadring import squarefree_range
+
+    for N in squarefree_range(200):
+        if N < 2:
+            continue
+        kinds = (("SqrtN", 0, 1), ("Omega", 1, 2)) if N % 4 == 1 else (("SqrtN", 0, 1),)
+        for kind, P, Q in kinds:
+            e = cf_expand(N, kind)
+            assert continued_fraction_periodic(P, Q, N) == [*e.preamble, list(e.period)]
+
+
 def test_large_unit_1054721():
     fu = fundamental_unit(1054721)
     assert fu.t == 2 * 653902179520607163438825746432
