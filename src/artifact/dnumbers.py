@@ -26,6 +26,7 @@ from .quadring import (
     ZeroElement,
     exact_divide,
     field,
+    is_square,
     make,
     squarefree_part,
 )
@@ -71,7 +72,11 @@ def dnumber_order(x: QuadInt) -> int:
 
 
 def kappas(field_or_n) -> tuple[int, int]:
-    """(kappa_1, kappa_2) = squarefree parts of t +- 2; norm +1 fields only."""
+    """(kappa_1, kappa_2) = squarefree parts of t +- 2; norm +1 fields only.
+
+    By gcds, not by factoring: (t+2)(t-2) = N*u^2, gcd(t+2, t-2) | 4 and N is
+    squarefree, so kappa(a) = (odd part of gcd(a, N)) * 2^(v_2(a) mod 2), a
+    divisor of 2N; a = kappa * r^2 certifies it."""
     fld = field(field_or_n)
     if fld.N < 0:
         raise NotApplicable("kappa invariants live in real fields")
@@ -80,7 +85,16 @@ def kappas(field_or_n) -> tuple[int, int]:
         raise NotApplicable(
             f"unit norm is -1 for N={fld.N}; kappa_i(t -+ 2) cannot be squares"
         )
-    return squarefree_part(fu.t + 2), squarefree_part(fu.t - 2)
+    return _kappa(fu.t + 2, fld.N), _kappa(fu.t - 2, fld.N)
+
+
+def _kappa(a: int, N: int) -> int:
+    g = math.gcd(a, N)
+    odd = g >> (g & -g).bit_length() - 1
+    kappa = odd << ((a & -a).bit_length() - 1) % 2  # doubled when v_2(a) is odd
+    if a % kappa or not is_square(a // kappa):
+        raise InternalInconsistency(f"{a} is not {kappa} times a square (N={N})")
+    return kappa
 
 
 def _sqrt_kappa_eps(fld: QuadField, kappa: int, plus: bool) -> QuadInt:
@@ -213,7 +227,10 @@ def _unit_exponent(u: QuadInt, fld: QuadField) -> int:
 
 
 def canonical_factor(x: QuadInt) -> CanonicalFactorization:
-    """The unique (ell, m, delta) with x = ell * eps^m * generators^delta."""
+    """The unique (ell, m, delta) with x = ell * eps^m * generators^delta.
+
+    delta's key is the one of at most four distinct squarefree keys k with
+    |N(x)| = k * a square (exact roots; |N(x)| is never factorized)."""
     if x.N < 0:
         raise NotApplicable("canonical factorization needs a real field")
     if x.is_zero():
@@ -222,11 +239,13 @@ def canonical_factor(x: QuadInt) -> CanonicalFactorization:
         raise NotADNumber(f"{x} is not a d-number")
     fld = x.field
     gs = generator_set(fld)
-    sig = squarefree_part(abs(x.norm()))
-    delta = gs.signature_map.get(sig)
-    if delta is None:
+    n = abs(x.norm())
+    for sig, delta in gs.signature_map.items():
+        if n % sig == 0 and is_square(n // sig):
+            break
+    else:
         raise InternalInconsistency(
-            f"norm signature {sig} matches no generator product for N={fld.N}"
+            f"norm {n} is no signature key times a square for N={fld.N}"
         )
     y = exact_divide(x, gs.evaluate_delta(delta))
     ny = abs(y.norm())

@@ -99,9 +99,6 @@ class Decomposition:
     d_int: int
     coeffs: tuple[tuple[int, int], ...]  # (j, ell_j), ascending j, nonzero only
 
-    def coeff(self, j: int) -> int:
-        return dict(self.coeffs).get(j, 0)
-
 
 @dataclass(frozen=True)
 class DecompositionScan:

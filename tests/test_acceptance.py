@@ -9,7 +9,6 @@ under test.
 
 import random
 import time
-from fractions import Fraction
 
 import pytest
 

@@ -10,7 +10,8 @@ import pytest
 
 from artifact import dplus
 from artifact.cli import main
-from artifact.quadring import DEFAULT_FACTOR_BUDGET, factorize, set_factor_budget
+from artifact.quadring import factorize
+from artifact.units import fundamental_unit
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -175,14 +176,12 @@ def test_exit_codes(capsys):
             main(["enumerate", bad])
         assert exc.value.code == 2
         assert "invalid fraction value" in capsys.readouterr().err
-    # 3: factorization budget exhausted (semiprime of two 10-digit primes)
-    try:
-        code, _, err = run(
-            capsys, "--budget", "1", "factor", "5", "2000000032000000126", "0"
-        )
-        assert code == 3 and err.startswith("FactorizationLimit")
-    finally:
-        set_factor_budget(DEFAULT_FACTOR_BUDGET)
+    # 3: factorization budget exhausted (decompose factorizes ell, a
+    # semiprime of two 10-digit primes)
+    code, _, err = run(
+        capsys, "--budget", "1", "decompose", "5", "1000000016000000063", "0"
+    )
+    assert code == 3 and err.startswith("FactorizationLimit")
 
 
 def test_decompose_rejects_divisor_constraint_below_one(capsys):
@@ -202,7 +201,7 @@ def test_parsed_flags_do_not_leak_between_calls(capsys):
 
 def test_budget_lasts_one_call(capsys):
     code, _, err = run(
-        capsys, "--budget", "1", "factor", "5", "2000000032000000126", "0"
+        capsys, "--budget", "1", "decompose", "5", "1000000016000000063", "0"
     )
     assert code == 3
     assert err.startswith(
@@ -215,9 +214,30 @@ def test_budget_lasts_one_call(capsys):
     }
 
 
+def test_commands_without_factorization_spend_no_budget(capsys):
+    # with a budget of 1, one rho iteration would exit 3: the canonical form
+    # takes exact square roots of norms, and kappa gcds of the 745-bit
+    # t +- 2 of N = 99991
+    assert run(
+        capsys, "--budget", "1", "factor", "5", "2000000032000000126", "0"
+    ) == (0, "ell=1000000016000000063 m=0 delta=000\n", "")
+    assert run(capsys, "--budget", "1", "kappa", "99991") == (
+        0, "kappa1=2 kappa2=199982\n", "",
+    )
+    code, out, _ = run(capsys, "--budget", "1", "generators", "99991")
+    assert code == 0 and out.startswith("case=NKappa1EqKappa2 generators: ")
+    # 3*sqrt(N)*eps = (3*N*u + 3*t*sqrt(N)) / 2 in doubled coordinates
+    fu = fundamental_unit(99991)
+    code, out, _ = run(
+        capsys, "--budget", "1", "member", "99991", str(3 * 99991 * fu.u),
+        str(3 * fu.t),
+    )
+    assert code == 0 and out.endswith(": dnumber=yes order=2 ell=3 m=1 delta=100\n")
+
+
 def test_factor_square_of_large_prime(capsys):
-    # x = P, a prime near 3.8e16, so N(x) = P^2: rho alone would need about
-    # sqrt(P) iterations, the exact square root needs none
+    # x = P, a prime near 3.8e16, so N(x) = P^2: rho on P^2 would need about
+    # sqrt(P) iterations, while the canonical form only takes square roots
     code, out, _ = run(
         capsys, "--budget", "300000", "factor", "17", "75798175521524242", "0"
     )

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -121,6 +122,31 @@ def test_kappas_table():
         kappas(-7)
 
 
+def test_kappas_against_squarefree_parts():
+    """The gcd formula against factorization: kappa_i = sqf(t -+ 2) on all
+    1420 norm +1 fields N <= 3000."""
+    fields = 0
+    for N in squarefree_range(3000)[1:]:
+        fu = fundamental_unit(N)
+        if fu.unit_norm == 1:
+            want = squarefree_part(fu.t + 2), squarefree_part(fu.t - 2)
+            assert kappas(N) == want, N
+            fields += 1
+    assert fields == 1420
+
+
+@pytest.mark.parametrize("N", [99991, 199999, 1000003, 499979])
+def test_kappas_certified_where_factoring_fails(N):
+    """t -+ 2 has 301 to 1236 bits here, where factoring it exhausts rho's
+    default budget or takes seconds; each kappa_i is squarefree and leaves
+    a perfect square."""
+    fu = fundamental_unit(N)
+    for kappa, a in zip(kappas(N), (fu.t + 2, fu.t - 2)):
+        assert squarefree_part(kappa) == kappa
+        r = math.isqrt(a // kappa)
+        assert a == kappa * r * r, (N, kappa)
+
+
 def test_generator_sets_for_small_fields():
     expected = {
         2: ["√2"],
@@ -234,6 +260,23 @@ def test_canonical_factor_roundtrip_sweep():
                 steps += 1
                 assert steps <= 8
             assert steps == abs(m)
+
+
+def test_signature_key_is_the_squarefree_part_of_the_norm():
+    """The delta that the square test picks is the one the definition keys
+    by sqf(|N(x)|), on random canonical factorizations over every real
+    field N <= 97 (the fields of the criterion 9 round trip)."""
+    for N in squarefree_range(97)[1:]:
+        gs = generator_set(N)
+        combos = gs.delta_combos()
+        rng = random.Random(N)
+        for _ in range(300):
+            x = evaluate(CanonicalFactorization(
+                N, rng.randrange(1, 10_000), rng.randrange(0, 5),
+                combos[rng.randrange(len(combos))], gs.case,
+            ))
+            want = gs.signature_map[squarefree_part(abs(x.norm()))]
+            assert canonical_factor(x).delta == want, (N, x)
 
 
 def test_noncanonical_products_still_factor():

@@ -10,7 +10,6 @@ import pytest
 from artifact.dnumbers import canonical_factor, evaluate, is_dnumber, sqrt_class
 from artifact.dplus import enumerate_field, in_dplus
 from artifact.fusion import (
-    Decomposition,
     _Ambiguous,
     _combinations,
     _cos_dim,

@@ -312,6 +312,11 @@ def test_block_scan_matches_trial_division():
         assert _under_budget(1, qr.factorize, n) == _trial_division(n), n
 
 
+def test_sieve_against_sympy():
+    sympy = pytest.importorskip("sympy")
+    assert list(qr._primes()) == list(sympy.primerange(2, 10**6 + 1))
+
+
 def test_perfect_powers_are_rooted_before_rho():
     P = 37899087760762121  # prime: rho alone needs about sqrt(P) steps on P^k
     for k in range(2, 6):

@@ -1,6 +1,6 @@
 import pytest
 
-from artifact.quadring import InternalInconsistency, NotApplicable, is_square
+from artifact.quadring import NotApplicable, is_square
 from artifact.units import (
     cf_expand,
     fundamental_unit,
