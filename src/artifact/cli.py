@@ -126,20 +126,8 @@ def _cmd_enumerate(args):
         elements = dplus.enumerate_field(args.field, args.M)
     else:
         elements = dplus.enumerate_all(args.M, include_integers=not args.no_integers)
-    lines, payloads = [], []
-    for el in elements:
-        lines.append(el.record())
-        n, p, q, ell, m, delta, approx = lines[-1].split("\t")
-        payloads.append(
-            (
-                "enumerate",
-                {
-                    "N": int(n), "p": int(p), "q": int(q), "ell": int(ell),
-                    "m": int(m), "delta": delta, "approx": approx,
-                    "value": str(el),
-                },
-            )
-        )
+    lines = [el.record() for el in elements]
+    payloads = [("enumerate", {**el.columns(), "value": str(el)}) for el in elements]
     return lines, payloads
 
 

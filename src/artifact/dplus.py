@@ -9,12 +9,12 @@ exactly that cell structure.  enumerate_all finds the fields that own
 members by a walk over traces and the divisors of their squares, which
 needs no unit, and runs the cell walk only there, each route checking the
 other.  Every cutoff is decided in integer arithmetic: both ell cutoffs
-are one floor of a/(b*x) on the doubled coordinates of x (`_floor_over`).
+are one floor of a/(b*x) on the doubled coordinates of x (`_floor_over`),
+and the cutoff M = a/b enters every test as the integers a and b.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
@@ -24,7 +24,7 @@ from .quadring import (
     InternalInconsistency,
     NotApplicable,
     QuadInt,
-    _floor_sqrt_scaled,
+    _floor_quadratic,
     compare_values,
     decimal_str,
     divisors,
@@ -43,8 +43,9 @@ class DPlusElement:
     factorization: CanonicalFactorization | None  # None for rational integers
     approx: str
 
-    def record(self) -> str:
-        """Tab-separated N, p, q, ell, m, d0d1d2, approx; N=1 for rationals."""
+    def columns(self) -> dict:
+        """N, p, q, ell, m, delta (as d0d1d2) and approx, in record order;
+        N=1 for rationals."""
         if isinstance(self.value, QuadInt):
             f = self.factorization
             n, p, q = self.value.N, self.value.p, self.value.q
@@ -52,7 +53,12 @@ class DPlusElement:
         else:
             n, p, q = 1, 2 * self.value, 0
             ell, m, d = self.value, 0, (0, 0, 0)
-        return f"{n}\t{p}\t{q}\t{ell}\t{m}\t{d[0]}{d[1]}{d[2]}\t{self.approx}"
+        return {"N": n, "p": p, "q": q, "ell": ell, "m": m,
+                "delta": f"{d[0]}{d[1]}{d[2]}", "approx": self.approx}
+
+    def record(self) -> str:
+        """The columns, tab-separated."""
+        return "\t".join(map(str, self.columns().values()))
 
     def __str__(self) -> str:
         return str(self.value)
@@ -74,19 +80,8 @@ def in_dplus(x: QuadInt) -> bool:
 
 def _floor_over(a: int, b: int, x: QuadInt) -> int:
     """floor(a / (b*x)) for b > 0 and x, sigma(x) > 0, so n = norm(x) > 0:
-    a/(b*x) = (a*p - a*q*sqrt(N)) / (2*b*n), and 2*b*n is a positive integer,
-    so flooring the numerator first leaves the floor unchanged (q = 0 too)."""
-    return (a * x.p + _floor_sqrt_scaled(-a * x.q, 1, x.N, 1)) // (2 * b * x.norm())
-
-
-def _least_ell(sigma_base: QuadInt) -> int:
-    """Smallest ell >= 1 with ell * sigma_base >= 1 (sigma_base totally > 0)."""
-    return max(1, -_floor_over(-1, 1, sigma_base))
-
-
-def _greatest_ell(base: QuadInt, M: Fraction) -> int:
-    """Largest ell with ell * base <= M (base totally > 0); may be 0."""
-    return _floor_over(M.numerator, M.denominator, base)
+    a/(b*x) = (a*p - a*q*sqrt(N)) / (2*b*n) with 2*b*n a positive integer."""
+    return _floor_quadratic(a * x.p, -a * x.q, x.N, 2 * b * x.norm())
 
 
 # ---------------------------------------------------------------------------
@@ -103,19 +98,20 @@ def enumerate_field(field_or_n, M) -> list[DPlusElement]:
     if fld.N < 2:
         raise NotApplicable("enumeration needs a real field")
     M = Fraction(M)
-    if M < 1:
+    a, b = M.numerator, M.denominator
+    if a < b:
         raise ValueError("cutoff M must be at least 1")
     fu = fundamental_unit(fld)
     # cheapest exit first: the smallest irrational member is eps (unit norm
     # +1) or eps^2 (unit norm -1); skip the generator machinery -- and with
     # it any factoring of t +- 2 -- when even that exceeds M
     smallest = fu.eps if fu.unit_norm == 1 else fu.eps**2
-    if smallest > M:
+    if smallest * b > a:
         return []
     gs = generator_set(fld)
     found: list[tuple[QuadInt, CanonicalFactorization]] = []
     m = 0
-    while fu.eps ** (2 * m) <= M:  # every member with this m is >= eps^(2m)
+    while fu.eps ** (2 * m) * b <= a:  # every member with this m is >= eps^(2m)
         for delta in gs.delta_combos():
             if m == 0 and delta == (0, 0, 0):
                 continue  # rational integers
@@ -127,8 +123,9 @@ def enumerate_field(field_or_n, M) -> list[DPlusElement]:
                 raise InternalInconsistency(
                     f"m >= 0 should force dominance (N={fld.N}, m={m})"
                 )
-            first = _least_ell(sigma)
-            last = _greatest_ell(base, M)
+            # ell * sigma >= 1 and ell * base <= M; sigma and base are totally > 0
+            first = max(1, -_floor_over(-1, 1, sigma))
+            last = _floor_over(a, b, base)
             for ell in range(first, last + 1):
                 value = base * ell
                 if not in_dplus(value):
@@ -140,21 +137,22 @@ def enumerate_field(field_or_n, M) -> list[DPlusElement]:
     return [DPlusElement(v, f, decimal_str(v)) for v, f in found]
 
 
-def _trace_walk(M: Fraction) -> dict[int, list[tuple[int, int]]]:
-    """(p, q) of every dominant irrational d-number (p + q*sqrt(N))/2 <= M,
-    keyed by N.
+def _trace_walk(a: int, b: int) -> dict[int, list[tuple[int, int]]]:
+    """(p, q) of every dominant irrational d-number (p + q*sqrt(N))/2 <= M
+    = a/b, keyed by N.
 
     With D = q^2 * N the norm is n = (p^2 - D)/4.  sigma(x) >= 1 and x <= M
-    bound sqrt(D) by p - 2 and by 2M - p, and x is a d-number iff n | p^2
+    bound sqrt(D) by p - 2 and by 2M - p >= 0, so b^2*D is at most both
+    (b*(p - 2))^2 and (2a - b*p)^2.  x is a d-number iff n | p^2
     (x/sigma(x) has norm 1 and trace p^2/n - 2).  D = p^2 - 4n forces the
     parity of (p, q), so every hit is an algebraic integer.
     """
     found: dict[int, list[tuple[int, int]]] = {}
-    for p in range(3, math.floor(2 * M) + 1):
-        bound = min(p - 2, 2 * M - p) ** 2
+    for p in range(3, 2 * a // b + 1):
+        bound = min(b * (p - 2), 2 * a - b * p) ** 2
         for n in divisors(p * p):
             D = p * p - 4 * n
-            if 0 < D <= bound and not is_square(D):
+            if 0 < D and b * b * D <= bound and not is_square(D):
                 q, N = squarefree_decompose(D)
                 found.setdefault(N, []).append((p, q))
     return found
@@ -169,10 +167,11 @@ def enumerate_all(M, include_integers: bool = False) -> list[DPlusElement]:
     request.
     """
     M = Fraction(M)
-    if M < 1:
+    a, b = M.numerator, M.denominator
+    if a < b:
         raise ValueError("cutoff M must be at least 1")
     out: list[DPlusElement] = []
-    for N, coords in sorted(_trace_walk(M).items()):
+    for N, coords in sorted(_trace_walk(a, b).items()):
         members = enumerate_field(N, M)
         cells = sorted((e.value.p, e.value.q) for e in members)
         if cells != sorted(coords):
@@ -184,10 +183,10 @@ def enumerate_all(M, include_integers: bool = False) -> list[DPlusElement]:
     if include_integers:
         out.extend(
             DPlusElement(k, None, decimal_str(k))
-            for k in range(1, math.floor(M) + 1)
+            for k in range(1, a // b + 1)
         )
-    # floor(value * 2^64) = (p*2^64 + floor(q*2^64*sqrt(N))) // 2 orders
-    # almost every pair in integers; only a tie falls back to compare_values
+    # floor(value * 2^64) orders almost every pair; only a tie falls back to
+    # compare_values
     exact = cmp_to_key(compare_values)
     scale = 1 << 64
 
@@ -195,7 +194,7 @@ def enumerate_all(M, include_integers: bool = False) -> list[DPlusElement]:
         v = e.value
         if isinstance(v, int):
             return v * scale, exact(v)
-        return (v.p * scale + _floor_sqrt_scaled(v.q, 1, v.N, scale)) // 2, exact(v)
+        return _floor_quadratic(v.p * scale, v.q * scale, v.N, 2), exact(v)
 
     out.sort(key=key)
     return out

@@ -35,14 +35,12 @@ from .quadring import (
     QuadField,
     QuadInt,
     Rejected,
-    _floor_sqrt_scaled,
-    _floor_value_scaled,
+    _floor_quadratic,
     _radical_sub,
     divides,
     divisors,
     exact_divide,
     field,
-    is_square,
     make,
     squarefree_decompose,
 )
@@ -110,11 +108,6 @@ class DecompositionScan:
     solutions: tuple[Decomposition, ...]
 
 
-def _exact_floor(x: QuadInt) -> int:
-    """floor((p + q*sqrt(N))/2) = (p + floor(q*sqrt(N))) // 2, exactly."""
-    return (x.p + _floor_sqrt_scaled(x.q, 1, x.N, 1)) // 2
-
-
 def _last_coefficients(
     rp: int, rq: int, terms: list[tuple[int, int, int]]
 ) -> list[tuple[int, int]] | None:
@@ -179,7 +172,8 @@ def decompose_global_dim(
     power = {j: fu.eps**j for j in js}
     scanned = len(pool)
     for j in js:
-        scanned *= _exact_floor(target * fu.eps**-j)
+        box = target * fu.eps**-j
+        scanned *= _floor_quadratic(box.p, box.q, box.N, 2)
     N = fld.N
     # (j, P, Q) with eps^j = (P + Q*sqrt(N))/2; the first two close the walk
     terms = [(j, power[j].p, power[j].q) for j in js]
@@ -197,7 +191,7 @@ def decompose_global_dim(
         # rem * eps^-j = (x + y*sqrt(N))/2 with eps^-j = (p - q*sqrt(N))/2
         x = (rp * p - N * rq * q) // 2
         y = (rq * p - rp * q) // 2
-        top = (x + _floor_sqrt_scaled(-abs(y), 1, N, 1)) // 2
+        top = _floor_quadratic(x, -abs(y), N, 2)
         for lj in range(top, -1, -1):
             walk(idx - 1, rp - lj * p, rq - lj * q, chosen + [(j, lj)])
 
@@ -255,27 +249,27 @@ def refine_simple_dims(
 ) -> list[SimpleDimProfile]:
     """Split every ell_j into parts c with sqrt(c * eps^j) a d-number.
 
-    A part c qualifies when c = c0 * k^2 for one of the squarefree classes
-    c0 that sqrt_classes admits for the parity of j (found once per j, so
-    no part is factorized); the optional filter additionally requires
-    target/(c * eps^j) to be an algebraic integer, that is, c to divide
-    target * eps^-j.
+    The parts are the c = c0 * k^2 <= ell_j for the squarefree classes c0
+    that sqrt_classes admits for the parity of j, so no part is factorized;
+    the c0 are distinct and squarefree, so the c are distinct.  The
+    optional filter additionally requires target/(c * eps^j) to be an
+    algebraic integer; eps^j is a unit, so that is c dividing the target,
+    tested once per part whatever j.
     """
     fld = d.field
-    fu = fundamental_unit(fld)
-    target_value = evaluate(d.target)
+    target = evaluate(d.target)
+    divides_target = lru_cache(maxsize=None)(
+        lambda c: divides(fld.integer(c), target)
+    )
     per_j: list[list[tuple[tuple[int, int], ...]]] = []
     for j, lj in d.coeffs:
-        classes = sqrt_classes(j % 2, fld)
+        allowed = [
+            c0 * k * k
+            for c0 in sqrt_classes(j % 2, fld)
+            for k in range(1, math.isqrt(lj // c0) + 1)
+        ]
         if apply_modular_filter:
-            scaled = target_value * fu.eps**-j
-        allowed = []
-        for c in range(1, lj + 1):
-            if not any(c % c0 == 0 and is_square(c // c0) for c0 in classes):
-                continue
-            if apply_modular_filter and not divides(fld.integer(c), scaled):
-                continue
-            allowed.append(c)
+            allowed = [c for c in allowed if divides_target(c)]
         choices = [
             tuple((c, j) for c in partition)
             for partition in _partitions(lj, sorted(allowed, reverse=True))
@@ -466,8 +460,9 @@ class _Value(NamedTuple):
 def _exact_value(exact: dict, prec: int) -> _Value:
     """The sum with the floors and the ceilings of its terms as bounds."""
     scale = 1 << prec
-    lo = sum(_floor_value_scaled(0, c, r, scale) for r, c in exact.items())
-    hi = -sum(_floor_value_scaled(0, -c, r, scale) for r, c in exact.items())
+    terms = [(c.numerator * scale, r, c.denominator) for r, c in exact.items()]
+    lo = sum(_floor_quadratic(0, n, r, d) for n, r, d in terms)
+    hi = -sum(_floor_quadratic(0, -n, r, d) for n, r, d in terms)
     return _Value(exact, Fraction(lo, scale), Fraction(hi, scale))
 
 

@@ -6,13 +6,16 @@ parity, and both even when N is not 1 mod 4.  This gives one uniform code
 path for both integral bases (sqrt(N) and (1+sqrt(N))/2).
 
 Everything on a correctness path is integer arithmetic: the sign of
-``a + b*sqrt(N)`` is decided by comparing a^2 against N*b^2 (`_sign`), real
-values are bracketed with ``math.isqrt`` when a decimal is needed, and
-floating point never decides anything.  The order (`sign`, `<`, `compare`)
-and `==` against an int or a `Fraction` are integer-only: a rational cutoff
-n/d is cross-multiplied by d, not subtracted as a `Fraction`.
-`compare_values` is exact for any radicands: `radical_sign` decides the sign
-of a sum of rational multiples of square roots by squaring, with no interval.
+``a + b*sqrt(N)`` is decided by comparing a^2 against N*b^2 (`_sign`), every
+floor of a value (P + Q*sqrt(N))/D -- decimals, cutoffs, caps, sort keys --
+is the one ``math.isqrt`` floor `_floor_quadratic`, and floating point never
+decides anything.  The order (`sign`, `<`, `compare`) and `==` against an
+int or a `Fraction` are integer-only: a rational cutoff n/d is
+cross-multiplied by d, not subtracted as a `Fraction`.  `compare_values` is
+exact for any radicands: `radical_sign` decides the sign of a sum of
+multiples of square roots by squaring, with no interval, and is handed
+integer coefficients.  A `Fraction` appears only where a rational cutoff
+or a coefficient of the fusion screen enters.
 
 Parity is checked where coordinates enter (`make`, `exact_divide`).  Ring
 operations build their results with the unchecked `_raw`, since sums,
@@ -144,16 +147,18 @@ def _prime_block(start: int) -> tuple[int, array]:
 def _is_probable_prime(n: int) -> bool:
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    # The first 13 primes as bases decide every n below psi_13 = 3.3e24, the
+    # least strong pseudoprime to all of them (the first 12 are fooled by
+    # psi_12 = 318665857834031151167461); above that we add random rounds (a
+    # composite slipping through 64 rounds is ~2^-128).
+    bases = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41]
+    for p in bases:
         if n % p == 0:
             return n == p
     d, s = n - 1, 0
     while d % 2 == 0:
         d //= 2
         s += 1
-    # Deterministic below 3.3e24 with these twelve bases; above that we add
-    # random rounds (a composite slipping through 64 rounds is ~2^-128).
-    bases = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37]
     if n >= 3_317_044_064_679_887_385_961_981:
         rng = Random(n)
         bases += [rng.randrange(2, n - 1) for _ in range(64)]
@@ -668,41 +673,29 @@ def _sign(a: int, b: int, N: int) -> int:
     return (d > 0) - (d < 0)
 
 
-def _floor_sqrt_scaled(a: int, b: int, N: int, scale: int) -> int:
-    """floor((a/b) * sqrt(N) * scale) for b > 0, N >= 0, any sign of a."""
-    if a >= 0:
-        return math.isqrt(a * a * N * scale * scale) // b
-    m = a * a * N * scale * scale
+def _floor_quadratic(P: int, Q: int, N: int, D: int) -> int:
+    """floor((P + Q*sqrt(N)) / D) for integers P, Q, N >= 0 and D > 0.
+
+    floor(Q*sqrt(N)) is isqrt(Q^2*N), or minus its ceiling when Q < 0; P
+    is an integer, so adding it and then flooring the quotient by D leaves
+    the floor of the whole value unchanged."""
+    m = Q * Q * N
     r = math.isqrt(m)
-    # floor(-y/b) = -ceil(y/b), and ceil(y/b) = ceil(ceil(y)/b) for b > 0
-    num = r if r * r == m else r + 1
-    return -((num + b - 1) // b)
+    if Q < 0:
+        r = -r - (r * r != m)
+    return (P + r) // D
 
 
-def _floor_value_scaled(r: Fraction, s: Fraction, N: int, scale: int) -> int:
-    """floor((r + s*sqrt(N)) * scale), exactly."""
-    if s == 0:
-        return math.floor(r * scale)
-    # common denominator d: value*scale = (a + c*sqrt(N))*scale / d
-    d = math.lcm(r.denominator, s.denominator)
-    a = r.numerator * (d // r.denominator)
-    c = s.numerator * (d // s.denominator)
-    f = _floor_sqrt_scaled(c, 1, N, scale)  # floor(c*sqrt(N)*scale)
-    # a*scale + c*sqrt(N)*scale lies in [a*scale + f, a*scale + f + 1); the
-    # value is irrational (c != 0), so dividing by d keeps the floor honest.
-    return (a * scale + f) // d
-
-
-def _parts(x) -> tuple[Fraction, Fraction, int]:
-    """(rational part, coefficient of sqrt(N), N) with s = 0 for rationals."""
+def _coordinates(x) -> tuple[int, int, int, int]:
+    """(P, Q, N, D) with x = (P + Q*sqrt(N))/D, all integers and D > 0: the
+    doubled coordinates of a QuadInt, numerator and denominator (N = 0) of
+    an int or a Fraction."""
     if isinstance(x, QuadInt):
         if x.N < 0:
             raise NotApplicable("no real value for N < 0")
-        if x.q == 0:
-            return Fraction(x.p, 2), Fraction(0), 0
-        return Fraction(x.p, 2), Fraction(x.q, 2), x.N
+        return x.p, x.q, x.N, 2
     if isinstance(x, (int, Fraction)):
-        return Fraction(x), Fraction(0), 0
+        return x.numerator, 0, 0, x.denominator
     raise TypeError(f"cannot interpret {type(x).__name__} as a real value")
 
 
@@ -758,19 +751,20 @@ def radical_sign(terms: dict) -> int:
 
 def compare_values(a, b) -> int:
     """Exact three-way comparison of mixed QuadInt / int / Fraction values,
-    in any fields: the sign of a - b by `radical_sign`."""
-    ra, sa, Na = _parts(a)
-    rb, sb, Nb = _parts(b)
-    diff = {1: ra - rb, Na: sa}
-    diff[Nb] = diff.get(Nb, 0) - sb
+    in any fields: the sign of a - b by `radical_sign`, taken on the integer
+    coefficients of da*db*(a - b)."""
+    pa, qa, Na, da = _coordinates(a)
+    pb, qb, Nb, db = _coordinates(b)
+    diff = {1: pa * db - pb * da, Na: qa * db}
+    diff[Nb] = diff.get(Nb, 0) - qb * da
     return radical_sign(diff)
 
 
 def decimal_str(x, places: int = 6) -> str:
     """Floor-rounded decimal rendering, computed without floating point."""
-    r, s, N = _parts(x)
+    p, q, N, d = _coordinates(x)
     scale = 10**places
-    v = _floor_value_scaled(r, s, N, scale)
+    v = _floor_quadratic(p * scale, q * scale, N, d)
     sign_str = "-" if v < 0 else ""
     v = abs(v)
     whole, frac = divmod(v, scale)

@@ -317,6 +317,37 @@ def test_sieve_against_sympy():
     assert list(qr._primes()) == list(sympy.primerange(2, 10**6 + 1))
 
 
+def test_probable_prime_against_sympy():
+    """_is_probable_prime against sympy's isprime: random n and random primes
+    on both sides of psi_13 = 3.3e24, where the random rounds start; the
+    strong pseudoprimes psi_12 and psi_13 to the first 12 and 13 prime
+    bases; products of two primes near 10^15; Carmichael numbers, small and
+    of Chernick's form (6k+1)(12k+1)(18k+1) with three prime factors."""
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(19)
+    psi_12, psi_13 = 318665857834031151167461, 3317044064679887385961981
+    cases = [psi_12, psi_13, psi_13 + 2, 2047, 3215031751, 3825123056546413051]
+    for lo, hi in ((2, psi_13), (psi_13, psi_13 << 40)):
+        cases += [rng.randrange(lo, hi) | 1 for _ in range(200)]
+        cases += [sympy.randprime(lo, hi) for _ in range(20)]
+    for _ in range(20):
+        p, q = (sympy.nextprime(10**15 + rng.randrange(10**12)) for _ in "pq")
+        cases += [p * q, p * p]
+    cases += [561, 1105, 1729, 2465, 2821, 6601, 8911, 41041, 62745, 825265]
+    for start in (1, 10**6, 10**9):
+        k, found = start, 0
+        while found < 3:
+            factors = (6 * k + 1, 12 * k + 1, 18 * k + 1)
+            if all(sympy.isprime(f) for f in factors):
+                cases.append(math.prod(factors))
+                found += 1
+            k += 1
+    assert max(cases[-3:]) > psi_13
+    for n in cases:
+        assert qr._is_probable_prime(n) == sympy.isprime(n), n
+    assert qr.factorize(psi_12) == sympy.factorint(psi_12)
+
+
 def test_perfect_powers_are_rooted_before_rho():
     P = 37899087760762121  # prime: rho alone needs about sqrt(P) steps on P^k
     for k in range(2, 6):
@@ -361,6 +392,30 @@ def test_is_square():
 
 # ---------------------------------------------------------------------------
 # the integer order against an independent oracle
+
+
+def test_floor_quadratic_against_mpmath():
+    """floor((P + Q*sqrt(N))/D) against mpmath at 300 digits, for P and Q of
+    both signs, D = 1, 2 and larger, N = 0, perfect squares Q^2*N (N a
+    square, including 1) and values within 10^-40 of an integer."""
+    mpmath = pytest.importorskip("mpmath")
+    rng = random.Random(23)
+    cases = [(5, -1, 0, 3), (-5, 3, 0, 2), (7, -3, 4, 2), (-7, -3, 9, 5)]
+    for _ in range(3000):
+        N = rng.choice([0, 1, 4, 9, 2, 3, 5, 6, 7, 13, 93, 10**6 + 3, 2 * 10**30])
+        P, Q = (rng.randrange(-10**rng.randrange(1, 25), 10**20) for _ in "PQ")
+        D = rng.choice([1, 2, rng.randrange(1, 10**rng.randrange(1, 20))])
+        cases.append((P, Q, N, D))
+    for _ in range(300):  # Q*sqrt(N) just off the integer -P
+        N, Q = rng.choice([2, 3, 5, 7, 1001]), rng.randrange(-10**40, 10**40)
+        with mpmath.workdps(300):
+            P = -int(mpmath.floor(Q * mpmath.sqrt(N))) + rng.randrange(-1, 2)
+        cases.append((P, Q, N, rng.choice([1, 2, 3])))
+    with mpmath.workdps(300):
+        for P, Q, N, D in cases:
+            value = (P + Q * mpmath.sqrt(N)) / D
+            want = int(mpmath.floor(value))
+            assert qr._floor_quadratic(P, Q, N, D) == want, (P, Q, N, D)
 
 
 def _oracle_sign(r: Fraction, s: Fraction, N: int) -> int:
@@ -420,7 +475,7 @@ def test_integer_order_matches_oracle():
                 Fraction(rng.randrange(-400, 401), rng.randrange(1, 30)),
             ]
             # a rational just beside the value, from its decimal floor
-            f = qr._floor_value_scaled(Fraction(x.p, 2), Fraction(x.q, 2), N, 10**6)
+            f = qr._floor_quadratic(x.p * 10**6, x.q * 10**6, N, 2)
             lo, hi = Fraction(f, 10**6), Fraction(f + 1, 10**6)
             others += [lo, hi, int(math.floor(lo)), int(math.floor(lo)) + 1]
             for y in others:
@@ -529,8 +584,8 @@ def test_radical_sign_against_mpmath():
             x = make(N1, 0, 2 * rng.randrange(1, 10**6))
             # y = a + b*sqrt(N2) with a chosen so that y is within 1 of x
             b = rng.randrange(1, 10**3)
-            a = qr._floor_sqrt_scaled(x.q, 2, N1, 1)
-            a -= qr._floor_sqrt_scaled(b, 1, N2, 1)
+            a = qr._floor_quadratic(0, x.q, N1, 2)
+            a -= qr._floor_quadratic(0, b, N2, 1)
             y = make(N2, 2 * (a + rng.randrange(-1, 2)), 2 * b)
             want = _mp_sign(mpmath, {N1: Fraction(x.q, 2), 1: -Fraction(y.p, 2),
                                      N2: -Fraction(y.q, 2)})
