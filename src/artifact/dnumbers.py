@@ -24,6 +24,8 @@ from .quadring import (
     QuadField,
     QuadInt,
     ZeroElement,
+    _raw,
+    _sign,
     exact_divide,
     field,
     is_square,
@@ -194,71 +196,99 @@ class CanonicalFactorization:
         return f"ell={self.ell} m={self.m} delta={''.join(map(str, self.delta))}"
 
 
+@lru_cache(maxsize=None)
+def _field_table(N: int) -> tuple:
+    """(field, case, eps, 1/eps, deltas, rows) of a real field, units as
+    doubled coordinates (p, q); rows[i] = (key, p, q, n) for the signature
+    key of deltas[i], with g^delta = (p + q*sqrt(N))/2 of norm n."""
+    gs, fu = generator_set(N), fundamental_unit(N)
+    gens = [(key, gs.evaluate_delta(d)) for key, d in gs.signature_map.items()]
+    rows = tuple((key, g.p, g.q, g.norm()) for key, g in gens)
+    inverse = (fu.unit_norm * fu.t, -fu.unit_norm * fu.u)  # N(eps) * conj(eps)
+    return field(N), gs.case, (fu.t, fu.u), inverse, gs.delta_combos(), rows
+
+
+def _divide(p: int, q: int, gp: int, gq: int, n: int, N: int) -> tuple[int, int]:
+    """(p + q*sqrt(N)) / (gp + gq*sqrt(N)), of norm n, with exact_divide's
+    checks; every division here is certain, so a failed one is a bug."""
+    p, q = (p * gp - N * q * gq) // 2, (q * gp - p * gq) // 2  # times conj(g)
+    if p % n or q % n or (p // n - q // n) % 2 or (N % 4 != 1 and p // n % 2):
+        raise InternalInconsistency(f"({gp}, {gq}) does not divide in N={N}")
+    return p // n, q // n
+
+
 def evaluate(fact: CanonicalFactorization) -> QuadInt:
-    gs = generator_set(fact.N)
-    eps = fundamental_unit(fact.N).eps
-    return gs.evaluate_delta(fact.delta) * (eps**fact.m) * fact.ell
+    """ell * eps^m * g^delta from the field table; ValueError off its deltas."""
+    N = fact.N
+    fld, _, eps, inverse, deltas, rows = _field_table(N)
+    _, p, q, _ = rows[deltas.index(fact.delta)]
+    (t, u), m = eps if fact.m >= 0 else inverse, abs(fact.m)
+    while m:  # right-to-left binary powering into g^delta
+        if m & 1:
+            p, q = (p * t + N * q * u) // 2, (p * u + q * t) // 2
+        t, u = (t * t + N * u * u) // 2, t * u
+        m >>= 1
+    return _raw(fld, p * fact.ell, q * fact.ell)
 
 
-def _unit_exponent(u: QuadInt, fld: QuadField) -> int:
-    """m with u = eps^m, for u a power of the fundamental unit.
+def _unit_exponent(p: int, q: int, N: int, t: int, u: int) -> int:
+    """m with v = (p + q*sqrt(N))/2 = eps^m, eps = (t + u*sqrt(N))/2.
 
-    Exact bit descent on v = u or 1/u, whichever is > 1.  The trace of
-    eps^j rises strictly with j >= 1, so traces order the powers: square
-    eps^(2^k) until its trace passes v's, then take the bits of m from the
-    top down, keeping each one whose product still has trace <= v's.  The
-    power so built must equal v, or u was not a power of eps.
+    A v < 1 becomes N(v)*conj(v) = N(v)^2/v, a power of eps only when v is
+    a unit.  Traces of eps^j rise strictly with j >= 1 (not from j = 0:
+    eps_5 has trace 1), so square eps^(2^k) until the trace passes v's,
+    then keep the bits of m, top down, whose product still has trace <= v's.
     """
-    if u == 1:
+    if (p, q) == (2, 0):
         return 0
-    inverted = u < 1
-    v = u.inverse() if inverted else u
-    powers = [fundamental_unit(fld).eps]
-    while powers[-1].p <= v.p:
-        powers.append(powers[-1] * powers[-1])
-    m, acc = 0, None
+    sign = _sign(p - 2, q, N)  # v > 1 or v < 1
+    if sign < 0:
+        n = (p * p - N * q * q) // 4
+        p, q = n * p, -n * q
+    powers = [(t, u)]
+    while t <= p:
+        t, u = (t * t + N * u * u) // 2, t * u
+        powers.append((t, u))
+    m, ap, aq = 0, 2, 0
     for k in range(len(powers) - 1, -1, -1):
-        step = powers[k] if acc is None else acc * powers[k]
-        if step.p <= v.p:
-            m, acc = m + (1 << k), step
-    if acc != v:
-        raise InternalInconsistency(f"{u} is not a power of eps_{fld.N}")
-    return -m if inverted else m
+        t, u = powers[k]
+        sp, sq = (ap * t + N * aq * u) // 2, (ap * u + aq * t) // 2
+        if sp <= p:
+            m, ap, aq = m + (1 << k), sp, sq
+    if (ap, aq) != (p, q):
+        raise InternalInconsistency(f"({p}, {q}) is no power of eps_{N}")
+    return sign * m
 
 
 def canonical_factor(x: QuadInt) -> CanonicalFactorization:
-    """The unique (ell, m, delta) with x = ell * eps^m * generators^delta.
+    """The unique (ell, m, delta) with x = ell * eps^m * g^delta.
 
     delta's key is the one of at most four distinct squarefree keys k with
-    |N(x)| = k * a square (exact roots; |N(x)| is never factorized)."""
-    if x.N < 0:
+    |N(x)| = k * a square (exact roots; |N(x)| is never factorized).  Three
+    exact steps on integer coordinates prove the answer, so it is not
+    evaluated again: dividing by g^delta leaves no remainder (y * g^delta =
+    x), dividing by ell leaves none (u * ell = y), and the descent checks
+    that the eps^m it builds equals u.
+    """
+    N = x.N
+    if N < 0:
         raise NotApplicable("canonical factorization needs a real field")
     if x.is_zero():
         raise ZeroElement("0 has no canonical factorization")
-    if not is_dnumber(x):
+    n = x.norm()
+    if x.p * x.p % n:
         raise NotADNumber(f"{x} is not a d-number")
-    fld = x.field
-    gs = generator_set(fld)
-    n = abs(x.norm())
-    for sig, delta in gs.signature_map.items():
-        if n % sig == 0 and is_square(n // sig):
+    _, case, (t, u), _, deltas, rows = _field_table(N)
+    for delta, (key, gp, gq, gn) in zip(deltas, rows):
+        if n % key == 0 and is_square(abs(n) // key):
             break
     else:
-        raise InternalInconsistency(
-            f"norm {n} is no signature key times a square for N={fld.N}"
-        )
-    y = exact_divide(x, gs.evaluate_delta(delta))
-    ny = abs(y.norm())
-    s = math.isqrt(ny)
-    if s * s != ny:
-        raise InternalInconsistency(f"residual norm {ny} is not a square")
-    ell = s if y.sign() > 0 else -s
-    u = exact_divide(y, fld.integer(ell))
-    m = _unit_exponent(u, fld)
-    fact = CanonicalFactorization(fld.N, ell, m, delta, gs.case)
-    if evaluate(fact) != x:
-        raise InternalInconsistency(f"round trip failed for {x}")
-    return fact
+        raise InternalInconsistency(f"norm {n} is no key times a square, N={N}")
+    yp, yq = _divide(x.p, x.q, gp, gq, gn, N)
+    # |N(y)| = ell^2, or u = y/ell is no unit and the descent rejects it
+    ell = math.isqrt(abs(n // gn)) * _sign(yp, yq, N)
+    m = _unit_exponent(*_divide(yp, yq, 2 * ell, 0, ell * ell, N), N, t, u)
+    return CanonicalFactorization(N, ell, m, delta, case)
 
 
 # ---------------------------------------------------------------------------

@@ -1,22 +1,31 @@
 """Independent oracles for the tests; the library never runs them.
 
 Membership by characteristic polynomial, a brute-force scan of coordinate
-pairs for the enumerators, and the lower bounds of unit norm -1 fields.
+pairs for the enumerators, the lower bounds of unit norm -1 fields, and the
+canonical factorization on QuadInt arithmetic (`evaluate`,
+`canonical_factor`, `_unit_exponent`): generator products, exact_divide and
+a descent on QuadInt powers, which the library's integer-coordinate path
+must match.
 """
 
 import math
 from fractions import Fraction
 from functools import cmp_to_key
 
+from artifact.dnumbers import CanonicalFactorization, generator_set, is_dnumber
 from artifact.dplus import DPlusElement, in_dplus
 from artifact.quadring import (
     HALF_ONE_PLUS_SQRT_N,
     InternalInconsistency,
+    NotADNumber,
     NotApplicable,
+    QuadField,
     QuadInt,
     ZeroElement,
     compare_values,
+    exact_divide,
     field,
+    is_square,
     make,
 )
 from artifact.units import fundamental_unit
@@ -106,3 +115,70 @@ def brute_force_oracle(field_or_n, M, include_integers: bool = False) -> list[Qu
             q += 1
     out.sort(key=cmp_to_key(compare_values))
     return out
+
+
+def evaluate(fact: CanonicalFactorization) -> QuadInt:
+    gs = generator_set(fact.N)
+    eps = fundamental_unit(fact.N).eps
+    return gs.evaluate_delta(fact.delta) * (eps**fact.m) * fact.ell
+
+
+def _unit_exponent(u: QuadInt, fld: QuadField) -> int:
+    """m with u = eps^m, for u a power of the fundamental unit.
+
+    Exact bit descent on v = u or 1/u, whichever is > 1.  The trace of
+    eps^j rises strictly with j >= 1, so traces order the powers: square
+    eps^(2^k) until its trace passes v's, then take the bits of m from the
+    top down, keeping each one whose product still has trace <= v's.  The
+    power so built must equal v, or u was not a power of eps.
+    """
+    if u == 1:
+        return 0
+    inverted = u < 1
+    v = u.inverse() if inverted else u
+    powers = [fundamental_unit(fld).eps]
+    while powers[-1].p <= v.p:
+        powers.append(powers[-1] * powers[-1])
+    m, acc = 0, None
+    for k in range(len(powers) - 1, -1, -1):
+        step = powers[k] if acc is None else acc * powers[k]
+        if step.p <= v.p:
+            m, acc = m + (1 << k), step
+    if acc != v:
+        raise InternalInconsistency(f"{u} is not a power of eps_{fld.N}")
+    return -m if inverted else m
+
+
+def canonical_factor(x: QuadInt) -> CanonicalFactorization:
+    """The unique (ell, m, delta) with x = ell * eps^m * generators^delta.
+
+    delta's key is the one of at most four distinct squarefree keys k with
+    |N(x)| = k * a square (exact roots; |N(x)| is never factorized)."""
+    if x.N < 0:
+        raise NotApplicable("canonical factorization needs a real field")
+    if x.is_zero():
+        raise ZeroElement("0 has no canonical factorization")
+    if not is_dnumber(x):
+        raise NotADNumber(f"{x} is not a d-number")
+    fld = x.field
+    gs = generator_set(fld)
+    n = abs(x.norm())
+    for sig, delta in gs.signature_map.items():
+        if n % sig == 0 and is_square(n // sig):
+            break
+    else:
+        raise InternalInconsistency(
+            f"norm {n} is no signature key times a square for N={fld.N}"
+        )
+    y = exact_divide(x, gs.evaluate_delta(delta))
+    ny = abs(y.norm())
+    s = math.isqrt(ny)
+    if s * s != ny:
+        raise InternalInconsistency(f"residual norm {ny} is not a square")
+    ell = s if y.sign() > 0 else -s
+    u = exact_divide(y, fld.integer(ell))
+    m = _unit_exponent(u, fld)
+    fact = CanonicalFactorization(fld.N, ell, m, delta, gs.case)
+    if evaluate(fact) != x:
+        raise InternalInconsistency(f"round trip failed for {x}")
+    return fact

@@ -35,6 +35,7 @@ from artifact.quadring import (
     squarefree_range,
 )
 from artifact.units import fundamental_unit
+import oracles
 from oracles import is_dnumber_via_charpoly
 
 
@@ -231,6 +232,8 @@ def test_canonical_factor_rejects():
 
     with pytest.raises(NotADNumber):
         canonical_factor(make(3, 2, 4))  # 1+2sqrt3
+    with pytest.raises(NotADNumber):
+        canonical_factor(make(13, 5, 1))  # (5+sqrt13)/2: 25 over 3
     with pytest.raises(NotApplicable):
         canonical_factor(make(-1, 2, 2))
 
@@ -328,11 +331,95 @@ def test_unit_exponent_exact_for_large_powers():
 
 
 def test_unit_exponent_rejects_non_powers():
-    eps = fundamental_unit(3).eps
+    t, u = fundamental_unit(3).t, fundamental_unit(3).u
     with pytest.raises(InternalInconsistency):
-        dnumbers._unit_exponent(-eps, field(3))
+        dnumbers._unit_exponent(-t, -u, 3, t, u)  # -eps
     with pytest.raises(InternalInconsistency):
-        dnumbers._unit_exponent(make(3, 6, 2), field(3))  # norm 6, no unit
+        dnumbers._unit_exponent(6, 2, 3, t, u)  # make(3, 6, 2): norm 6, no unit
+    with pytest.raises(InternalInconsistency):
+        dnumbers._unit_exponent(-2, 2, 3, t, u)  # sqrt3 - 1 < 1: norm -2, no unit
+
+
+def test_unit_exponent_small_m_order_trap():
+    """eps_5 = (1+sqrt5)/2 has trace 1, below the trace 2 of eps^0, so
+    traces order the powers of eps only from j = 1 on."""
+    fu = fundamental_unit(5)
+    gs = generator_set(5)
+    for m in range(-2, 3):
+        e = fu.eps**m
+        assert dnumbers._unit_exponent(e.p, e.q, 5, fu.t, fu.u) == m
+        for ell in (1, -3):
+            for delta in gs.delta_combos():
+                f = CanonicalFactorization(5, ell, m, delta, gs.case)
+                x = evaluate(f)
+                assert x == oracles.evaluate(f)
+                assert canonical_factor(x) == f, f
+
+
+def _oracle_cases():
+    """(N, ell, m) over every N <= 97, with negative ell and m and
+    |m| = 400, and a few factorizations in two large fields."""
+    for N in squarefree_range(97)[1:]:
+        for m in (*range(-4, 5), 400, -400):
+            for ell in (1, -3, 7):
+                yield N, ell, m
+    for N in (99991, 1000003):
+        for m in (-2, -1, 0, 1, 3):
+            for ell in (1, -5, 12):
+                yield N, ell, m
+
+
+def test_integer_path_matches_quadint_oracle():
+    """evaluate and canonical_factor on table coordinates agree with the
+    QuadInt generator products, exact_divide and descent of the oracle, for
+    every delta of each field."""
+    for N, ell, m in _oracle_cases():
+        gs = generator_set(N)
+        for delta in gs.delta_combos():
+            f = CanonicalFactorization(N, ell, m, delta, gs.case)
+            x = oracles.evaluate(f)
+            assert evaluate(f) == x, f
+            assert canonical_factor(x) == oracles.canonical_factor(x) == f, f
+    for N in (6, 7):
+        x = fundamental_unit(N).eps ** 400 * 3
+        assert canonical_factor(x) == oracles.canonical_factor(x)
+        assert (canonical_factor(x).ell, canonical_factor(x).m) == (3, 400)
+
+
+def test_field_table_matches_generator_set():
+    """Each row of the per-field table holds g^delta = gs.evaluate_delta
+    and its norm, keyed by the squarefree part of that norm; eps and 1/eps
+    multiply to 1."""
+    for N in squarefree_range(97)[1:]:
+        gs, fu = generator_set(N), fundamental_unit(N)
+        fld, case, eps, inverse, deltas, rows = dnumbers._field_table(N)
+        assert (fld, case, eps) == (field(N), gs.case, (fu.t, fu.u))
+        assert make(N, *eps) * make(N, *inverse) == 1
+        assert deltas == gs.delta_combos()
+        for delta, (key, p, q, n) in zip(deltas, rows):
+            g = gs.evaluate_delta(delta)
+            assert (p, q, n) == (g.p, g.q, g.norm()), (N, delta)
+            assert squarefree_part(abs(n)) == key and gs.signature_map[key] == delta
+
+
+def test_failed_table_division_is_a_bug(monkeypatch):
+    """A division the canonical form relies on raises InternalInconsistency
+    when it leaves a remainder or a point off the ring, never a bare
+    ZeroDivisionError or ValueError; so does a corrupted table.  A caller's
+    delta outside the table is a ValueError in evaluate."""
+    with pytest.raises(InternalInconsistency):
+        dnumbers._divide(2, 0, 0, 2, -3, 3)  # 1 / sqrt3
+    with pytest.raises(InternalInconsistency):
+        dnumbers._divide(2, 2, 4, 0, 4, 3)  # (1+sqrt3)/2 is not in Z[sqrt3]
+    with pytest.raises(ValueError):
+        evaluate(CanonicalFactorization(15, 1, 0, (1, 1, 0), CASE_ELSE))
+    fld, case, eps, inverse, deltas, rows = dnumbers._field_table(3)
+    doubled = tuple((key, 2 * p, 2 * q, 4 * n) for key, p, q, n in rows)
+    table = (fld, case, eps, inverse, deltas, doubled)
+    monkeypatch.setattr(dnumbers, "_field_table", lambda N: table)
+    for x in (make(3, 6, 2), make(3, 4, 2), make(3, 0, 2)):
+        with pytest.raises(InternalInconsistency):
+            canonical_factor(x)
 
 
 def test_dnumber_divides_examples():
