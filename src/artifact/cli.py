@@ -132,19 +132,19 @@ def _cmd_enumerate(args):
 
 
 def _cmd_pell(args):
-    solvable = units.negative_pell_solvable(args.N)
+    fu = units.fundamental_unit(args.N)
+    solvable = fu.unit_norm == -1
     payload: dict = {"N": args.N, "solvable": solvable}
     if solvable:
         # smallest power of eps with integer coordinates and norm -1
-        eps = units.fundamental_unit(args.N).eps
-        wit = eps if eps.p % 2 == 0 else eps**3
+        wit = fu.eps if fu.eps.p % 2 == 0 else fu.eps**3
         x, y = wit.p // 2, wit.q // 2
         payload["witness"] = {"x": x, "y": y}
         return (
             [f"negative_pell=yes witness: x={x} y={y}"],
             [("pell", payload)],
         )
-    found = units.pell_witness_search(args.N, args.witness_bound)
+    found = dnumbers.pell_witness(args.N, args.witness_bound)
     payload["witness_bound"] = args.witness_bound
     if found is None:
         payload["witness"] = None
@@ -293,6 +293,14 @@ def fraction(text: str) -> Fraction:
         raise ValueError(f"zero denominator in {text!r}") from None
 
 
+def nonnegative(text: str) -> int:
+    """argparse type for the witness bound; a negative one is a usage error."""
+    value = int(text)
+    if value < 0:
+        raise ValueError(f"negative bound {value}")
+    return value
+
+
 @lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
     """The `dnum` parser, built once per process; parsing never mutates it."""
@@ -352,7 +360,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("pell", help="negative Pell solvability and witness")
     p.add_argument("N", type=int)
-    p.add_argument("--witness-bound", type=int, default=100, metavar="B")
+    p.add_argument("--witness-bound", type=nonnegative, default=100, metavar="B")
     p.set_defaults(func=_cmd_pell)
 
     p = sub.add_parser("qint", help="quantum integer [m]")

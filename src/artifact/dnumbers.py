@@ -30,7 +30,6 @@ from .quadring import (
     field,
     is_square,
     make,
-    squarefree_part,
 )
 from .units import fundamental_unit
 
@@ -97,6 +96,33 @@ def _kappa(a: int, N: int) -> int:
     if a % kappa or not is_square(a // kappa):
         raise InternalInconsistency(f"{a} is not {kappa} times a square (N={N})")
     return kappa
+
+
+def pell_witness(field_or_n, bound: int) -> tuple[int, int] | None:
+    """Least (kappa, n) <= bound certifying unit norm +1, or None.
+
+    A witness is squarefree kappa >= 2 and n >= 1 with kappa*n^2 - 4 > 0 not
+    a square and kappa*(kappa*n^2 - 4) = N*s^2; least is lexicographic, with
+    both kappa and n capped by `bound`.  No search is needed: for norm +1,
+    `_kappa` certifies t + 2 = kappa_1*r^2, and (kappa_1, r) is the least.
+    - It is a witness: kappa_1*r^2 - 4 = t - 2, and (t+2)(t-2) = N*u^2 gives
+      kappa_1*(t - 2) = N*(u/r)^2.  kappa_1 >= 2 and t - 2 is not a square,
+      or sqrt(eps) = (sqrt(t+2) + sqrt(t-2))/2 would be a unit.
+    - Every witness (kappa, n) gives ((kappa*n^2 - 2) + n*s*sqrt(N))/2, a
+      unit of norm 1 above 1, so eps^k with k >= 1 and trace
+      t_k = kappa*n^2 - 2.  k is odd, or t_k + 2 = trace(eps^(k/2))^2 is no
+      squarefree kappa >= 2 times a square.  kappa_1*eps^k is the square of
+      a root of norm +kappa_1, so kappa_1*(t_k + 2) is a square: kappa =
+      kappa_1 and n^2 = (t_k + 2)/kappa_1, which rises with k.  So n >= r,
+      and no witness is in bound when (kappa_1, r) is not.
+    Norm -1 fields have no witness at all.
+    """
+    fu = fundamental_unit(field_or_n)
+    if fu.unit_norm == -1:
+        return None
+    kappa = _kappa(fu.t + 2, fu.N)
+    r = math.isqrt((fu.t + 2) // kappa)
+    return (kappa, r) if max(kappa, r) <= bound else None
 
 
 def _sqrt_kappa_eps(fld: QuadField, kappa: int, plus: bool) -> QuadInt:
@@ -409,13 +435,3 @@ def sqrt_classes(j_parity: int, field_or_n) -> frozenset[int]:
     return frozenset(
         [k1, k2] + [fld.N * k for k in (k1, k2) if math.gcd(fld.N, k) == 1]
     )
-
-
-def sqrt_class(c: int, j_parity: int, field_or_n) -> bool:
-    """Is c * eps^j (c squarefree > 0) the square of a d-number in this field?
-
-    Membership of c in sqrt_classes(j_parity, field_or_n).
-    """
-    if c <= 0 or squarefree_part(c) != c:
-        raise ValueError("c must be positive and squarefree")
-    return c in sqrt_classes(j_parity, field_or_n)

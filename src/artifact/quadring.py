@@ -320,14 +320,6 @@ def is_squarefree(n: int) -> bool:
     return squarefree_part(abs(n)) == abs(n)
 
 
-def squarefree_range(limit: int) -> list[int]:
-    """Squarefree integers in [1, limit], by sieving square multiples."""
-    flags = bytearray([1]) * (limit + 1)
-    for d in range(2, math.isqrt(limit) + 1):
-        flags[d * d :: d * d] = bytearray(len(flags[d * d :: d * d]))
-    return [n for n in range(1, limit + 1) if flags[n]]
-
-
 def is_square(n: int) -> bool:
     return n >= 0 and math.isqrt(n) ** 2 == n
 

@@ -26,9 +26,7 @@ from .quadring import (
     NotApplicable,
     QuadInt,
     field,
-    is_square,
     make,
-    squarefree_range,
 )
 
 SQRT_KIND = "SqrtN"
@@ -138,57 +136,3 @@ def fundamental_unit(field_or_n) -> FundamentalUnit:
     if fld.N < 0:
         raise NotApplicable("imaginary quadratic fields have no unit > 1")
     return _fundamental_unit_cached(fld.N)
-
-
-def negative_pell_solvable(field_or_n) -> bool:
-    """Whether x^2 - N y^2 = -1 has a solution.
-
-    Decided two independent ways — parity of the sqrt(N) period, and the
-    norm of the fundamental unit — which must agree.
-    """
-    fld = field(field_or_n)
-    if fld.N < 0:
-        raise NotApplicable("negative Pell is a real-field question")
-    by_period = len(cf_expand(fld, SQRT_KIND).period) % 2 == 1
-    by_norm = fundamental_unit(fld).unit_norm == -1
-    if by_period != by_norm:
-        raise InternalInconsistency(
-            f"period parity and unit norm disagree for N={fld.N}"
-        )
-    return by_norm
-
-
-def pell_witness_search(field_or_n, bound: int) -> tuple[int, int] | None:
-    """Least (kappa, n) certifying unit norm +1, or None.
-
-    A witness is squarefree kappa >= 2 and n >= 1 with kappa*n^2 - 4
-    positive and not a perfect square, such that kappa*(kappa*n^2 - 4) is
-    N times a perfect square.  Such a pair squares the scaled unit:
-    ((kappa*n^2 - 2) + n*s*sqrt(N))/2 is a norm-one unit with an integral
-    square root of norm kappa, which is impossible when the fundamental
-    unit has norm -1.  Both kappa and n are capped by `bound`; pairs are
-    scanned in lexicographic order, so the first hit is the least witness.
-    """
-    fld = field(field_or_n)
-    if fld.N < 0:
-        raise NotApplicable("witness search is a real-field operation")
-    N = fld.N
-    for kappa in squarefree_range(bound):
-        if kappa < 2:
-            continue
-        # m = kappa*(kappa*n^2-4) = N * square needs N' | kappa*n^2 - 4
-        # where N' = N / gcd(kappa, N); solve the quadratic residue first.
-        n_mod = N // math.gcd(kappa, N)
-        roots = [r for r in range(n_mod) if (kappa * r * r - 4) % n_mod == 0]
-        if not roots:
-            continue
-        for n in range(1, bound + 1):
-            if n % n_mod not in roots:
-                continue
-            v = kappa * n * n - 4
-            if v <= 0 or is_square(v):
-                continue
-            m = kappa * v
-            if m % N == 0 and is_square(m // N):
-                return kappa, n
-    return None

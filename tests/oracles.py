@@ -1,11 +1,13 @@
 """Independent oracles for the tests; the library never runs them.
 
 Membership by characteristic polynomial, a brute-force scan of coordinate
-pairs for the enumerators, the lower bounds of unit norm -1 fields, and the
+pairs for the enumerators, the lower bounds of unit norm -1 fields, the
 canonical factorization on QuadInt arithmetic (`evaluate`,
 `canonical_factor`, `_unit_exponent`): generator products, exact_divide and
 a descent on QuadInt powers, which the library's integer-coordinate path
-must match.
+must match, and the residue search for the least negative-Pell witness
+(`pell_witness_search`), which the closed form `dnumbers.pell_witness` must
+match.  `squarefree_range` lists the fields the tests sweep.
 """
 
 import math
@@ -29,6 +31,14 @@ from artifact.quadring import (
     make,
 )
 from artifact.units import fundamental_unit
+
+
+def squarefree_range(limit: int) -> list[int]:
+    """Squarefree integers in [1, limit], by sieving square multiples."""
+    flags = bytearray([1]) * (limit + 1)
+    for d in range(2, math.isqrt(limit) + 1):
+        flags[d * d :: d * d] = bytearray(len(flags[d * d :: d * d]))
+    return [n for n in range(1, limit + 1) if flags[n]]
 
 
 def is_dnumber_via_charpoly(x: QuadInt) -> bool:
@@ -182,3 +192,39 @@ def canonical_factor(x: QuadInt) -> CanonicalFactorization:
     if evaluate(fact) != x:
         raise InternalInconsistency(f"round trip failed for {x}")
     return fact
+
+
+def pell_witness_search(field_or_n, bound: int) -> tuple[int, int] | None:
+    """Least (kappa, n) certifying unit norm +1, or None.
+
+    A witness is squarefree kappa >= 2 and n >= 1 with kappa*n^2 - 4
+    positive and not a perfect square, such that kappa*(kappa*n^2 - 4) is
+    N times a perfect square.  Such a pair squares the scaled unit:
+    ((kappa*n^2 - 2) + n*s*sqrt(N))/2 is a norm-one unit with an integral
+    square root of norm kappa, which is impossible when the fundamental
+    unit has norm -1.  Both kappa and n are capped by `bound`; pairs are
+    scanned in lexicographic order, so the first hit is the least witness.
+    """
+    fld = field(field_or_n)
+    if fld.N < 0:
+        raise NotApplicable("witness search is a real-field operation")
+    N = fld.N
+    for kappa in squarefree_range(bound):
+        if kappa < 2:
+            continue
+        # m = kappa*(kappa*n^2-4) = N * square needs N' | kappa*n^2 - 4
+        # where N' = N / gcd(kappa, N); solve the quadratic residue first.
+        n_mod = N // math.gcd(kappa, N)
+        roots = [r for r in range(n_mod) if (kappa * r * r - 4) % n_mod == 0]
+        if not roots:
+            continue
+        for n in range(1, bound + 1):
+            if n % n_mod not in roots:
+                continue
+            v = kappa * n * n - 4
+            if v <= 0 or is_square(v):
+                continue
+            m = kappa * v
+            if m % N == 0 and is_square(m // N):
+                return kappa, n
+    return None

@@ -39,10 +39,9 @@ from artifact.quadring import (
     field,
     make,
     render,
-    squarefree_range,
 )
-from artifact.units import fundamental_unit, negative_pell_solvable
-from oracles import brute_force_oracle, is_dnumber_via_charpoly
+from artifact.units import cf_expand, fundamental_unit
+from oracles import brute_force_oracle, is_dnumber_via_charpoly, squarefree_range
 
 
 def test_criterion_01_fundamental_unit_table():
@@ -269,7 +268,8 @@ def test_criterion_09_property_suites():
     for N in squarefree_range(500):
         if N < 2:
             continue
-        assert negative_pell_solvable(N) == (fundamental_unit(N).unit_norm == -1)
+        by_period = len(cf_expand(N).period) % 2 == 1
+        assert by_period == (fundamental_unit(N).unit_norm == -1), N
 
     # the cardinality bound strictly exceeds every enumerated count
     for M in range(1, 21):

@@ -120,6 +120,21 @@ def test_pell_output(capsys):
     assert out == "negative_pell=no witness: kappa=7 n=1\n"
     code, out, _ = run(capsys, "pell", "21", "--witness-bound", "2")
     assert out == "negative_pell=no witness=none within bound 2\n"
+    # large norm +1 fields: the least witness is far beyond the bound
+    for N in ("1000003", "99991"):
+        assert run(capsys, "pell", N) == (
+            0, "negative_pell=no witness=none within bound 100\n", ""
+        )
+    # the least witness of N = 46 is (2, 156): in bound exactly from 156
+    _, out, _ = run(capsys, "pell", "46", "--witness-bound", "155")
+    assert out == "negative_pell=no witness=none within bound 155\n"
+    _, out, _ = run(capsys, "pell", "46", "--witness-bound", "156")
+    assert out == "negative_pell=no witness: kappa=2 n=156\n"
+    _, out, _ = run(capsys, "--json", "pell", "34")
+    assert out == (
+        '{"command":"pell","payload":{"N":34,"solvable":false,'
+        '"witness":{"kappa":2,"n":6},"witness_bound":100},"schema_version":1}\n'
+    )
 
 
 def test_member_factor_divides_output(capsys):
@@ -176,6 +191,13 @@ def test_exit_codes(capsys):
             main(["enumerate", bad])
         assert exc.value.code == 2
         assert "invalid fraction value" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:  # a negative witness bound too
+        main(["pell", "21", "--witness-bound", "-1"])
+    assert exc.value.code == 2
+    assert "invalid nonnegative value" in capsys.readouterr().err
+    assert run(capsys, "pell", "21", "--witness-bound", "0") == (
+        0, "negative_pell=no witness=none within bound 0\n", ""
+    )
     # 3: factorization budget exhausted (decompose factorizes ell, a
     # semiprime of two 10-digit primes)
     code, _, err = run(

