@@ -5,7 +5,8 @@ Field elements are passed as the doubled coordinates (p, q) meaning
 output is the default; --json switches to one compact JSON record per
 line with a fixed schema_version.  Exit codes: 0 success, 1 domain
 error (the error class name goes to stderr), 2 usage error, 3
-factorization budget exhausted, 4 internal inconsistency (a bug).
+factorization budget exhausted, 4 internal inconsistency (a bug), 141
+stdout closed by its reader before the output ended (as after SIGPIPE).
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import argparse
 import contextvars
 import json
+import os
 import sys
 from collections import Counter
 from fractions import Fraction
@@ -171,6 +173,8 @@ def _profile_line(profile) -> str:
 
 
 def _cmd_decompose(args):
+    if args.modular_filter and not args.refine:
+        _build_parser().error("argument --modular-filter: needs --refine")
     scan = fusion.decompose_global_dim(
         args.N, args.ell, args.m, divisor_constraint=args.dint_divides
     )
@@ -422,12 +426,19 @@ def _run(argv: list[str] | None) -> int:
     ) as err:
         print(f"{type(err).__name__}: {err}", file=sys.stderr)
         return 1
-    if args.json:
-        for command, payload in payloads:
-            print(_record(command, payload))
-    else:
-        for line in lines:
-            print(line)
+    try:
+        if args.json:
+            for command, payload in payloads:
+                print(_record(command, payload))
+        else:
+            for line in lines:
+                print(line)
+        sys.stdout.flush()  # a closed pipe raises here, not at exit
+    except BrokenPipeError:
+        # the reader has gone (`dnum ... | head`); Python flushes stdout again
+        # at exit, so point it at devnull first (Python docs, "Note on SIGPIPE")
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     return 0
 
 

@@ -12,7 +12,9 @@ arithmetic.
 
 from __future__ import annotations
 
+import itertools
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -21,7 +23,6 @@ from typing import NamedTuple
 
 from .dnumbers import (
     CanonicalFactorization,
-    evaluate,
     generator_set,
     is_dnumber,
     sqrt_classes,
@@ -37,7 +38,6 @@ from .quadring import (
     Rejected,
     _floor_quadratic,
     _radical_sub,
-    divides,
     divisors,
     exact_divide,
     field,
@@ -228,20 +228,20 @@ class SimpleDimProfile:
     parts: tuple[tuple[int, int], ...]  # (c, j) per non-integral simple object
 
 
-def _partitions(total: int, parts: list[int]) -> list[tuple[int, ...]]:
-    """Multiset partitions of total into the given parts (descending)."""
-    out: list[tuple[int, ...]] = []
+def _partitions(total: int, parts: list[int], j: int):
+    """Yield the partitions of total into the distinct ascending parts as
+    (c, j) pairs, c descending, in ascending order (see refine_simple_dims)."""
 
-    def rec(rest: int, idx: int, acc: list[int]) -> None:
-        if rest == 0:
-            out.append(tuple(acc))
-            return
-        for i in range(idx, len(parts)):
-            if parts[i] <= rest:
-                rec(rest - parts[i], i, acc + [parts[i]])
+    def rec(rest: int, top: int, acc: tuple):
+        for i in range(min(top, bisect_right(parts, rest))):  # largest part c
+            c, pair = parts[i], ((parts[i], j),)
+            for k in range(1, rest // c + 1):  # and its count
+                if rest == k * c:
+                    yield acc + pair * k
+                elif i:  # parts below c remain
+                    yield from rec(rest - k * c, i, acc + pair * k)
 
-    rec(total, 0, [])
-    return out
+    return rec(total, len(parts), ())
 
 
 def refine_simple_dims(
@@ -253,35 +253,33 @@ def refine_simple_dims(
     that sqrt_classes admits for the parity of j, so no part is factorized;
     the c0 are distinct and squarefree, so the c are distinct.  The
     optional filter additionally requires target/(c * eps^j) to be an
-    algebraic integer; eps^j is a unit, so that is c dividing the target,
-    tested once per part whatever j.
+    algebraic integer.  The target is ell * eps^m and eps is a unit, so
+    that is ell/c in the ring: a rational algebraic integer, so c | ell.
+    Listed j by j with c descending, the profiles come in ascending order
+    with no sort: each ell_j's partitions come in ascending order (by
+    largest part, then by its count, since a longer run of it compares
+    above a shorter run and a smaller part), and none is a prefix of
+    another.
     """
-    fld = d.field
-    target = evaluate(d.target)
-    divides_target = lru_cache(maxsize=None)(
-        lambda c: divides(fld.integer(c), target)
-    )
-    per_j: list[list[tuple[tuple[int, int], ...]]] = []
+    per_j = []
     for j, lj in d.coeffs:
-        allowed = [
+        parts = sorted(
             c0 * k * k
-            for c0 in sqrt_classes(j % 2, fld)
+            for c0 in sqrt_classes(j % 2, d.field)
             for k in range(1, math.isqrt(lj // c0) + 1)
-        ]
+        )
         if apply_modular_filter:
-            allowed = [c for c in allowed if divides_target(c)]
-        choices = [
-            tuple((c, j) for c in partition)
-            for partition in _partitions(lj, sorted(allowed, reverse=True))
-        ]
+            parts = [c for c in parts if d.target.ell % c == 0]
+        choices = list(_partitions(lj, parts, j))
         if not choices:
             return []
         per_j.append(choices)
-
-    profiles = [()]
-    for choices in per_j:
-        profiles = [got + extra for got in profiles for extra in choices]
-    return [SimpleDimProfile(d, tuple(sorted(parts))) for parts in sorted(profiles)]
+    if len(per_j) == 1:  # one j: its partition reversed lists c ascending
+        return [SimpleDimProfile(d, parts[::-1]) for parts in per_j[0]]
+    return [
+        SimpleDimProfile(d, tuple(sorted(sum(parts, ()))))
+        for parts in itertools.product(*per_j)
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,10 @@ canonical factorization on QuadInt arithmetic (`evaluate`,
 a descent on QuadInt powers, which the library's integer-coordinate path
 must match, and the residue search for the least negative-Pell witness
 (`pell_witness_search`), which the closed form `dnumbers.pell_witness` must
-match.  `squarefree_range` lists the fields the tests sweep.
+match, and the partitions of an integer by a recursion that opens one frame
+per part (`partitions_per_part`), which the multiplicity walk of
+`fusion._partitions` must match.  `squarefree_range` lists the fields the
+tests sweep.
 """
 
 import math
@@ -228,3 +231,19 @@ def pell_witness_search(field_or_n, bound: int) -> tuple[int, int] | None:
             if m % N == 0 and is_square(m // N):
                 return kappa, n
     return None
+
+
+def partitions_per_part(total: int, parts: list[int]) -> list[tuple[int, ...]]:
+    """Multiset partitions of total into the given parts (descending)."""
+    out: list[tuple[int, ...]] = []
+
+    def rec(rest: int, idx: int, acc: list[int]) -> None:
+        if rest == 0:
+            out.append(tuple(acc))
+            return
+        for i in range(idx, len(parts)):
+            if parts[i] <= rest:
+                rec(rest - parts[i], i, acc + [parts[i]])
+
+    rec(total, 0, [])
+    return out

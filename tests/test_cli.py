@@ -69,6 +69,52 @@ def test_golden_decompose(capsys):
     assert out == (FIXTURES / "decompose_21.txt").read_text()
 
 
+def test_decompose_refine_with_modular_filter(capsys):
+    # the filter drops the single part (6, j=1) of d_int=1: 10/6 is no integer
+    code, out, _ = run(capsys, "decompose", "3", "10", "1", "--refine",
+                       "--modular-filter")
+    assert code == 0
+    assert out == (
+        "target=20+10√3 scanned=80 solutions=2\n"
+        "d_int=2 ell_1=2 ell_2=2\n"
+        "  simple dims: 2x(1,j=2) 1x(2,j=1)\n"
+        "d_int=1 ell_1=6 ell_2=1\n"
+        "  simple dims: 1x(1,j=2) 3x(2,j=1)\n"
+    )
+    code, out, _ = run(capsys, "--json", "decompose", "3", "10", "1", "--refine",
+                       "--modular-filter")
+    assert code == 0
+    assert out == (
+        '{"command":"decompose","payload":{"N":3,"coeffs":[[1,2],[2,2]],'
+        '"d_int":2,"ell":10,"m":1,"refinements":[[[1,2],[1,2],[2,1]]],'
+        '"scanned":80},"schema_version":1}\n'
+        '{"command":"decompose","payload":{"N":3,"coeffs":[[1,6],[2,1]],'
+        '"d_int":1,"ell":10,"m":1,"refinements":[[[1,2],[2,1],[2,1],[2,1]]],'
+        '"scanned":80},"schema_version":1}\n'
+    )
+
+
+def test_closed_pipe_exits_without_traceback():
+    """A reader that stops early (`dnum ... | head -1`) ends the run with
+    exit 141 and nothing on stderr, also not when Python flushes at exit.
+    The 9,744 lines (650 kB) overflow the pipe, so the run is still
+    writing when the reader closes it."""
+    src = str(FIXTURES.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "artifact", "decompose", "5", "76", "2", "--refine"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    first = proc.stdout.readline().decode()
+    assert first == "target=114+38√5 scanned=581856 solutions=17\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 141
+    assert err == b""  # no Traceback, and no "Exception ignored" at exit
+
+
 def test_enumerate_flags(capsys):
     code, out, _ = run(capsys, "enumerate", "5", "--field", "5")
     assert code == 0
@@ -198,6 +244,10 @@ def test_exit_codes(capsys):
     assert run(capsys, "pell", "21", "--witness-bound", "0") == (
         0, "negative_pell=no witness=none within bound 0\n", ""
     )
+    with pytest.raises(SystemExit) as exc:  # a filter with nothing to filter
+        main(["decompose", "5", "76", "2", "--modular-filter"])
+    assert exc.value.code == 2
+    assert "--modular-filter: needs --refine" in capsys.readouterr().err
     # 3: factorization budget exhausted (decompose factorizes ell, a
     # semiprime of two 10-digit primes)
     code, _, err = run(

@@ -16,6 +16,7 @@ from artifact.fusion import (
     _cos_square,
     _cos_value_bounds,
     _last_coefficients,
+    _partitions,
     decompose_global_dim,
     generalized_near_group_check,
     haagerup_izumi_dim,
@@ -38,7 +39,7 @@ from artifact.quadring import (
     squarefree_decompose,
 )
 from artifact.units import fundamental_unit
-from oracles import squarefree_range
+from oracles import partitions_per_part, squarefree_range
 
 
 def test_quantum_int_small_values():
@@ -269,6 +270,38 @@ def test_refine_matches_per_part_oracle():
                 assert got == refine_per_part(sol, apply), (N, ell, m, sol, apply)
                 checked += 1
     assert checked == 1737  # 1033 filtered, 704 unfiltered
+
+
+def test_refine_matches_per_part_oracle_at_workload_sizes():
+    """The largest refinements of the fusion workload: every solution of
+    72*eps^2 and 60*eps^2 in N = 5 with the filter on, and the 1,992
+    unfiltered profiles of ell_2 = 73, ell_4 = 1 of 76*eps^2."""
+    checked = []
+    for ell, apply in ((72, True), (60, True), (76, False)):
+        for sol in decompose_global_dim(5, ell, 2).solutions:
+            if apply or sol.coeffs == ((2, 73), (4, 1)):
+                got = [p.parts for p in refine_simple_dims(sol, apply)]
+                assert got == refine_per_part(sol, apply), (ell, sol, apply)
+                checked.append(len(got))
+    assert (len(checked), sum(checked), checked[-1]) == (105, 7883, 1992)
+
+
+def test_partitions_match_recursion_oracle():
+    """The multiplicity walk gives the partitions of the recursion that
+    takes one part per frame, in ascending order; on part sets with and
+    without 1, where the search can dead-end, and with a part equal to the
+    total."""
+    part_sets = [
+        [1], [1, 2], [1, 2, 3, 5, 8], [1, 4, 9, 16, 25, 36], [1, 3, 12, 27],
+        [2], [2, 3], [2, 8, 18, 32], [3, 4, 12], [5, 7, 20, 28, 45], [6, 24], [],
+    ]
+    for parts in part_sets:
+        for total in range(1, 41):
+            want = sorted(
+                tuple((c, 3) for c in p)
+                for p in partitions_per_part(total, sorted(parts, reverse=True))
+            )
+            assert list(_partitions(total, parts, 3)) == want, (parts, total)
 
 
 def test_refine_modular_filter_effect():
