@@ -36,7 +36,8 @@ UNIT_TABLE_FIELDS = [
     2, 3, 5, 6, 7, 10, 11, 13, 14, 15, 17, 19, 21, 22, 23, 26, 29, 30, 31,
     33, 34, 35, 37, 38, 39, 41, 42, 43, 46, 47, 51, 53, 55, 57,
 ]
-# norm +1 fields of the kappa table (squarefree N <= 46)
+# norm +1 fields of the kappa table: the 19 reference rows, every squarefree
+# N <= 46 of unit norm +1 except N = 43
 KAPPA_TABLE_FIELDS = [
     3, 6, 7, 11, 14, 15, 19, 21, 22, 23, 30, 31, 33, 34, 35, 38, 39, 42, 46,
 ]
@@ -183,15 +184,12 @@ def _cmd_decompose(args):
         f"target={render(target)} scanned={scan.candidates_scanned} "
         f"solutions={len(scan.solutions)}"
     ]
+    record = dict(N=args.N, ell=args.ell, m=args.m, scanned=scan.candidates_scanned)
     payloads = []
     for sol in scan.solutions:
         shown = " ".join(f"ell_{j}={lj}" for j, lj in sol.coeffs)
         lines.append(f"d_int={sol.d_int} {shown}".rstrip())
-        payload = {
-            "N": args.N, "ell": args.ell, "m": args.m,
-            "scanned": scan.candidates_scanned, "d_int": sol.d_int,
-            "coeffs": [[j, lj] for j, lj in sol.coeffs],
-        }
+        payload = {**record, "d_int": sol.d_int, "coeffs": [list(c) for c in sol.coeffs]}
         if args.refine:
             profiles = fusion.refine_simple_dims(
                 sol, apply_modular_filter=args.modular_filter
@@ -203,16 +201,7 @@ def _cmd_decompose(args):
             ]
         payloads.append(("decompose", payload))
     if not payloads:  # no solutions at all: still emit the scan summary
-        payloads.append(
-            (
-                "decompose",
-                {
-                    "N": args.N, "ell": args.ell, "m": args.m,
-                    "scanned": scan.candidates_scanned, "d_int": None,
-                    "coeffs": [],
-                },
-            )
-        )
+        payloads.append(("decompose", {**record, "d_int": None, "coeffs": []}))
     return lines, payloads
 
 
@@ -305,6 +294,14 @@ def nonnegative(text: str) -> int:
     return value
 
 
+def positive(text: str) -> int:
+    """argparse type for the factor budget; one below 1 is a usage error."""
+    value = int(text)
+    if value < 1:
+        raise ValueError(f"budget {value} below 1")
+    return value
+
+
 @lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
     """The `dnum` parser, built once per process; parsing never mutates it."""
@@ -314,7 +311,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--json", action="store_true", help="emit JSON records")
     parser.add_argument(
-        "--budget", type=int, metavar="B",
+        "--budget", type=positive, metavar="B",
         help="Pollard-rho iteration budget per factorization",
     )
     sub = parser.add_subparsers(dest="command", required=True)

@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .quadring import (
     FieldMismatch,
@@ -208,8 +209,7 @@ def generator_set(field_or_n) -> GeneratorSet:
 # canonical factorization
 
 
-@dataclass(frozen=True)
-class CanonicalFactorization:
+class CanonicalFactorization(NamedTuple):
     """x = ell * eps^m * prod(generators^delta), delta pinned to 0 off-case."""
 
     N: int

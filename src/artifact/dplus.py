@@ -5,12 +5,14 @@ nontrivial automorphism).  Below any cutoff M the dominant d-numbers form a
 finite set: in the canonical form alpha = ell * eps^m * g^delta, dominance
 plus sigma-positivity force m >= 0 and kill most delta combinations, and
 ell is squeezed between 1/sigma(base) and M/base.  enumerate_field walks
-exactly that cell structure.  enumerate_all finds the fields that own
-members by a walk over traces and the divisors of their squares, which
-needs no unit, and runs the cell walk only there, each route checking the
-other.  Every cutoff is decided in integer arithmetic: both ell cutoffs
-are one floor of a/(b*x) on the doubled coordinates of x (`_floor_over`),
-and the cutoff M = a/b enters every test as the integers a and b.
+exactly that cell structure, one field at a time.  enumerate_all finds
+every member of every field by a walk over traces and the divisors of
+their squares, which needs no unit, certifies each hit with in_dplus and
+takes its factorization from canonical_factor; the canonical form is
+unique, so it is the one the cell walk would report.  Every cutoff is
+decided in integer arithmetic: both ell cutoffs are one floor of a/(b*x)
+on the doubled coordinates of x (`_floor_over`), and the cutoff M = a/b
+enters every test as the integers a and b.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
 
-from .dnumbers import CanonicalFactorization, generator_set, is_dnumber
+from .dnumbers import CanonicalFactorization, canonical_factor, generator_set, is_dnumber
 from .quadring import (
     InternalInconsistency,
     NotApplicable,
@@ -30,6 +32,7 @@ from .quadring import (
     divisors,
     field,
     is_square,
+    make,
     squarefree_decompose,
 )
 from .units import fundamental_unit
@@ -103,8 +106,8 @@ def enumerate_field(field_or_n, M) -> list[DPlusElement]:
         raise ValueError("cutoff M must be at least 1")
     fu = fundamental_unit(fld)
     # cheapest exit first: the smallest irrational member is eps (unit norm
-    # +1) or eps^2 (unit norm -1); skip the generator machinery -- and with
-    # it any factoring of t +- 2 -- when even that exceeds M
+    # +1) or eps^2 (unit norm -1); skip the generator set -- its kappa gcds
+    # and square-root checks -- when even that exceeds M
     smallest = fu.eps if fu.unit_norm == 1 else fu.eps**2
     if smallest * b > a:
         return []
@@ -137,9 +140,9 @@ def enumerate_field(field_or_n, M) -> list[DPlusElement]:
     return [DPlusElement(v, f, decimal_str(v)) for v, f in found]
 
 
-def _trace_walk(a: int, b: int) -> dict[int, list[tuple[int, int]]]:
-    """(p, q) of every dominant irrational d-number (p + q*sqrt(N))/2 <= M
-    = a/b, keyed by N.
+def _trace_walk(a: int, b: int) -> list[tuple[int, int, int]]:
+    """(N, p, q) of every dominant irrational d-number (p + q*sqrt(N))/2
+    <= M = a/b.
 
     With D = q^2 * N the norm is n = (p^2 - D)/4.  sigma(x) >= 1 and x <= M
     bound sqrt(D) by p - 2 and by 2M - p >= 0, so b^2*D is at most both
@@ -147,39 +150,36 @@ def _trace_walk(a: int, b: int) -> dict[int, list[tuple[int, int]]]:
     (x/sigma(x) has norm 1 and trace p^2/n - 2).  D = p^2 - 4n forces the
     parity of (p, q), so every hit is an algebraic integer.
     """
-    found: dict[int, list[tuple[int, int]]] = {}
+    found: list[tuple[int, int, int]] = []
     for p in range(3, 2 * a // b + 1):
         bound = min(b * (p - 2), 2 * a - b * p) ** 2
         for n in divisors(p * p):
             D = p * p - 4 * n
             if 0 < D and b * b * D <= bound and not is_square(D):
                 q, N = squarefree_decompose(D)
-                found.setdefault(N, []).append((p, q))
+                found.append((N, p, q))
     return found
 
 
 def enumerate_all(M, include_integers: bool = False) -> list[DPlusElement]:
     """Dominant d-numbers in [1, M] across every real field, ascending.
 
-    The trace walk names the member fields and their coordinates; the cell
-    walk of each such field supplies the factorizations, and the two must
-    agree exactly.  Rational integers join once, not per field, and only on
-    request.
+    The trace walk gives every member's field and coordinates; a hit that
+    in_dplus rejects is a bug.  Rational integers join once, not per
+    field, and only on request.
     """
     M = Fraction(M)
     a, b = M.numerator, M.denominator
     if a < b:
         raise ValueError("cutoff M must be at least 1")
     out: list[DPlusElement] = []
-    for N, coords in sorted(_trace_walk(a, b).items()):
-        members = enumerate_field(N, M)
-        cells = sorted((e.value.p, e.value.q) for e in members)
-        if cells != sorted(coords):
+    for N, p, q in _trace_walk(a, b):
+        value = make(N, p, q)
+        if not in_dplus(value):
             raise InternalInconsistency(
-                f"N={N}, M={M}: cell walk gives (p, q) {cells}, "
-                f"trace walk {sorted(coords)}"
+                f"trace walk hit {value} (N={N}) is not a dominant d-number"
             )
-        out.extend(members)
+        out.append(DPlusElement(value, canonical_factor(value), decimal_str(value)))
     if include_integers:
         out.extend(
             DPlusElement(k, None, decimal_str(k))

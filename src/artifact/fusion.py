@@ -38,6 +38,7 @@ from .quadring import (
     Rejected,
     _floor_quadratic,
     _radical_sub,
+    _sign,
     divisors,
     exact_divide,
     field,
@@ -139,17 +140,18 @@ def decompose_global_dim(
     """All ways to write ell * eps^m as d_int + sum ell_j * eps^j.
 
     d_int ranges over the divisors of divisor_constraint (default, when it
-    is None: of ell); j over 1..j_max with eps^j <= target, even j only
-    when the unit norm is -1.  A walk fixes ell_j from the largest j down
-    to the third smallest.  Every j it visits has sigma(eps^j) = eps^-j > 0,
-    so a remainder must stay >= 0 in both real embeddings: ell_j is capped
-    by the floor of the smaller embedding of rem * eps^-j.  The last two
-    coefficients are then decided exactly by Cramer's rule on doubled
-    coordinates (one j: rem * eps^-j must be a rational integer; no j: rem
-    must be 0).  candidates_scanned is still the raw box size, the number
-    of d_int times the product of the caps floor(target * eps^-j).  Every
-    solution is re-checked against the target and against the
-    quantum-integer identity [m]*d_int = sum ell_j * [j-m].
+    is None: of ell); j over every j >= 1 with eps^j <= target, even j only
+    when the unit norm is -1, each eps^j built once on doubled coordinates.
+    A walk fixes ell_j from the largest j down to the third smallest.  Every
+    j it visits has sigma(eps^j) = eps^-j > 0, so a remainder must stay
+    >= 0 in both real embeddings: ell_j is capped by the floor of the
+    smaller embedding of rem * eps^-j.  The last two coefficients are then
+    decided exactly by Cramer's rule on doubled coordinates (one j: rem *
+    eps^-j must be a rational integer; no j: rem must be 0).
+    candidates_scanned is still the raw box size, the number of d_int times
+    the product of the caps floor(target * eps^-j).  Every solution is
+    re-checked against the target and against the quantum-integer identity
+    [m]*d_int = sum ell_j * [j-m].
     """
     fld = field(field_or_n)
     if ell < 1 or m < 0:
@@ -163,20 +165,18 @@ def decompose_global_dim(
     if not in_dplus(target):
         raise NotInDPlus(f"{target} = {ell}*eps^{m} is not a dominant d-number")
     gs = generator_set(fld)
-    step = 2 if fu.unit_norm == -1 else 1
+    N, tp, tq = fld.N, target.p, target.q
     pool = divisors(ell if divisor_constraint is None else divisor_constraint)
-    j_max = 0
-    while fu.eps ** (j_max + 1) <= target:
-        j_max += 1
-    js = [j for j in range(1, j_max + 1) if j % step == 0]
-    power = {j: fu.eps**j for j in js}
-    scanned = len(pool)
-    for j in js:
-        box = target * fu.eps**-j
-        scanned *= _floor_quadratic(box.p, box.q, box.N, 2)
-    N = fld.N
-    # (j, P, Q) with eps^j = (P + Q*sqrt(N))/2; the first two close the walk
-    terms = [(j, power[j].p, power[j].q) for j in js]
+    # (j, P, Q) with eps^j = (P + Q*sqrt(N))/2 <= target and, j being even
+    # when the unit norm is -1, eps^-j = (P - Q*sqrt(N))/2; the first two
+    # close the walk.  The box has one cap floor(target * eps^-j) per j.
+    terms, scanned = [], len(pool)
+    j, P, Q = 1, fu.t, fu.u
+    while _sign(tp - P, tq - Q, N) >= 0:
+        if fu.unit_norm == 1 or j % 2 == 0:
+            terms.append((j, P, Q))
+            scanned *= _floor_quadratic(tp * P - N * tq * Q, tq * P - tp * Q, N, 4)
+        j, P, Q = j + 1, (P * fu.t + N * Q * fu.u) // 2, (P * fu.u + Q * fu.t) // 2
     solutions: list[Decomposition] = []
     fact = CanonicalFactorization(N, ell, m, (0, 0, 0), gs.case)
 
@@ -196,21 +196,20 @@ def decompose_global_dim(
             walk(idx - 1, rp - lj * p, rq - lj * q, chosen + [(j, lj)])
 
     for d in pool:
-        walk(len(js) - 1, target.p - 2 * d, target.q, [])
+        walk(len(terms) - 1, tp - 2 * d, tq, [])
 
     if solutions:
         q_m = quantum_int(fld, m).value
-        q_j = {
-            j: quantum_int(fld, j - m).value
-            for j in {j for sol in solutions for j, _ in sol.coeffs}
+        used = {j for sol in solutions for j, _ in sol.coeffs}
+        check = {  # eps^j and [j - m] for every j that a solution uses
+            j: (P, Q, quantum_int(fld, j - m).value) for j, P, Q in terms if j in used
         }
     for sol in solutions:
-        total = fld.integer(sol.d_int)
-        rhs = fld.zero()
+        rp, rq, rhs = 2 * sol.d_int, 0, fld.zero()
         for j, lj in sol.coeffs:
-            total = total + power[j] * lj
-            rhs = rhs + q_j[j] * lj
-        if total != target or q_m * sol.d_int != rhs:
+            P, Q, q_j = check[j]
+            rp, rq, rhs = rp + lj * P, rq + lj * Q, rhs + q_j * lj
+        if (rp, rq) != (tp, tq) or q_m * sol.d_int != rhs:
             raise InternalInconsistency(f"solver check failed on {sol}")
     solutions.sort(key=lambda s: (-s.d_int, s.coeffs))
     return DecompositionScan(fld, fact, scanned, tuple(solutions))

@@ -75,7 +75,7 @@ class NotApplicable(TypeError):
 
 
 class InternalInconsistency(AssertionError):
-    """Two independent routes disagreed; a bug, not a domain error."""
+    """An internal check or certificate failed; a bug, not a domain error."""
 
 
 class PrecisionInsufficient(RuntimeError):

@@ -66,7 +66,9 @@ def test_criterion_01_fundamental_unit_table():
 
 
 def test_criterion_02_kappa_table():
-    """All 19 (kappa_1, kappa_2) pairs for norm +1 fields N <= 46; < 1 s.
+    """The 19 reference (kappa_1, kappa_2) pairs for norm +1 fields N <= 46;
+    < 1 s.  They are every such field but N = 43 (kappa = (86, 2)), which
+    has no reference row; the test pins that omission.
 
     The N = 15 reference row circulates with the pair printed as (6, 10);
     the definition fixes kappa_1 = squarefree part of t+2 = 10 and
@@ -80,6 +82,11 @@ def test_criterion_02_kappa_table():
         38: (19, 2), 39: (13, 3), 42: (7, 6), 46: (2, 23),
     }
     assert len(printed) == 19
+    norm_plus_one = {
+        N for N in squarefree_range(46)
+        if N >= 2 and fundamental_unit(N).unit_norm == 1
+    }
+    assert norm_plus_one == set(printed) | {43}  # 43: no reference row
     start = time.perf_counter()
     for N, pair in printed.items():
         got = kappas(N)

@@ -94,6 +94,19 @@ def test_decompose_refine_with_modular_filter(capsys):
     )
 
 
+def test_decompose_without_solutions(capsys):
+    # 2 = 1 + 1 has no eps^j part, and d_int may only be 1: one summary
+    # record, with d_int null and no coefficients
+    argv = ("decompose", "5", "2", "0", "--dint-divides", "1")
+    assert run(capsys, *argv) == (0, "target=2 scanned=1 solutions=0\n", "")
+    assert run(capsys, "--json", *argv) == (
+        0,
+        '{"command":"decompose","payload":{"N":5,"coeffs":[],"d_int":null,'
+        '"ell":2,"m":0,"scanned":1},"schema_version":1}\n',
+        "",
+    )
+
+
 def test_closed_pipe_exits_without_traceback():
     """A reader that stops early (`dnum ... | head -1`) ends the run with
     exit 141 and nothing on stderr, also not when Python flushes at exit.
@@ -244,6 +257,11 @@ def test_exit_codes(capsys):
     assert run(capsys, "pell", "21", "--witness-bound", "0") == (
         0, "negative_pell=no witness=none within bound 0\n", ""
     )
+    for bad in ("0", "-5"):  # and a factor budget below 1
+        with pytest.raises(SystemExit) as exc:
+            main(["--budget", bad, "unit", "2"])
+        assert exc.value.code == 2
+        assert f"invalid positive value: '{bad}'" in capsys.readouterr().err
     with pytest.raises(SystemExit) as exc:  # a filter with nothing to filter
         main(["decompose", "5", "76", "2", "--modular-filter"])
     assert exc.value.code == 2
@@ -320,8 +338,8 @@ def test_factor_square_of_large_prime(capsys):
 def test_internal_inconsistency_exits_4(capsys, monkeypatch):
     # a bug is told apart from a domain error (exit 1) even though
     # InternalInconsistency is an AssertionError
-    real = dplus.enumerate_field
-    monkeypatch.setattr(dplus, "enumerate_field", lambda N, M: real(N, M)[1:])
+    real = dplus._trace_walk  # plus 2+sqrt(3), whose conjugate is below 1
+    monkeypatch.setattr(dplus, "_trace_walk", lambda a, b: real(a, b) + [(3, 4, 2)])
     code, out, err = run(capsys, "enumerate", "5")
     assert code == 4 and out == ""
-    assert err.startswith("InternalInconsistency: N=3")
+    assert err.startswith("InternalInconsistency: trace walk hit 2+√3 (N=3)")

@@ -156,12 +156,17 @@ def test_trace_walk_matches_field_sweep(M):
 
 
 @pytest.mark.parametrize(
-    "corrupt", [lambda xs: xs[1:], lambda xs: xs + xs[:1]], ids=["drop", "duplicate"]
+    "hit",
+    [(3, 4, 2), (2, 6, 2)],
+    ids=["2+sqrt3-conjugate-below-1", "3+sqrt2-not-a-dnumber"],
 )
-def test_trace_walk_checks_cell_walk(monkeypatch, corrupt):
-    real = dplus.enumerate_field
-    monkeypatch.setattr(dplus, "enumerate_field", lambda N, M: corrupt(real(N, M)))
-    with pytest.raises(InternalInconsistency):
+def test_trace_walk_hits_are_certified(monkeypatch, hit):
+    # one bad (N, p, q) beside the real hits: a d-number whose conjugate is
+    # below 1, or a dominant element that is no d-number; in_dplus rejects
+    # both before canonical_factor sees them
+    real = dplus._trace_walk
+    monkeypatch.setattr(dplus, "_trace_walk", lambda a, b: real(a, b) + [hit])
+    with pytest.raises(InternalInconsistency, match="trace walk hit"):
         enumerate_all(5)
 
 

@@ -132,7 +132,8 @@ def full_walk(N, ell, m, divisor_constraint=None):
     """Oracle for decompose_global_dim: every ell_j walked from its cap down
     to 0, largest j first, and a solution wherever the remainder is exactly
     zero.  No conjugate pruning and no linear solve.  Returns the sorted
-    (d_int, coeffs) pairs."""
+    (d_int, coeffs) pairs and the box size: the number of d_int times the
+    product over j of floor(target * eps^-j), all in QuadInt arithmetic."""
     fu = fundamental_unit(N)
     target = fu.eps**m * ell
     step = 2 if fu.unit_norm == -1 else 1
@@ -159,10 +160,12 @@ def full_walk(N, ell, m, divisor_constraint=None):
         for lj in range(top, -1, -1):
             walk(idx - 1, rem - power[j] * lj, chosen + [(j, lj)])
 
-    for d in divisors(ell if divisor_constraint is None else divisor_constraint):
+    pool = divisors(ell if divisor_constraint is None else divisor_constraint)
+    for d in pool:
         if (target - d).sign() >= 0:
             walk(len(js) - 1, target - d, [])
-    return sorted(found, key=lambda s: (-s[0], s[1]))
+    box = math.prod(floor_of(target * fu.eps**-j) for j in js) * len(pool)
+    return sorted(found, key=lambda s: (-s[0], s[1])), box
 
 
 def small_targets():
@@ -181,21 +184,24 @@ def small_targets():
 
 def test_decompose_matches_full_walk_oracle():
     """The exact last two levels and the conjugate prune find exactly the
-    solutions of the full walk: on every small target, and with pools of
-    d_int that differ from the divisors of ell."""
+    solutions of the full walk, and the box size matches the one from the
+    oracle's own caps: on every small target, and with pools of d_int that
+    differ from the divisors of ell."""
     targets = small_targets()
     assert len(targets) == 233
     total = 0
     for N, ell, m in targets:
-        got = decompose_global_dim(N, ell, m).solutions
-        assert [(s.d_int, s.coeffs) for s in got] == full_walk(N, ell, m), (N, ell, m)
+        scan = decompose_global_dim(N, ell, m)
+        got = [(s.d_int, s.coeffs) for s in scan.solutions]
+        assert (got, scan.candidates_scanned) == full_walk(N, ell, m), (N, ell, m)
         total += len(got)
     assert total == 1033
     for N, ell, m in [(21, 21, 1), (3, 10, 1), (5, 4, 2), (2, 6, 2)]:
         for dc in (1, 7, 12, 30, 60):
-            got = decompose_global_dim(N, ell, m, divisor_constraint=dc).solutions
+            scan = decompose_global_dim(N, ell, m, divisor_constraint=dc)
+            got = [(s.d_int, s.coeffs) for s in scan.solutions]
             want = full_walk(N, ell, m, divisor_constraint=dc)
-            assert [(s.d_int, s.coeffs) for s in got] == want, (N, ell, m, dc)
+            assert (got, scan.candidates_scanned) == want, (N, ell, m, dc)
 
 
 def test_last_coefficients_against_brute_force():
