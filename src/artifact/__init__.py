@@ -18,7 +18,6 @@ from .quadring import (
     NotDivisible,
     NotInDPlus,
     ParityError,
-    PrecisionInsufficient,
     QuadField,
     QuadInt,
     Rejected,
@@ -52,7 +51,6 @@ __all__ = [
     "NotDivisible",
     "NotInDPlus",
     "ParityError",
-    "PrecisionInsufficient",
     "QuadField",
     "QuadInt",
     "Rejected",

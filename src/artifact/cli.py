@@ -415,12 +415,10 @@ def _run(argv: list[str] | None) -> int:
     except FactorizationLimit as err:
         print(f"FactorizationLimit: {err}", file=sys.stderr)
         return 3
-    except InternalInconsistency as err:  # an AssertionError, so first
+    except InternalInconsistency as err:
         print(f"InternalInconsistency: {err}", file=sys.stderr)
         return 4
-    except (
-        ArithmeticError, ValueError, TypeError, AssertionError, RuntimeError
-    ) as err:
+    except (ArithmeticError, ValueError, TypeError) as err:
         print(f"{type(err).__name__}: {err}", file=sys.stderr)
         return 1
     try:

@@ -16,10 +16,7 @@ import itertools
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from fractions import Fraction
-from functools import lru_cache
 from pathlib import Path
-from typing import NamedTuple
 
 from .dnumbers import (
     CanonicalFactorization,
@@ -32,7 +29,6 @@ from .quadring import (
     InternalInconsistency,
     NotApplicable,
     NotInDPlus,
-    PrecisionInsufficient,
     QuadField,
     QuadInt,
     Rejected,
@@ -43,6 +39,7 @@ from .quadring import (
     exact_divide,
     field,
     make,
+    radical_sign,
     squarefree_decompose,
 )
 from .units import fundamental_unit
@@ -364,226 +361,98 @@ def generalized_near_group_check(
 # ---------------------------------------------------------------------------
 # the small-dimension screen
 #
-# 4cos^2(pi/n) and 2cos(pi/n) are exact {radicand: coefficient} sums when
-# they are rational or quadratic, and such a sum of square roots of distinct
-# squarefree integers is zero only when it is empty (see
-# quadring.radical_sign).  Certified intervals remain only for the values of
-# degree >= 3, and only they can leave a test undecided.
+# A value v is stored doubled, as {radicand: coefficient} integers with
+# v = (sum c*sqrt(r))/2, radicand 1 holding the rational part.  The screen
+# adds and subtracts such sums and asks only `radical_sign`, which is exact.
+#
+# Only n with phi(n) <= 4 can occur, by Lehmer (1933): 2cos(2pi/n) has
+# degree phi(n)/2, so 4cos^2(pi/n) = 2 + 2cos(2pi/n) is rational or
+# quadratic exactly for n in {3, 4, 5, 6, 8, 10, 12}, and 2cos(pi/n) =
+# 2cos(2pi/(2n)) exactly for n <= 6.  No candidate is lost without the rest:
+# - Every other n >= 7 gives a value of degree >= 3 and at least
+#   4cos^2(pi/7) > 3.24.  With any second part (each part is >= 1) the sum
+#   exceeds 4 > target - 1; alone it cannot equal the quadratic target - 1.
+# - In the tensor-square test, the dims for n = 8, 10, 12 have degree 4 and
+#   are above 1.84.  With any other dim (each is >= 1) they exceed every
+#   need, the largest being 4cos^2(pi/12) - 1 = 1 + sqrt(3) < 2.74; alone
+#   none of them equals a quadratic need.
 
-
-class _Ambiguous(Exception):
-    """Internal: a degree >= 3 interval is too wide; retry at higher precision."""
-
-
-def _atan_inv_scaled(x: int, scale: int) -> tuple[int, int]:
-    """Integer bounds on scale * atan(1/x)."""
-    total, k = 0, 0
-    while True:
-        t = scale // (x ** (2 * k + 1) * (2 * k + 1))
-        if t == 0:
-            break
-        total += t if k % 2 == 0 else -t
-        k += 1
-    slack = k + 1  # floor losses plus the alternating tail
-    return total - slack, total + slack
-
-
-def _pi_scaled(scale: int) -> tuple[int, int]:
-    a5 = _atan_inv_scaled(5, scale)
-    a239 = _atan_inv_scaled(239, scale)
-    return 16 * a5[0] - 4 * a239[1], 16 * a5[1] - 4 * a239[0]
-
-
-def _cos_scaled(x: int, scale: int) -> tuple[int, int]:
-    """Integer bounds on scale * cos(x/scale) for 0 <= x/scale <= 1."""
-    total, sign, k = scale, -1, 1
-    while True:
-        t = x ** (2 * k) // (scale ** (2 * k - 1) * math.factorial(2 * k))
-        if t == 0:
-            break
-        total += sign * t
-        sign, k = -sign, k + 1
-    slack = k + 1
-    return total - slack, total + slack
-
-
-@lru_cache(maxsize=None)
-def _cos_value_bounds(n: int, prec: int) -> tuple[Fraction, Fraction]:
-    """Certified bounds on 4cos^2(pi/n) = 2 + 2cos(2pi/n), n >= 7."""
-    guard = 32
-    scale = 1 << (prec + guard)
-    pi_lo, pi_hi = _pi_scaled(scale)
-    x_lo, x_hi = (2 * pi_lo) // n, -((-2 * pi_hi) // n)
-    # 2pi/n <= 2pi/7 < 1 and cos decreases there
-    c_lo = _cos_scaled(x_hi, scale)[0]
-    c_hi = _cos_scaled(x_lo, scale)[1]
-    return (
-        Fraction(2 * scale + 2 * c_lo, scale),
-        Fraction(2 * scale + 2 * c_hi, scale),
-    )
-
-
-# Exact values: 4cos^2(pi/n) = 2 + 2cos(2pi/n) is rational or quadratic
-# exactly when phi(n) <= 4; represented as {radicand: coefficient} with
-# radicand 1 holding the rational part.
+# 4cos^2(pi/n), doubled
 _EXACT_COS_SQUARES = {
-    3: {1: Fraction(1)},
-    4: {1: Fraction(2)},
-    5: {1: Fraction(3, 2), 5: Fraction(1, 2)},
-    6: {1: Fraction(3)},
-    8: {1: Fraction(2), 2: Fraction(1)},
-    10: {1: Fraction(5, 2), 5: Fraction(1, 2)},
-    12: {1: Fraction(2), 3: Fraction(1)},
+    3: {1: 2},
+    4: {1: 4},
+    5: {1: 3, 5: 1},
+    6: {1: 6},
+    8: {1: 4, 2: 2},
+    10: {1: 5, 5: 1},
+    12: {1: 4, 3: 2},
 }
 
-# 2cos(pi/n) itself is at most quadratic only for n <= 6
+# 2cos(pi/n), doubled
 _EXACT_COS_DIMS = {
-    3: {1: Fraction(1)},
-    4: {2: Fraction(1)},
-    5: {1: Fraction(1, 2), 5: Fraction(1, 2)},
-    6: {3: Fraction(1)},
+    3: {1: 2},
+    4: {2: 2},
+    5: {1: 1, 5: 1},
+    6: {3: 2},
 }
 
 
-class _Value(NamedTuple):
-    """A real value: an exact {radicand: coefficient} sum, or None when it
-    has degree >= 3, plus certified bounds lo <= value <= hi."""
+def _combinations(need: dict, parts: list[dict]):
+    """Yield every tuple of counts k_i >= 0 with sum k_i * parts[i] == need,
+    for positive parts, k_0 slowest and each k_i ascending."""
 
-    exact: dict | None
-    lo: Fraction
-    hi: Fraction
-
-
-def _exact_value(exact: dict, prec: int) -> _Value:
-    """The sum with the floors and the ceilings of its terms as bounds."""
-    scale = 1 << prec
-    terms = [(c.numerator * scale, r, c.denominator) for r, c in exact.items()]
-    lo = sum(_floor_quadratic(0, n, r, d) for n, r, d in terms)
-    hi = -sum(_floor_quadratic(0, -n, r, d) for n, r, d in terms)
-    return _Value(exact, Fraction(lo, scale), Fraction(hi, scale))
-
-
-def _cos_square(n: int, prec: int) -> _Value:
-    """4cos^2(pi/n) for n >= 3."""
-    exact = _EXACT_COS_SQUARES.get(n)
-    if exact is not None:
-        return _exact_value(exact, prec)
-    return _Value(None, *_cos_value_bounds(n, prec))
-
-
-def _cos_dim(n: int, prec: int) -> _Value:
-    """2cos(pi/n) for n >= 3; bounded by the roots of 4cos^2's bounds."""
-    exact = _EXACT_COS_DIMS.get(n)
-    if exact is not None:
-        return _exact_value(exact, prec)
-    scale = 1 << prec
-    lo, hi = _cos_value_bounds(n, prec)
-    return _Value(
-        None,
-        Fraction(math.isqrt(math.floor(lo * scale * scale)), scale),
-        Fraction(math.isqrt(math.floor(hi * scale * scale)) + 1, scale),
-    )
-
-
-def _combinations(need: _Value, parts: list[_Value]):
-    """Yield every tuple of counts k_i >= 0 with sum k_i * parts[i] == need.
-
-    A remainder that stays exact is zero only when its dict is empty.  One
-    that took a degree >= 3 part is refuted by its bounds, or raises
-    _Ambiguous when they straddle zero.
-    """
-
-    def rec(idx: int, rest: _Value, counts: tuple[int, ...]):
-        if rest.hi < 0:
-            return
+    def rec(idx: int, rest: dict, counts: tuple[int, ...]):
+        # returns whether rest >= 0, so the caller stops raising k at False
+        sign = radical_sign(rest)
+        if sign < 0:
+            return False
         if idx == len(parts):
-            if rest.exact is None and rest.lo <= 0:
-                raise _Ambiguous("zero test on an interval-only remainder")
-            if rest.exact == {}:
+            if sign == 0:
                 yield counts
-            return
-        part = parts[idx]
-        top = math.floor(rest.hi / part.lo) if part.lo > 0 else 0
-        for k in range(top + 1):
-            exact = rest.exact if k == 0 else None
-            if k and rest.exact is not None and part.exact is not None:
-                exact = _radical_sub(rest.exact, part.exact, k)
-            yield from rec(
-                idx + 1,
-                _Value(exact, rest.lo - k * part.hi, rest.hi - k * part.lo),
-                counts + (k,),
-            )
+            return True
+        k = 0
+        while (yield from rec(idx + 1, rest, counts + (k,))):
+            rest, k = _radical_sub(rest, parts[idx]), k + 1
+        return True
 
     return rec(0, need, ())
 
 
-def _tensor_square_consistent(members: tuple[int, ...], prec: int) -> bool:
+def _tensor_square_consistent(members: tuple[int, ...]) -> bool:
     """Necessary fusion condition on a candidate simple-dimension multiset:
     for each member X, dim(X)^2 - 1 must be a nonnegative-integer
     combination of the members' dimensions (X (x) dual(X) minus the unit)."""
     kinds = sorted(set(members))
-    dims = [_cos_dim(n, prec) for n in kinds]
+    dims = [_EXACT_COS_DIMS[n] for n in kinds if n <= 6]
     for n in kinds:
-        square = _cos_square(n, prec)
-        exact = None if square.exact is None else _radical_sub(square.exact, {1: 1})
-        need = _Value(exact, square.lo - 1, square.hi - 1)
+        need = _radical_sub(_EXACT_COS_SQUARES[n], {1: 2})
         if next(_combinations(need, dims), None) is None:
             return False
     return True
 
 
-def _screen_once(
-    target: QuadInt, prec: int, apply_tensor_filter: bool
-) -> list[tuple[int, ...]]:
-    goal = {1: Fraction(target.p - 2, 2), target.N: Fraction(target.q, 2)}
-    goal = _exact_value({r: c for r, c in goal.items() if c}, prec)
-    # every n with 4cos^2(pi/n) <= target - 1 by the bounds, in descending
-    # order for the search; it counts a value above target - 1 zero times.
-    # The values approach 4 from below, so the list ends once goal.hi < 4.
-    if goal.hi >= 4:
-        raise _Ambiguous("target - 1 not separated from 4")
-    n = 3
-    while _cos_square(n, prec).lo <= goal.hi:
-        n += 1
-    ns = range(n - 1, 2, -1)
-    values = [_cos_square(k, prec) for k in ns]
-    survivors = [
-        tuple(sorted(n for n, k in zip(ns, counts) for _ in range(k)))
-        for counts in _combinations(goal, values)
-    ]
-    if apply_tensor_filter:
-        survivors = [s for s in survivors if _tensor_square_consistent(s, prec)]
-    return sorted(survivors)
-
-
 def kronecker_screen(
-    target: QuadInt,
-    precision_bits: int = 128,
-    apply_tensor_filter: bool = True,
+    target: QuadInt, apply_tensor_filter: bool = True
 ) -> list[tuple[int, ...]]:
     """Multisets {n_i} with 1 + sum 4cos^2(pi/n_i) = target, arithmetic-
     consistent under the tensor-square condition; empty means the target
     is eliminated as a global dimension built from dimensions below 2.
 
-    Requires the target to be a dominant d-number with target - 1 < 4, and
-    precision_bits >= 1 (the precision doubles while a test is undecided).
+    Requires the target to be a dominant d-number with target - 1 < 4.
     """
-    if precision_bits < 1:
-        raise ValueError(f"precision_bits must be >= 1, got {precision_bits}")
     if not in_dplus(target):
         raise NotInDPlus(f"{target} is not a dominant d-number")
     if (target - 5).sign() >= 0:
         raise NotApplicable("screen needs target - 1 < 4")
-    prec = precision_bits
-    while True:
-        try:
-            return _screen_once(target, prec, apply_tensor_filter)
-        except _Ambiguous as reason:
-            if prec >= 8 * precision_bits:
-                raise PrecisionInsufficient(
-                    f"undecided at {prec} bits: {reason}"
-                ) from None
-            prec *= 2
+    goal = {1: target.p - 2, target.N: target.q}  # target - 1, doubled
+    ns = sorted(_EXACT_COS_SQUARES, reverse=True)
+    survivors = [
+        tuple(sorted(n for n, k in zip(ns, counts) for _ in range(k)))
+        for counts in _combinations(goal, [_EXACT_COS_SQUARES[n] for n in ns])
+    ]
+    if apply_tensor_filter:
+        survivors = [s for s in survivors if _tensor_square_consistent(s)]
+    return sorted(survivors)
 
 
 # ---------------------------------------------------------------------------

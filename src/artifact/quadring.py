@@ -15,7 +15,7 @@ cross-multiplied by d, not subtracted as a `Fraction`.  `compare_values` is
 exact for any radicands: `radical_sign` decides the sign of a sum of
 multiples of square roots by squaring, with no interval, and is handed
 integer coefficients.  A `Fraction` appears only where a rational cutoff
-or a coefficient of the fusion screen enters.
+enters.
 
 Parity is checked where coordinates enter (`make`, `exact_divide`).  Ring
 operations build their results with the unchecked `_raw`, since sums,
@@ -76,10 +76,6 @@ class NotApplicable(TypeError):
 
 class InternalInconsistency(AssertionError):
     """An internal check or certificate failed; a bug, not a domain error."""
-
-
-class PrecisionInsufficient(RuntimeError):
-    """Certified intervals still overlap at the precision cap."""
 
 
 class Rejected(ValueError):

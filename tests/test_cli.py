@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from artifact import dplus
+from artifact import dplus, units
 from artifact.cli import main
 from artifact.quadring import factorize
 from artifact.units import fundamental_unit
@@ -343,3 +343,15 @@ def test_internal_inconsistency_exits_4(capsys, monkeypatch):
     code, out, err = run(capsys, "enumerate", "5")
     assert code == 4 and out == ""
     assert err.startswith("InternalInconsistency: trace walk hit 2+√3 (N=3)")
+
+
+@pytest.mark.parametrize("bug", [RuntimeError, AssertionError])
+def test_bug_raises_with_its_traceback(monkeypatch, bug):
+    # only the package's domain errors print as exit 1; anything else, as a
+    # RecursionError would, propagates out of main
+    def broken(N):
+        raise bug("not a domain error")
+
+    monkeypatch.setattr(units, "fundamental_unit", broken)
+    with pytest.raises(bug, match="not a domain error"):
+        main(["unit", "19"])

@@ -3,18 +3,14 @@ dimension formulas, and the small-dimension screen."""
 
 import itertools
 import math
-from fractions import Fraction
 
 import pytest
 
 from artifact.dnumbers import canonical_factor, evaluate, is_dnumber, sqrt_classes
 from artifact.dplus import enumerate_field, in_dplus
 from artifact.fusion import (
-    _Ambiguous,
-    _combinations,
-    _cos_dim,
-    _cos_square,
-    _cos_value_bounds,
+    _EXACT_COS_DIMS,
+    _EXACT_COS_SQUARES,
     _last_coefficients,
     _partitions,
     decompose_global_dim,
@@ -416,59 +412,101 @@ def test_kronecker_screen_preconditions():
         kronecker_screen(field(3).integer(5))  # needs target - 1 < 4
     with pytest.raises(NotApplicable):
         kronecker_screen(make(5, 10, 2))  # 5+sqrt(5): dominant but too big
-    # precision parameter is honored (low start still escalates cleanly)
-    assert kronecker_screen(make(5, 5, 1), precision_bits=32) == [(5,)]
 
 
-def test_kronecker_screen_rejects_precision_below_one():
-    # at 0 bits the precision could never double, below 0 it is meaningless
-    for bits in (0, -1):
-        with pytest.raises(ValueError, match="precision_bits"):
-            kronecker_screen(make(5, 5, 1), precision_bits=bits)
+# the screen's answers, filter on and off, by the target's value
+SCREEN_ANSWERS = {
+    "1": ([()], [()]),
+    "2": ([(3,)], [(3,)]),
+    "3": ([(3, 3)], [(3, 3), (4,)]),
+    "(5+√5)/2": ([(5,)], [(5,)]),
+    "4": ([(3, 3, 3), (3, 4)], [(3, 3, 3), (3, 4), (6,)]),
+    "3+√3": ([], [(12,)]),
+}
 
 
-def test_interval_only_remainder_is_ambiguous():
-    """A remainder that took a degree >= 3 value is zero only if its bounds
-    say so: 4cos^2(pi/7) minus itself straddles 0 and must raise, while the
-    remainder that took nothing stays positive and is simply no match."""
-    for prec in (1, 8, 64):
-        c7 = _cos_square(7, prec)
-        assert c7.exact is None and 3 < c7.lo < c7.hi < 4
-        with pytest.raises(_Ambiguous):
-            list(_combinations(c7, [c7]))
-        assert list(_combinations(c7, [_cos_square(3, prec)])) == []
-
-
-def test_cos_dim_bounds_contain_the_root():
-    """2cos(pi/n) for n >= 7 is bounded by integer square roots of the
-    bounds on its square; squaring the bounds must contain those bounds,
-    which certifies that they contain 2cos(pi/n) itself."""
-    for prec in (1, 2, 8, 32, 128):
-        for n in range(7, 40):
-            dim, (lo, hi) = _cos_dim(n, prec), _cos_value_bounds(n, prec)
-            assert dim.exact is None
-            assert dim.lo**2 <= lo and hi <= dim.hi**2, (n, prec)
-            assert dim.hi - dim.lo <= Fraction(2, 1 << prec), (n, prec)
-
-
-def test_kronecker_screen_independent_of_precision():
-    """Rational and quadratic values are compared exactly, so the starting
-    precision changes no answer: every dominant d-number below 5 in a field
-    with N <= 40, the integers 1..4 included, with the filter on and off.
-    At 1 bit the bounds on target - 1 reach 4 for one target, and the
-    precision must double before the candidate list can end."""
+def screen_targets():
+    """Every dominant d-number below 5 in a field with N <= 40, the
+    integers 1..4 included once per field."""
     targets = []
     for N in squarefree_range(40)[1:]:
         targets += [field(N).integer(k) for k in range(1, 5)]
         targets += [e.value for e in enumerate_field(N, 5) if e.value < 5]
+    return targets
+
+
+def test_kronecker_screen_depends_only_on_the_value():
+    """The field a value comes in changes no answer, with the filter on and
+    off: 102 targets over N <= 40, six distinct values."""
+    targets = screen_targets()
     assert len(targets) == 102
+    assert {str(t) for t in targets} == set(SCREEN_ANSWERS)
     for target in targets:
-        for apply in (True, False):
-            got = [
-                kronecker_screen(target, bits, apply_tensor_filter=apply)
-                for bits in (1, 2, 32, 128, 512)
+        on, off = SCREEN_ANSWERS[str(target)]
+        assert kronecker_screen(target) == on, target
+        assert kronecker_screen(target, apply_tensor_filter=False) == off, target
+
+
+def _phi(n):
+    return sum(math.gcd(k, n) == 1 for k in range(1, n + 1))
+
+
+def test_exact_cos_tables_and_the_screen_lemma():
+    """The tables hold exactly the n whose value is rational or quadratic
+    (degree phi(n)/2 for 2cos(2pi/n)), each value right to 50 digits, and
+    the bounds that the proof in fusion.py's screen section uses hold."""
+    mpmath = pytest.importorskip("mpmath")
+    assert set(_EXACT_COS_SQUARES) == {n for n in range(3, 41) if _phi(n) <= 4}
+    assert set(_EXACT_COS_DIMS) == {n for n in range(3, 41) if _phi(2 * n) <= 4}
+    with mpmath.workdps(60):
+        def half(terms):
+            return mpmath.fsum(c * mpmath.sqrt(r) for r, c in terms.items()) / 2
+
+        tol = mpmath.mpf(10) ** -50
+        for n, terms in _EXACT_COS_SQUARES.items():
+            assert abs(half(terms) - 4 * mpmath.cos(mpmath.pi / n) ** 2) < tol, n
+        for n, terms in _EXACT_COS_DIMS.items():
+            assert abs(half(terms) - 2 * mpmath.cos(mpmath.pi / n)) < tol, n
+        assert 4 * mpmath.cos(mpmath.pi / 7) ** 2 > mpmath.mpf("3.24")
+        assert min(2 * mpmath.cos(mpmath.pi / n) for n in (8, 10, 12)) > 1.84
+        assert 1 + mpmath.sqrt(3) < mpmath.mpf("2.74")
+        # 1 + sqrt(3) is the largest need of the tensor-square test
+        largest = max(half(t) for t in _EXACT_COS_SQUARES.values()) - 1
+        assert abs(largest - 1 - mpmath.sqrt(3)) < tol
+
+
+def test_kronecker_screen_against_brute_force():
+    """Every multiset of up to 3 values 4cos^2(pi/n), n = 3..40, at 60
+    digits: each sum is within 10^-50 of target - 1 or farther than 10^-8,
+    and the hits are the unfiltered screen.  Enough for targets below 5:
+    each value is >= 1, and the values with n > 40 lie above 3.97, beyond
+    every target - 1 here.  The tensor-square filter is checked the same
+    way, on sums of 2cos(pi/n) over each survivor's members."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(60):
+        near, far = mpmath.mpf(10) ** -50, mpmath.mpf(10) ** -8
+
+        def hits(value, ns, values):
+            found = []
+            for size in range(4):
+                for combo in itertools.combinations_with_replacement(ns, size):
+                    gap = abs(mpmath.fsum(values[n] for n in combo) - value)
+                    assert gap < near or gap > far, (value, combo)
+                    if gap < near:
+                        found.append(combo)
+            return sorted(found)
+
+        squares = {n: 4 * mpmath.cos(mpmath.pi / n) ** 2 for n in range(3, 41)}
+        dims = {n: 2 * mpmath.cos(mpmath.pi / n) for n in range(3, 41)}
+        for target in {str(t): t for t in screen_targets()}.values():
+            value = (target.p + target.q * mpmath.sqrt(target.N)) / 2 - 1
+            survivors = hits(value, range(3, 41), squares)
+            assert kronecker_screen(target, apply_tensor_filter=False) == survivors
+            consistent = [
+                s for s in survivors
+                if all(hits(squares[n] - 1, sorted(set(s)), dims) for n in s)
             ]
-            assert all(g == got[0] for g in got), (target, apply)
+            assert kronecker_screen(target) == consistent, target
 
 
 def test_quantum_group_table():
