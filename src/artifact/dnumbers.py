@@ -7,6 +7,9 @@ fundamental unit: sqrt(N) and square roots of kappa_i * eps, where kappa_1
 and kappa_2 are the squarefree parts of t +- 2 (t the trace of eps).  Which
 generators survive, and which products collapse, splits into five cases on
 (kappa_1, kappa_2, N); everything here keys off that case split.
+
+One cached `FieldRecord` per real field holds that split on integers, built
+from the unit's (t, u) alone; each square root is checked by its square.
 """
 
 from __future__ import annotations
@@ -30,7 +33,6 @@ from .quadring import (
     exact_divide,
     field,
     is_square,
-    make,
 )
 from .units import fundamental_unit
 
@@ -70,7 +72,7 @@ def dnumber_order(x: QuadInt) -> int:
 
 
 # ---------------------------------------------------------------------------
-# kappa invariants and generator sets
+# kappa invariants and the per-field record
 
 
 def kappas(field_or_n) -> tuple[int, int]:
@@ -82,12 +84,12 @@ def kappas(field_or_n) -> tuple[int, int]:
     fld = field(field_or_n)
     if fld.N < 0:
         raise NotApplicable("kappa invariants live in real fields")
-    fu = fundamental_unit(fld)
-    if fu.unit_norm == -1:
+    rec = _field_record(fld.N)
+    if rec.kappa1 is None:
         raise NotApplicable(
             f"unit norm is -1 for N={fld.N}; kappa_i(t -+ 2) cannot be squares"
         )
-    return _kappa(fu.t + 2, fld.N), _kappa(fu.t - 2, fld.N)
+    return rec.kappa1, rec.kappa2
 
 
 def _kappa(a: int, N: int) -> int:
@@ -121,88 +123,106 @@ def pell_witness(field_or_n, bound: int) -> tuple[int, int] | None:
     fu = fundamental_unit(field_or_n)
     if fu.unit_norm == -1:
         return None
-    kappa = _kappa(fu.t + 2, fu.N)
+    kappa = _field_record(fu.N).kappa1
     r = math.isqrt((fu.t + 2) // kappa)
     return (kappa, r) if max(kappa, r) <= bound else None
 
 
-def _sqrt_kappa_eps(fld: QuadField, kappa: int, plus: bool) -> QuadInt:
-    """The positive square root of kappa * eps in O_N.
-
-    Its trace squares to kappa*(t+2) (norm +kappa) or kappa*(t-2)
-    (norm -kappa); q then follows from p*q = kappa*u.
-    """
-    fu = fundamental_unit(fld)
-    t2 = fu.t + 2 if plus else fu.t - 2
-    p = math.isqrt(kappa * t2)
-    if p == 0 or (kappa * fu.u) % p:
-        raise InternalInconsistency(f"no square root of {kappa}*eps in N={fld.N}")
-    q = kappa * fu.u // p
-    root = make(fld, p, q)
-    if root * root != fu.eps * kappa:
-        raise InternalInconsistency(f"square-root check failed for N={fld.N}")
-    return root
-
-
 @dataclass(frozen=True)
-class GeneratorSet:
-    """Irrational generators of the d-number monoid of one real field."""
+class FieldRecord:
+    """The classification of one real field, on integers.
+
+    eps = (t + u*sqrt(N))/2 and 1/eps are doubled coordinates (t, u).
+    rows[i] = (key, p, q, n) holds g^deltas[i] = (p + q*sqrt(N))/2, of norm
+    n, keyed by the squarefree part of |n|: at most four distinct keys.
+    kappa1 and kappa2 are None when the unit norm is -1."""
 
     N: int
+    field: QuadField
     case: str
     kappa1: int | None
     kappa2: int | None
-    generators: tuple[QuadInt, ...]
-    delta_slots: tuple[int, ...]  # which delta coordinate each generator holds
-    signature_map: dict  # squarefree part of |norm| -> canonical delta triple
+    eps: tuple[int, int]
+    inverse: tuple[int, int]
+    deltas: tuple[tuple[int, int, int], ...]
+    rows: tuple[tuple[int, int, int, int], ...]
+
+    @property
+    def generators(self) -> tuple[QuadInt, ...]:
+        """The irrational generators: the one-bit rows, in delta order."""
+        return tuple(
+            _raw(self.field, p, q)
+            for delta, (_, p, q, _) in zip(self.deltas, self.rows)
+            if sum(delta) == 1
+        )
 
     def delta_combos(self) -> tuple[tuple[int, int, int], ...]:
-        return tuple(self.signature_map.values())
+        return self.deltas
 
-    def evaluate_delta(self, delta: tuple[int, int, int]) -> QuadInt:
-        out = field(self.N).one()
-        for g, slot in zip(self.generators, self.delta_slots):
-            if delta[slot]:
-                out = out * g
-        return out
+
+def _root_row(kappa: int, t2: int, t: int, u: int, N: int) -> tuple:
+    """The row of sqrt(kappa * eps) > 0, t2 = t + 2 (norm +kappa) or t - 2
+    (norm -kappa): p = isqrt(kappa * t2), p*q = kappa*u, and its square
+    ((p^2 + N*q^2)/2, p*q) must be kappa * (t, u)."""
+    p = math.isqrt(kappa * t2)
+    q = kappa * u // p if p else 0
+    if p * q != kappa * u or p * p + N * q * q != 2 * kappa * t:
+        raise InternalInconsistency(f"no square root of {kappa}*eps in N={N}")
+    return kappa, p, q, (p * p - N * q * q) // 4
+
+
+def _product(a: tuple, b: tuple, key: int, N: int) -> tuple:
+    """The row of the product of rows a and b, under the key of its norm."""
+    _, p, q, n = a
+    _, r, s, m = b
+    return key, (p * r + N * q * s) // 2, (p * s + q * r) // 2, n * m
 
 
 @lru_cache(maxsize=None)
-def _generator_set_cached(N: int) -> GeneratorSet:
-    fld = field(N)
-    fu = fundamental_unit(fld)
-    root_n = fld.sqrt_n()
+def _field_record(N: int) -> FieldRecord:
+    """The record of real field N; a failed integer check is a bug."""
+    fu = fundamental_unit(N)
+    t, u = fu.t, fu.u
+    root_n = (N, 0, 2, -N)
+    k1 = k2 = None
     if fu.unit_norm == -1:
-        return GeneratorSet(
-            N, CASE_NORM_MINUS_ONE, None, None,
-            (root_n,), (0,),
-            {1: (0, 0, 0), N: (1, 0, 0)},
-        )
-    k1, k2 = kappas(fld)
-    g1 = _sqrt_kappa_eps(fld, k1, plus=True)
-    g2 = _sqrt_kappa_eps(fld, k2, plus=False)
-    if k1 * k2 == N:
-        case, gens, slots = CASE_KAPPA_PRODUCT_EQ_N, (g1, g2), (1, 2)
-        sig = {1: (0, 0, 0), k1: (0, 1, 0), k2: (0, 0, 1), N: (0, 1, 1)}
-    elif N * k1 == k2:
-        case, gens, slots = CASE_N_KAPPA1_EQ_KAPPA2, (root_n, g1), (0, 1)
-        sig = {1: (0, 0, 0), N: (1, 0, 0), k1: (0, 1, 0), k2: (1, 1, 0)}
-    elif N * k2 == k1:
-        case, gens, slots = CASE_N_KAPPA2_EQ_KAPPA1, (root_n, g2), (0, 2)
-        sig = {1: (0, 0, 0), N: (1, 0, 0), k2: (0, 0, 1), k1: (1, 0, 1)}
+        case, gens = CASE_NORM_MINUS_ONE, {(1, 0, 0): root_n}
     else:
-        case, gens, slots = CASE_ELSE, (root_n, g1, g2), (0, 1, 2)
-        sig = {1: (0, 0, 0), N: (1, 0, 0), k1: (0, 1, 0), k2: (0, 0, 1)}
-    if len(sig) != 4:
-        raise InternalInconsistency(f"norm signatures collide for N={N}")
-    return GeneratorSet(N, case, k1, k2, gens, slots, sig)
+        k1, k2 = _kappa(t + 2, N), _kappa(t - 2, N)
+        g1 = _root_row(k1, t + 2, t, u, N)
+        g2 = _root_row(k2, t - 2, t, u, N)
+        if k1 * k2 == N:
+            case = CASE_KAPPA_PRODUCT_EQ_N
+            gens = {(0, 1, 0): g1, (0, 0, 1): g2,
+                    (0, 1, 1): _product(g1, g2, N, N)}
+        elif N * k1 == k2:
+            case = CASE_N_KAPPA1_EQ_KAPPA2
+            gens = {(1, 0, 0): root_n, (0, 1, 0): g1,
+                    (1, 1, 0): _product(root_n, g1, k2, N)}
+        elif N * k2 == k1:
+            case = CASE_N_KAPPA2_EQ_KAPPA1
+            gens = {(1, 0, 0): root_n, (0, 0, 1): g2,
+                    (1, 0, 1): _product(root_n, g2, k1, N)}
+        else:
+            case = CASE_ELSE
+            gens = {(1, 0, 0): root_n, (0, 1, 0): g1, (0, 0, 1): g2}
+        if len({1} | {key for key, _, _, _ in gens.values()}) != 4:
+            raise InternalInconsistency(f"norm signatures collide for N={N}")
+    for key, _, _, n in gens.values():
+        if n % key or not is_square(abs(n) // key):
+            raise InternalInconsistency(f"norm {n} is no {key} times a square, N={N}")
+    inverse = (fu.unit_norm * t, -fu.unit_norm * u)  # N(eps) * conj(eps)
+    deltas = ((0, 0, 0), *gens)
+    rows = ((1, 2, 0, 1), *gens.values())
+    return FieldRecord(N, field(N), case, k1, k2, (t, u), inverse, deltas, rows)
 
 
-def generator_set(field_or_n) -> GeneratorSet:
+def generator_set(field_or_n) -> FieldRecord:
+    """The per-field record of a real field."""
     fld = field(field_or_n)
     if fld.N < 0:
         raise NotApplicable("use complex_classify for imaginary fields")
-    return _generator_set_cached(fld.N)
+    return _field_record(fld.N)
 
 
 # ---------------------------------------------------------------------------
@@ -222,18 +242,6 @@ class CanonicalFactorization(NamedTuple):
         return f"ell={self.ell} m={self.m} delta={''.join(map(str, self.delta))}"
 
 
-@lru_cache(maxsize=None)
-def _field_table(N: int) -> tuple:
-    """(field, case, eps, 1/eps, deltas, rows) of a real field, units as
-    doubled coordinates (p, q); rows[i] = (key, p, q, n) for the signature
-    key of deltas[i], with g^delta = (p + q*sqrt(N))/2 of norm n."""
-    gs, fu = generator_set(N), fundamental_unit(N)
-    gens = [(key, gs.evaluate_delta(d)) for key, d in gs.signature_map.items()]
-    rows = tuple((key, g.p, g.q, g.norm()) for key, g in gens)
-    inverse = (fu.unit_norm * fu.t, -fu.unit_norm * fu.u)  # N(eps) * conj(eps)
-    return field(N), gs.case, (fu.t, fu.u), inverse, gs.delta_combos(), rows
-
-
 def _divide(p: int, q: int, gp: int, gq: int, n: int, N: int) -> tuple[int, int]:
     """(p + q*sqrt(N)) / (gp + gq*sqrt(N)), of norm n, with exact_divide's
     checks; every division here is certain, so a failed one is a bug."""
@@ -244,17 +252,17 @@ def _divide(p: int, q: int, gp: int, gq: int, n: int, N: int) -> tuple[int, int]
 
 
 def evaluate(fact: CanonicalFactorization) -> QuadInt:
-    """ell * eps^m * g^delta from the field table; ValueError off its deltas."""
+    """ell * eps^m * g^delta from the field record; ValueError off its deltas."""
     N = fact.N
-    fld, _, eps, inverse, deltas, rows = _field_table(N)
-    _, p, q, _ = rows[deltas.index(fact.delta)]
-    (t, u), m = eps if fact.m >= 0 else inverse, abs(fact.m)
+    rec = _field_record(N)
+    _, p, q, _ = rec.rows[rec.deltas.index(fact.delta)]
+    (t, u), m = rec.eps if fact.m >= 0 else rec.inverse, abs(fact.m)
     while m:  # right-to-left binary powering into g^delta
         if m & 1:
             p, q = (p * t + N * q * u) // 2, (p * u + q * t) // 2
         t, u = (t * t + N * u * u) // 2, t * u
         m >>= 1
-    return _raw(fld, p * fact.ell, q * fact.ell)
+    return _raw(rec.field, p * fact.ell, q * fact.ell)
 
 
 def _unit_exponent(p: int, q: int, N: int, t: int, u: int) -> int:
@@ -304,8 +312,8 @@ def canonical_factor(x: QuadInt) -> CanonicalFactorization:
     n = x.norm()
     if x.p * x.p % n:
         raise NotADNumber(f"{x} is not a d-number")
-    _, case, (t, u), _, deltas, rows = _field_table(N)
-    for delta, (key, gp, gq, gn) in zip(deltas, rows):
+    rec = _field_record(N)
+    for delta, (key, gp, gq, gn) in zip(rec.deltas, rec.rows):
         if n % key == 0 and is_square(abs(n) // key):
             break
     else:
@@ -313,8 +321,8 @@ def canonical_factor(x: QuadInt) -> CanonicalFactorization:
     yp, yq = _divide(x.p, x.q, gp, gq, gn, N)
     # |N(y)| = ell^2, or u = y/ell is no unit and the descent rejects it
     ell = math.isqrt(abs(n // gn)) * _sign(yp, yq, N)
-    m = _unit_exponent(*_divide(yp, yq, 2 * ell, 0, ell * ell, N), N, t, u)
-    return CanonicalFactorization(N, ell, m, delta, case)
+    m = _unit_exponent(*_divide(yp, yq, 2 * ell, 0, ell * ell, N), N, *rec.eps)
+    return CanonicalFactorization(N, ell, m, delta, rec.case)
 
 
 # ---------------------------------------------------------------------------
@@ -347,8 +355,8 @@ def dnumber_divides(y: QuadInt, x: QuadInt) -> DivisibilityVerdict:
     if abs(fx.ell) % abs(fy.ell):
         return DivisibilityVerdict(False, "ell")
     if fx.case != CASE_ELSE:
-        gs = generator_set(x.field)
-        mults = (x.N, gs.kappa1, gs.kappa2)
+        rec = generator_set(x.field)
+        mults = (x.N, rec.kappa1, rec.kappa2)
         bound = abs(fy.ell)
         for i in range(3):
             if fy.delta[i] == 1 and fx.delta[i] == 0:

@@ -21,7 +21,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
 
-from .dnumbers import CanonicalFactorization, canonical_factor, generator_set, is_dnumber
+from .dnumbers import CanonicalFactorization, canonical_factor, evaluate
+from .dnumbers import generator_set, is_dnumber
 from .quadring import (
     InternalInconsistency,
     NotApplicable,
@@ -106,19 +107,19 @@ def enumerate_field(field_or_n, M) -> list[DPlusElement]:
         raise ValueError("cutoff M must be at least 1")
     fu = fundamental_unit(fld)
     # cheapest exit first: the smallest irrational member is eps (unit norm
-    # +1) or eps^2 (unit norm -1); skip the generator set -- its kappa gcds
-    # and square-root checks -- when even that exceeds M
+    # +1) or eps^2 (unit norm -1); skip building the field record -- its
+    # kappa gcds and square-root checks -- when even that exceeds M
     smallest = fu.eps if fu.unit_norm == 1 else fu.eps**2
     if smallest * b > a:
         return []
-    gs = generator_set(fld)
+    rec = generator_set(fld)
     found: list[tuple[QuadInt, CanonicalFactorization]] = []
     m = 0
     while fu.eps ** (2 * m) * b <= a:  # every member with this m is >= eps^(2m)
-        for delta in gs.delta_combos():
+        for delta in rec.deltas:
             if m == 0 and delta == (0, 0, 0):
                 continue  # rational integers
-            base = gs.evaluate_delta(delta) * fu.eps**m
+            base = evaluate(CanonicalFactorization(fld.N, 1, m, delta, rec.case))
             sigma = base.conjugate()
             if sigma.sign() <= 0:
                 continue  # no positive multiple dominates its conjugate
@@ -133,7 +134,7 @@ def enumerate_field(field_or_n, M) -> list[DPlusElement]:
                 value = base * ell
                 if not in_dplus(value):
                     raise InternalInconsistency(f"enumerated non-member {value}")
-                fact = CanonicalFactorization(fld.N, ell, m, delta, gs.case)
+                fact = CanonicalFactorization(fld.N, ell, m, delta, rec.case)
                 found.append((value, fact))
         m += 1
     found.sort(key=lambda t: t[0])

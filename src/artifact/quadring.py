@@ -353,12 +353,6 @@ class QuadField:
     def __repr__(self):
         return f"QuadField({self.N})"
 
-    def omega(self) -> "QuadInt":
-        """The second basis element: sqrt(N), or (1+sqrt(N))/2 when N = 1 mod 4."""
-        if self.omega_kind == HALF_ONE_PLUS_SQRT_N:
-            return _raw(self, 1, 1)
-        return _raw(self, 0, 2)
-
     def sqrt_n(self) -> "QuadInt":
         return _raw(self, 0, 2)
 
@@ -417,14 +411,6 @@ class QuadInt:
 
     def is_zero(self) -> bool:
         return self.p == 0 and self.q == 0
-
-    def is_rational(self) -> bool:
-        return self.q == 0
-
-    def as_fraction(self) -> Fraction:
-        if self.q != 0:
-            raise ValueError(f"{self} is irrational")
-        return Fraction(self.p, 2)
 
     def conjugate(self) -> "QuadInt":
         return _raw(self.field, self.p, -self.q)
@@ -711,12 +697,10 @@ def radical_sign(terms: dict) -> int:
     """Sign of sum(c * sqrt(r) for r, c in terms.items()), exactly.
 
     Each r is a positive squarefree integer, r = 1 holding the rational
-    part, and each c an int or a Fraction.  Square roots of distinct
-    squarefree integers are linearly independent over Q (Besicovitch
-    1940), so the sum is zero only when every c is.
+    part, and each c an int.  Square roots of distinct squarefree integers
+    are linearly independent over Q (Besicovitch 1940), so the sum is zero
+    only when every c is.
     """
-    d = math.lcm(1, *(c.denominator for c in terms.values()))
-    terms = {r: c.numerator * (d // c.denominator) for r, c in terms.items() if c}
     if len(terms) <= 1:
         return _sign(sum(terms.values()), 0, 1)
     # p > 1 dividing the largest radicand, shrunk by gcds until it divides
@@ -740,12 +724,13 @@ def radical_sign(terms: dict) -> int:
 def compare_values(a, b) -> int:
     """Exact three-way comparison of mixed QuadInt / int / Fraction values,
     in any fields: the sign of a - b by `radical_sign`, taken on the integer
-    coefficients of da*db*(a - b)."""
+    coefficients of da*db*(a - b).  An int or a Fraction has N = 0 and
+    q = 0; `_radical_sub` drops that entry, as it drops every zero."""
     pa, qa, Na, da = _coordinates(a)
     pb, qb, Nb, db = _coordinates(b)
-    diff = {1: pa * db - pb * da, Na: qa * db}
-    diff[Nb] = diff.get(Nb, 0) - qb * da
-    return radical_sign(diff)
+    return radical_sign(
+        _radical_sub({1: pa * db, Na: qa * db}, {1: pb * da, Nb: qb * da})
+    )
 
 
 def decimal_str(x, places: int = 6) -> str:

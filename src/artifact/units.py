@@ -44,10 +44,6 @@ class CFExpansion:
     preamble: tuple[int, ...]
     period: tuple[int, ...]
 
-    @property
-    def a0(self) -> int:
-        return self.preamble[0] if self.preamble else self.period[0]
-
     def digits(self, count: int) -> list[int]:
         return list(islice(chain(self.preamble, cycle(self.period)), count))
 

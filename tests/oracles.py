@@ -1,23 +1,40 @@
 """Independent oracles for the tests; the library never runs them.
 
-Membership by characteristic polynomial, a brute-force scan of coordinate
-pairs for the enumerators, the lower bounds of unit norm -1 fields, the
-canonical factorization on QuadInt arithmetic (`evaluate`,
-`canonical_factor`, `_unit_exponent`): generator products, exact_divide and
-a descent on QuadInt powers, which the library's integer-coordinate path
-must match, and the residue search for the least negative-Pell witness
-(`pell_witness_search`), which the closed form `dnumbers.pell_witness` must
-match, and the partitions of an integer by a recursion that opens one frame
-per part (`partitions_per_part`), which the multiplicity walk of
-`fusion._partitions` must match.  `squarefree_range` lists the fields the
-tests sweep.
+- Membership by characteristic polynomial (`is_dnumber_via_charpoly`).
+- A brute-force scan of coordinate pairs for the enumerators, and the lower
+  bounds of unit norm -1 fields.
+- The generators of each real field on QuadInt arithmetic (`GeneratorSet`,
+  `generator_set`), square roots checked by QuadInt products, which the
+  library's integer `FieldRecord` must match.
+- The canonical factorization on those generators (`evaluate`,
+  `canonical_factor`, `_unit_exponent`): generator products, exact_divide
+  and a descent on QuadInt powers, which the library's integer-coordinate
+  path must match.
+- The residue search for the least negative-Pell witness
+  (`pell_witness_search`), which the closed form `dnumbers.pell_witness`
+  must match.
+- The partitions of an integer by a recursion that opens one frame per part
+  (`partitions_per_part`), which the multiplicity walk of
+  `fusion._partitions` must match.
+
+`squarefree_range` lists the fields the tests sweep.
 """
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
-from functools import cmp_to_key
+from functools import cmp_to_key, lru_cache
 
-from artifact.dnumbers import CanonicalFactorization, generator_set, is_dnumber
+from artifact.dnumbers import (
+    CASE_ELSE,
+    CASE_KAPPA_PRODUCT_EQ_N,
+    CASE_N_KAPPA1_EQ_KAPPA2,
+    CASE_N_KAPPA2_EQ_KAPPA1,
+    CASE_NORM_MINUS_ONE,
+    CanonicalFactorization,
+    _kappa,
+    is_dnumber,
+)
 from artifact.dplus import DPlusElement, in_dplus
 from artifact.quadring import (
     HALF_ONE_PLUS_SQRT_N,
@@ -130,6 +147,80 @@ def brute_force_oracle(field_or_n, M, include_integers: bool = False) -> list[Qu
     return out
 
 
+def _sqrt_kappa_eps(fld: QuadField, kappa: int, plus: bool) -> QuadInt:
+    """The positive square root of kappa * eps in O_N.
+
+    Its trace squares to kappa*(t+2) (norm +kappa) or kappa*(t-2)
+    (norm -kappa); q then follows from p*q = kappa*u.
+    """
+    fu = fundamental_unit(fld)
+    t2 = fu.t + 2 if plus else fu.t - 2
+    p = math.isqrt(kappa * t2)
+    if p == 0 or (kappa * fu.u) % p:
+        raise InternalInconsistency(f"no square root of {kappa}*eps in N={fld.N}")
+    q = kappa * fu.u // p
+    root = make(fld, p, q)
+    if root * root != fu.eps * kappa:
+        raise InternalInconsistency(f"square-root check failed for N={fld.N}")
+    return root
+
+
+@dataclass(frozen=True)
+class GeneratorSet:
+    """Irrational generators of the d-number monoid of one real field."""
+
+    N: int
+    case: str
+    kappa1: int | None
+    kappa2: int | None
+    generators: tuple[QuadInt, ...]
+    delta_slots: tuple[int, ...]  # which delta coordinate each generator holds
+    signature_map: dict  # squarefree part of |norm| -> canonical delta triple
+
+    def delta_combos(self) -> tuple[tuple[int, int, int], ...]:
+        return tuple(self.signature_map.values())
+
+    def evaluate_delta(self, delta: tuple[int, int, int]) -> QuadInt:
+        out = field(self.N).one()
+        for g, slot in zip(self.generators, self.delta_slots):
+            if delta[slot]:
+                out = out * g
+        return out
+
+
+@lru_cache(maxsize=None)
+def generator_set(N: int) -> GeneratorSet:
+    """The generators of a real field, as QuadInts; kappa_1 and kappa_2 come
+    from `dnumbers._kappa`, which certifies each one by an exact root."""
+    fld = field(N)
+    fu = fundamental_unit(fld)
+    root_n = fld.sqrt_n()
+    if fu.unit_norm == -1:
+        return GeneratorSet(
+            N, CASE_NORM_MINUS_ONE, None, None,
+            (root_n,), (0,),
+            {1: (0, 0, 0), N: (1, 0, 0)},
+        )
+    k1, k2 = _kappa(fu.t + 2, N), _kappa(fu.t - 2, N)
+    g1 = _sqrt_kappa_eps(fld, k1, plus=True)
+    g2 = _sqrt_kappa_eps(fld, k2, plus=False)
+    if k1 * k2 == N:
+        case, gens, slots = CASE_KAPPA_PRODUCT_EQ_N, (g1, g2), (1, 2)
+        sig = {1: (0, 0, 0), k1: (0, 1, 0), k2: (0, 0, 1), N: (0, 1, 1)}
+    elif N * k1 == k2:
+        case, gens, slots = CASE_N_KAPPA1_EQ_KAPPA2, (root_n, g1), (0, 1)
+        sig = {1: (0, 0, 0), N: (1, 0, 0), k1: (0, 1, 0), k2: (1, 1, 0)}
+    elif N * k2 == k1:
+        case, gens, slots = CASE_N_KAPPA2_EQ_KAPPA1, (root_n, g2), (0, 2)
+        sig = {1: (0, 0, 0), N: (1, 0, 0), k2: (0, 0, 1), k1: (1, 0, 1)}
+    else:
+        case, gens, slots = CASE_ELSE, (root_n, g1, g2), (0, 1, 2)
+        sig = {1: (0, 0, 0), N: (1, 0, 0), k1: (0, 1, 0), k2: (0, 0, 1)}
+    if len(sig) != 4:
+        raise InternalInconsistency(f"norm signatures collide for N={N}")
+    return GeneratorSet(N, case, k1, k2, gens, slots, sig)
+
+
 def evaluate(fact: CanonicalFactorization) -> QuadInt:
     gs = generator_set(fact.N)
     eps = fundamental_unit(fact.N).eps
@@ -174,7 +265,7 @@ def canonical_factor(x: QuadInt) -> CanonicalFactorization:
     if not is_dnumber(x):
         raise NotADNumber(f"{x} is not a d-number")
     fld = x.field
-    gs = generator_set(fld)
+    gs = generator_set(fld.N)
     n = abs(x.norm())
     for sig, delta in gs.signature_map.items():
         if n % sig == 0 and is_square(n // sig):

@@ -355,3 +355,56 @@ def test_bug_raises_with_its_traceback(monkeypatch, bug):
     monkeypatch.setattr(units, "fundamental_unit", broken)
     with pytest.raises(bug, match="not a domain error"):
         main(["unit", "19"])
+
+
+# the second generator of N = 99991, sqrt(2*eps) = P + Q*sqrt(99991)
+P99991 = (
+    "78918785217539157296417149821602322491470886697281605543"
+    "05665131451642318918894906606218890868139647671194716581"
+)
+Q99991 = (
+    "24957434255917116604506707696267940074334907261245796047"
+    "629681380423269709328134984769061701612797607276695007"
+)
+RECORD = '{"command":"generators","payload":{%s},"schema_version":1}\n'
+GENERATORS_OUTPUT = {
+    13: (
+        "case=NormMinusOne generators: √13\n",
+        RECORD % '"N":13,"case":"NormMinusOne","generators":["\\u221a13"],'
+        '"kappa1":null,"kappa2":null',
+    ),
+    21: (
+        "case=KappaProductEqN generators: (7+√21)/2, (3+√21)/2\n",
+        RECORD % '"N":21,"case":"KappaProductEqN",'
+        '"generators":["(7+\\u221a21)/2","(3+\\u221a21)/2"],"kappa1":7,"kappa2":3',
+    ),
+    7: (
+        "case=NKappa1EqKappa2 generators: √7, 3+√7\n",
+        RECORD % '"N":7,"case":"NKappa1EqKappa2",'
+        '"generators":["\\u221a7","3+\\u221a7"],"kappa1":2,"kappa2":14',
+    ),
+    3: (
+        "case=NKappa2EqKappa1 generators: √3, 1+√3\n",
+        RECORD % '"N":3,"case":"NKappa2EqKappa1",'
+        '"generators":["\\u221a3","1+\\u221a3"],"kappa1":6,"kappa2":2',
+    ),
+    15: (
+        "case=Else generators: √15, 5+√15, 3+√15\n",
+        RECORD % '"N":15,"case":"Else",'
+        '"generators":["\\u221a15","5+\\u221a15","3+\\u221a15"],"kappa1":10,"kappa2":6',
+    ),
+    99991: (
+        f"case=NKappa1EqKappa2 generators: √99991, {P99991}+{Q99991}√99991\n",
+        RECORD % f'"N":99991,"case":"NKappa1EqKappa2","generators":["\\u221a99991",'
+        f'"{P99991}+{Q99991}\\u221a99991"],"kappa1":2,"kappa2":199982',
+    ),
+}
+
+
+@pytest.mark.parametrize("N", sorted(GENERATORS_OUTPUT))
+def test_generators_output(capsys, N):
+    """`generators` and its JSON record, byte for byte, for one field of
+    each case and a large one."""
+    text, record = GENERATORS_OUTPUT[N]
+    assert run(capsys, "generators", str(N)) == (0, text, "")
+    assert run(capsys, "--json", "generators", str(N)) == (0, record, "")

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 
@@ -189,16 +190,14 @@ def test_generator_square_invariant():
         fu = fundamental_unit(N)
         for g in gs.generators:
             sq = g * g
-            for j, cofactor in ((0, sq), (1, None)):
-                pass
-            if sq.is_rational():
-                c, j = int(sq.as_fraction()), 0
+            if sq.q == 0:
+                c, j = sq.p // 2, 0
             else:
                 from artifact.quadring import exact_divide
 
                 c_elt = exact_divide(sq, fu.eps)
-                assert c_elt.is_rational()
-                c, j = int(c_elt.as_fraction()), 1
+                assert c_elt.q == 0
+                c, j = c_elt.p // 2, 1
             allowed = {N}
             if gs.kappa1 is not None:
                 allowed |= {gs.kappa1, gs.kappa2}
@@ -254,7 +253,7 @@ def test_canonical_factor_roundtrip_sweep():
             f = canonical_factor(x)
             assert (f.ell, f.m, f.delta) == (ell, m, delta), (N, ell, m, delta)
             # oracle for m: strip generators and ell, then divide by eps
-            u = exact_divide(x, gs.evaluate_delta(delta) * ell)
+            u = exact_divide(x, oracles.generator_set(N).evaluate_delta(delta) * ell)
             steps = 0
             while u != 1:
                 u = exact_divide(u, fu.eps) if u > 1 else u * fu.eps
@@ -269,6 +268,7 @@ def test_signature_key_is_the_squarefree_part_of_the_norm():
     field N <= 97 (the fields of the criterion 9 round trip)."""
     for N in squarefree_range(97)[1:]:
         gs = generator_set(N)
+        keys = oracles.generator_set(N).signature_map
         combos = gs.delta_combos()
         rng = random.Random(N)
         for _ in range(300):
@@ -276,7 +276,7 @@ def test_signature_key_is_the_squarefree_part_of_the_norm():
                 N, rng.randrange(1, 10_000), rng.randrange(0, 5),
                 combos[rng.randrange(len(combos))], gs.case,
             ))
-            want = gs.signature_map[squarefree_part(abs(x.norm()))]
+            want = keys[squarefree_part(abs(x.norm()))]
             assert canonical_factor(x).delta == want, (N, x)
 
 
@@ -285,7 +285,7 @@ def test_noncanonical_products_still_factor():
     generator in the generic case) reduce with integer content but must
     still factor consistently by value."""
     for N in (15, 35):
-        gs = generator_set(N)
+        gs = oracles.generator_set(N)
         all_gens = dict(zip(gs.delta_slots, gs.generators))
         x = all_gens[0] * all_gens[1]  # sqrt(N) * sqrt(kappa1 eps)
         f = canonical_factor(x)
@@ -384,37 +384,63 @@ def test_integer_path_matches_quadint_oracle():
         assert (canonical_factor(x).ell, canonical_factor(x).m) == (3, 400)
 
 
-def test_field_table_matches_generator_set():
-    """Each row of the per-field table holds g^delta = gs.evaluate_delta
-    and its norm, keyed by the squarefree part of that norm; eps and 1/eps
-    multiply to 1."""
-    for N in squarefree_range(97)[1:]:
-        gs, fu = generator_set(N), fundamental_unit(N)
-        fld, case, eps, inverse, deltas, rows = dnumbers._field_table(N)
-        assert (fld, case, eps) == (field(N), gs.case, (fu.t, fu.u))
-        assert make(N, *eps) * make(N, *inverse) == 1
-        assert deltas == gs.delta_combos()
-        for delta, (key, p, q, n) in zip(deltas, rows):
+def test_field_record_matches_quadint_oracle():
+    """The integer record against the oracle's QuadInt generator set on
+    every real field N <= 3000, which covers all five cases and both unit
+    norms: case, kappas, keys, deltas, rows (g^delta and its norm) and
+    generators; eps and 1/eps multiply to 1."""
+    cases = set()
+    for N in squarefree_range(3000)[1:]:
+        rec, gs, fu = generator_set(N), oracles.generator_set(N), fundamental_unit(N)
+        assert (rec.N, rec.field, rec.case) == (N, field(N), gs.case)
+        assert (rec.kappa1, rec.kappa2) == (gs.kappa1, gs.kappa2)
+        assert rec.eps == (fu.t, fu.u)
+        assert make(N, *rec.eps) * make(N, *rec.inverse) == 1
+        assert rec.deltas == gs.delta_combos()
+        assert tuple(key for key, _, _, _ in rec.rows) == tuple(gs.signature_map)
+        for delta, (_, p, q, n) in zip(rec.deltas, rec.rows):
             g = gs.evaluate_delta(delta)
             assert (p, q, n) == (g.p, g.q, g.norm()), (N, delta)
-            assert squarefree_part(abs(n)) == key and gs.signature_map[key] == delta
+        assert rec.generators == gs.generators
+        cases.add((rec.case, fu.unit_norm))
+    assert len(cases) == 5
+
+
+def test_field_record_rejects_a_corrupt_unit(monkeypatch):
+    """The record's integer checks raise InternalInconsistency: a unit with
+    a wrong u fails the square of sqrt(kappa*eps), and eps_3^2 = 7+4sqrt3,
+    no fundamental unit, passes its roots (kappa_1 = 1, kappa_2 = 3 = N)
+    but gives colliding keys."""
+    fu = fundamental_unit(3)
+    eps2 = fu.eps * fu.eps
+    for unit, message in (
+        (dataclasses.replace(fu, u=fu.u + 2), "no square root"),
+        (dataclasses.replace(fu, eps=eps2, t=eps2.p, u=eps2.q), "collide"),
+    ):
+        monkeypatch.setattr(dnumbers, "fundamental_unit", lambda N: unit)
+        dnumbers._field_record.cache_clear()
+        with pytest.raises(InternalInconsistency, match=message):
+            generator_set(3)
+    monkeypatch.undo()
+    dnumbers._field_record.cache_clear()
+    assert generator_set(3).case == CASE_N_KAPPA2_EQ_KAPPA1
 
 
 def test_failed_table_division_is_a_bug(monkeypatch):
     """A division the canonical form relies on raises InternalInconsistency
     when it leaves a remainder or a point off the ring, never a bare
-    ZeroDivisionError or ValueError; so does a corrupted table.  A caller's
-    delta outside the table is a ValueError in evaluate."""
+    ZeroDivisionError or ValueError; so does a corrupted record.  A caller's
+    delta outside the record is a ValueError in evaluate."""
     with pytest.raises(InternalInconsistency):
         dnumbers._divide(2, 0, 0, 2, -3, 3)  # 1 / sqrt3
     with pytest.raises(InternalInconsistency):
         dnumbers._divide(2, 2, 4, 0, 4, 3)  # (1+sqrt3)/2 is not in Z[sqrt3]
     with pytest.raises(ValueError):
         evaluate(CanonicalFactorization(15, 1, 0, (1, 1, 0), CASE_ELSE))
-    fld, case, eps, inverse, deltas, rows = dnumbers._field_table(3)
-    doubled = tuple((key, 2 * p, 2 * q, 4 * n) for key, p, q, n in rows)
-    table = (fld, case, eps, inverse, deltas, doubled)
-    monkeypatch.setattr(dnumbers, "_field_table", lambda N: table)
+    rec = generator_set(3)
+    doubled = tuple((key, 2 * p, 2 * q, 4 * n) for key, p, q, n in rec.rows)
+    corrupt = dataclasses.replace(rec, rows=doubled)
+    monkeypatch.setattr(dnumbers, "_field_record", lambda N: corrupt)
     for x in (make(3, 6, 2), make(3, 4, 2), make(3, 0, 2)):
         with pytest.raises(InternalInconsistency):
             canonical_factor(x)

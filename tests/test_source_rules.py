@@ -1,6 +1,10 @@
-"""The "no floating point decides anything" rule, checked on the package
-source: no float literal, no `float`, no `math` function beyond the integer
-ones, and no true division except the `Path` join by a string."""
+"""Rules checked on the package source.
+
+- "No floating point decides anything": no float literal, no `float`, no
+  `math` function beyond the integer ones, and no true division except the
+  `Path` join by a string.
+- No dead API: every function, class, method or property the package
+  defines is used by the package, or is allowed by name with a reason."""
 
 import ast
 from pathlib import Path
@@ -50,3 +54,67 @@ def test_scan_catches_each_forbidden_construct():
     source = "x = 0.5\ny = float(x)\nz = math.floor(x)\nw = a / b\nv /= 2\nu = p / 'd'\n"
     lines = sorted(line for line, _ in float_uses(ast.parse(source)))
     assert lines == [1, 2, 3, 4, 5]
+
+
+# Defined in the package, used by nothing in it, and kept for a reason.
+UNUSED_ALLOWED = {
+    "tambara_yamagami_dim": "a family formula of the paper; public API",
+    "near_group_dim": "a family formula of the paper; public API",
+    "haagerup_izumi_dim": "a family formula of the paper; public API",
+    "generalized_near_group_check": "a family formula of the paper; public API",
+    "cardinality_bound": "the paper's bound on the count below M; public API",
+    "cf_expand": "perfbench's tracer looks it up by name",
+    "delta_combos": "perfbench's worker draws its deltas from it",
+}
+
+
+DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def unused_definitions(trees: dict) -> list[str]:
+    """"file:line: name" of every function, class, method or property that
+    the trees define and that no name, attribute or import in them uses.
+    Dunder methods are used by the language, and are not reported."""
+    used, defined = set(), []
+    for name, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                used.update(alias.name for alias in node.names)
+            elif isinstance(node, DEFINITIONS):
+                defined.append((name, node.lineno, node.name))
+    return [
+        f"{name}:{line}: {what}"
+        for name, line, what in sorted(defined)
+        if what not in used and not (what.startswith("__") and what.endswith("__"))
+    ]
+
+
+def test_no_unused_definitions_in_the_package():
+    trees = {path.name: ast.parse(path.read_text()) for path in SRC.glob("*.py")}
+    found = unused_definitions(trees)
+    assert [f for f in found if f.rsplit(" ", 1)[1] not in UNUSED_ALLOWED] == []
+    # an allowed name that is used again, or gone, leaves the list
+    assert sorted(f.rsplit(" ", 1)[1] for f in found) == sorted(UNUSED_ALLOWED)
+
+
+def test_unused_scan_flags_each_kind_of_definition():
+    source = {
+        "a.py": (
+            "class Dead:\n"
+            "    def method(self): pass\n"
+            "    @property\n"
+            "    def prop(self): return 1\n"
+            "    def __eq__(self, other): return True\n"
+            "def dead(): pass\n"
+            "def called(): pass\n"
+            "class Live:\n"
+            "    def attr(self): pass\n"
+        ),
+        "b.py": "from a import Live\ncalled()\nLive().attr()\n",
+    }
+    found = unused_definitions({k: ast.parse(v) for k, v in source.items()})
+    assert found == ["a.py:1: Dead", "a.py:2: method", "a.py:4: prop", "a.py:6: dead"]

@@ -72,9 +72,9 @@ def test_unit_is_fundamental():
 
 def test_cf_expand_sqrt():
     e = cf_expand(2)
-    assert (e.a0, e.period) == (1, (2,))
+    assert (e.preamble, e.period) == ((1,), (2,))
     e = cf_expand(7)
-    assert (e.a0, e.period) == (2, (1, 1, 1, 4))
+    assert (e.preamble, e.period) == ((2,), (1, 1, 1, 4))
     assert cf_expand(3).period == (1, 2)
     assert cf_expand(13).period == (1, 1, 1, 1, 6)
     assert cf_expand(19).period == (2, 1, 3, 1, 2, 8)
@@ -84,8 +84,8 @@ def test_cf_expand_sqrt():
 
 def test_cf_expand_omega():
     e = cf_expand(5, "Omega")
-    assert (e.a0, e.period) == (1, (1,))
-    assert e.preamble == ()  # purely periodic: (1+sqrt5)/2 is reduced
+    # purely periodic: (1+sqrt5)/2 is reduced
+    assert (e.preamble, e.period) == ((), (1,))
     # (1+sqrt13)/2 is not reduced (conjugate < -1), so a preamble appears
     e = cf_expand(13, "Omega")
     assert e.preamble == (2,) and e.period == (3,)
