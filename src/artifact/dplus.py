@@ -6,13 +6,13 @@ finite set: in the canonical form alpha = ell * eps^m * g^delta, dominance
 plus sigma-positivity force m >= 0 and kill most delta combinations, and
 ell is squeezed between 1/sigma(base) and M/base.  enumerate_field walks
 exactly that cell structure, one field at a time.  enumerate_all finds
-every member of every field by a walk over traces and the divisors of
-their squares, which needs no unit, certifies each hit with in_dplus and
-takes its factorization from canonical_factor; the canonical form is
-unique, so it is the one the cell walk would report.  Every cutoff is
-decided in integer arithmetic: both ell cutoffs are one floor of a/(b*x)
-on the doubled coordinates of x (`_floor_over`), and the cutoff M = a/b
-enters every test as the integers a and b.
+every member of every field by a walk over traces p and norms p^2/k for
+the divisors 5 <= k <= p of p^2, which needs no unit, certifies each hit
+with in_dplus and takes its factorization from canonical_factor; the
+canonical form is unique, so it is the one the cell walk would report.
+Every cutoff is decided in integer arithmetic: both ell cutoffs are one
+floor of a/(b*x) on the doubled coordinates of x (`_floor_over`), and the
+cutoff M = a/b enters every test as the integers a and b.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ from .quadring import (
     NotApplicable,
     QuadInt,
     _floor_quadratic,
+    _sign,
     compare_values,
     decimal_str,
     divisors,
@@ -74,8 +75,8 @@ def in_dplus(x: QuadInt) -> bool:
         raise NotApplicable("dominance needs a real field")
     if not is_dnumber(x):
         return False
-    # x - sigma(x) = q*sqrt(N), so dominance is just q >= 0
-    return x.q >= 0 and (x.conjugate() - 1).sign() >= 0
+    # x - sigma(x) = q*sqrt(N) and 2*(sigma(x) - 1) = (p - 2) - q*sqrt(N)
+    return x.q >= 0 and _sign(x.p - 2, -x.q, x.N) >= 0
 
 
 # ---------------------------------------------------------------------------
@@ -149,14 +150,19 @@ def _trace_walk(a: int, b: int) -> list[tuple[int, int, int]]:
     bound sqrt(D) by p - 2 and by 2M - p >= 0, so b^2*D is at most both
     (b*(p - 2))^2 and (2a - b*p)^2.  x is a d-number iff n | p^2
     (x/sigma(x) has norm 1 and trace p^2/n - 2).  D = p^2 - 4n forces the
-    parity of (p, q), so every hit is an algebraic integer.
+    parity of (p, q), so every hit is an algebraic integer.  The walk takes
+    n = p^2/k for the divisors 5 <= k <= p of p^2 alone: D <= (p - 2)^2
+    forces n >= p - 1, so k <= p^2/(p - 1) < p + 2; k = p + 1 is coprime
+    to p, so it never divides p^2; and k <= 4 gives D <= 0.
     """
     found: list[tuple[int, int, int]] = []
-    for p in range(3, 2 * a // b + 1):
+    for p in range(5, 2 * a // b + 1):
         bound = min(b * (p - 2), 2 * a - b * p) ** 2
-        for n in divisors(p * p):
-            D = p * p - 4 * n
-            if 0 < D and b * b * D <= bound and not is_square(D):
+        for k in divisors(p * p):
+            if k > p:
+                break
+            D = p * p - 4 * (p * p // k)
+            if k >= 5 and b * b * D <= bound and not is_square(D):
                 q, N = squarefree_decompose(D)
                 found.append((N, p, q))
     return found

@@ -90,11 +90,13 @@ class Rejected(ValueError):
 # than a block gcd for the small n that are done by then.  It walks the
 # other primes below 10^6 in blocks and skips a block whose product is
 # coprime to n, so a large cofactor costs one gcd per block rather than one
-# division per prime.  What is left is 1, a prime, or
-# a product of primes above 10^6.  Some numbers this package factorizes
-# are squares (the trace walk's p^2), so that cofactor can be a perfect
-# power: its exact integer root is taken before rho, and rho runs only on
-# cofactors that are not perfect powers.
+# division per prime.  A cofactor n it leaves below 10^12 is 1 or a prime,
+# with no primality test: the scan stops only when the next sieve prime's
+# square exceeds n, or after the last sieve prime, and two primes above
+# 10^6 multiply to more than 10^12.  A larger cofactor takes Miller-Rabin
+# and can be a perfect power (of a large prime in a user's ell): its exact
+# integer root is taken before rho, and rho runs only on cofactors that
+# are not perfect powers.
 
 _SIEVE_BOUND = 10**6
 _BELOW_100 = (  # the first 25 entries of _primes()
@@ -236,9 +238,9 @@ def _budget_exhausted(n: int, spent: int, budget: int) -> FactorizationLimit:
 def factorize(n: int) -> dict[int, int]:
     """Prime factorization of n >= 1 as an exponent dict, ascending.
 
-    Trial division by the primes up to 10^6 (above 100, one gcd per block
-    of them); then, on what is left, Miller-Rabin, exact perfect-power
-    roots, and Brent's rho on composites that are not perfect powers.
+    Trial division by the primes up to 10^6, one gcd per block above 100,
+    proves a cofactor below 10^12 prime; a larger one takes Miller-Rabin,
+    exact perfect-power roots, and Brent's rho if not a perfect power.
     Raises FactorizationLimit if rho spends the budget of the current
     context (set_factor_budget); never returns a wrong factorization.
     """
@@ -266,8 +268,8 @@ def factorize(n: int) -> dict[int, int]:
                 while n % p == 0:
                     out[p] = out.get(p, 0) + 1
                     n //= p
-    if n == 1:
-        return out
+    if n < _SIEVE_BOUND**2:  # 1 or a prime, by the scan above
+        return out if n == 1 else out | {n: 1}
     spent = [0]
     stack = [(n, 1)]  # (cofactor, exponent it carries)
     while stack:

@@ -3,6 +3,8 @@
 - Membership by characteristic polynomial (`is_dnumber_via_charpoly`).
 - A brute-force scan of coordinate pairs for the enumerators, and the lower
   bounds of unit norm -1 fields.
+- The trace walk over every divisor of p^2 (`trace_walk_all_divisors`),
+  which the library's walk over the divisors k = p^2/n <= p must match.
 - The generators of each real field on QuadInt arithmetic (`GeneratorSet`,
   `generator_set`), square roots checked by QuadInt products, which the
   library's integer `FieldRecord` must match.
@@ -45,10 +47,12 @@ from artifact.quadring import (
     QuadInt,
     ZeroElement,
     compare_values,
+    divisors,
     exact_divide,
     field,
     is_square,
     make,
+    squarefree_decompose,
 )
 from artifact.units import fundamental_unit
 
@@ -145,6 +149,27 @@ def brute_force_oracle(field_or_n, M, include_integers: bool = False) -> list[Qu
             q += 1
     out.sort(key=cmp_to_key(compare_values))
     return out
+
+
+def trace_walk_all_divisors(a: int, b: int) -> list[tuple[int, int, int]]:
+    """(N, p, q) of every dominant irrational d-number (p + q*sqrt(N))/2
+    <= M = a/b, by a walk over every norm n | p^2 of every trace p.
+
+    With D = q^2 * N the norm is n = (p^2 - D)/4.  sigma(x) >= 1 and x <= M
+    bound sqrt(D) by p - 2 and by 2M - p >= 0, so b^2*D is at most both
+    (b*(p - 2))^2 and (2a - b*p)^2.  x is a d-number iff n | p^2
+    (x/sigma(x) has norm 1 and trace p^2/n - 2).  D = p^2 - 4n forces the
+    parity of (p, q), so every hit is an algebraic integer.
+    """
+    found: list[tuple[int, int, int]] = []
+    for p in range(3, 2 * a // b + 1):
+        bound = min(b * (p - 2), 2 * a - b * p) ** 2
+        for n in divisors(p * p):
+            D = p * p - 4 * n
+            if 0 < D and b * b * D <= bound and not is_square(D):
+                q, N = squarefree_decompose(D)
+                found.append((N, p, q))
+    return found
 
 
 def _sqrt_kappa_eps(fld: QuadField, kappa: int, plus: bool) -> QuadInt:

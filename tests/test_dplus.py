@@ -1,5 +1,6 @@
 """Tests for the dominant d-number enumerators."""
 
+import hashlib
 import math
 from collections import Counter
 from fractions import Fraction
@@ -7,7 +8,7 @@ from functools import cmp_to_key
 
 import pytest
 
-from artifact import dplus
+from artifact import dnumbers, dplus, quadring, units
 from artifact.dnumbers import CanonicalFactorization, canonical_factor
 from artifact.dplus import (
     DPlusElement,
@@ -27,9 +28,11 @@ from artifact.quadring import (
 from artifact.units import fundamental_unit
 from oracles import (
     brute_force_oracle,
+    is_dnumber_via_charpoly,
     norm_minus_one_bounds,
     norm_minus_one_field_filter,
     squarefree_range,
+    trace_walk_all_divisors,
 )
 
 
@@ -40,6 +43,18 @@ def test_in_dplus_examples():
     assert not in_dplus(make(3, 2, 4))  # 1+2sqrt(3) is not a d-number
     with pytest.raises(NotApplicable):
         in_dplus(make(-3, 2, 0))
+
+
+@pytest.mark.parametrize("N", [2, 3, 5, 13, 21])
+def test_in_dplus_matches_quadint_order(N):
+    assert in_dplus(make(N, 2, 0))  # x = 1, where sigma(x) - 1 = 0
+    for p in range(-60, 61):
+        for q in range(-12, 13):
+            if (p, q) == (0, 0) or (p - q) % 2 or (N % 4 != 1 and p % 2):
+                continue
+            x = make(N, p, q)
+            want = is_dnumber_via_charpoly(x) and x >= x.conjugate() >= 1
+            assert in_dplus(x) == want, (N, p, q)
 
 
 def test_in_dplus_needs_dominance_not_just_positivity():
@@ -168,6 +183,37 @@ def test_trace_walk_hits_are_certified(monkeypatch, hit):
     monkeypatch.setattr(dplus, "_trace_walk", lambda a, b: real(a, b) + [hit])
     with pytest.raises(InternalInconsistency, match="trace walk hit"):
         enumerate_all(5)
+
+
+def test_trace_walk_matches_all_divisor_walk():
+    # the walk visits the divisors k = p^2/n with 5 <= k <= p; the oracle
+    # visits every n | p^2
+    for M in [Fraction(k, 10) for k in range(10, 600)] + [Fraction(500)]:
+        a, b = M.numerator, M.denominator
+        walked = sorted(dplus._trace_walk(a, b))
+        assert walked == sorted(trace_walk_all_divisors(a, b)), M
+
+
+def test_enumerate_all_runs_no_primality_test(monkeypatch):
+    # from fresh per-field caches, as in a new process: trial division
+    # finishes every factorization below M = 33 (fields, kappas, the walk's
+    # traces and discriminants), and the listing is the one pinned for 33
+    # in perfbench/expected.json
+    quadring._field.cache_clear()
+    dnumbers._field_record.cache_clear()
+    units._fundamental_unit_cached.cache_clear()
+    calls = []
+    real = quadring._is_probable_prime
+    monkeypatch.setattr(
+        quadring, "_is_probable_prime", lambda n: calls.append(n) or real(n)
+    )
+    out = enumerate_all(33, include_integers=True)
+    assert calls == []
+    text = "\n".join(e.record() for e in out)
+    assert len(out) == 116
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "0e04274a1d19ad029cb1a9f6c914e156a37f39b21a6347014445b8ce9f505d1b"
+    )
 
 
 def test_oracle_integer_handling():

@@ -314,6 +314,31 @@ def test_block_scan_matches_trial_division():
         assert _under_budget(1, qr.factorize, n) == _trial_division(n), n
 
 
+def test_trial_division_proves_cofactors_below_the_sieve_square(monkeypatch):
+    calls = []
+    real = qr._is_probable_prime
+    monkeypatch.setattr(qr, "_is_probable_prime", lambda n: calls.append(n) or real(n))
+    # a cofactor below 10^12 that trial division leaves is prime, with no
+    # Miller-Rabin; 1000003 is the least prime above the sieve
+    for n in range(1, 20_000):
+        assert qr.factorize(n) == _trial_division(n), n
+    assert qr.factorize(1000003) == {1000003: 1}
+    assert qr.factorize(999983 * 1000003) == {999983: 1, 1000003: 1}
+    assert calls == []
+    # from 10^12 on, a cofactor takes the tests: 1000003 * 1000033, two
+    # primes above the sieve whose product no trial division can tell from
+    # a prime, the square of 1000003, and a prime
+    seen = {}
+    for n in (1000003 * 1000033, 1000003**2, 10**12 + 39):
+        calls.clear()
+        seen[n] = qr.factorize(n), bool(calls)
+    assert seen == {
+        1000003 * 1000033: ({1000003: 1, 1000033: 1}, True),
+        1000003**2: ({1000003: 2}, True),
+        10**12 + 39: ({10**12 + 39: 1}, True),
+    }
+
+
 def test_sieve_against_sympy():
     sympy = pytest.importorskip("sympy")
     assert list(qr._primes()) == list(sympy.primerange(2, 10**6 + 1))
