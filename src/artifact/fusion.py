@@ -20,6 +20,7 @@ from pathlib import Path
 
 from .dnumbers import (
     CanonicalFactorization,
+    evaluate,
     generator_set,
     is_dnumber,
     sqrt_classes,
@@ -57,29 +58,31 @@ class QuantumInt:
     value: QuadInt
 
 
-def quantum_int(field_or_n, m: int) -> QuantumInt:
-    """[m] by the recurrence [k+1] = (eps + eps^-1)[k] - [k-1].
+def _quantum_table(fld: QuadField, K: int) -> list[tuple[int, int]]:
+    """Doubled coordinates (p, q) of [0], ..., [K] by one integer pass of
+    [k+1] = s*[k] - [k-1], s = eps + eps^-1 = t for unit norm +1, else
+    u*sqrt(N).  Each [k] must be rational (q = 0) when the norm is +1 or k
+    is odd, else in Z*sqrt(N) (p = 0): InternalInconsistency if not."""
+    fu = fundamental_unit(fld)
+    N, (a, b) = fld.N, (fu.t, 0) if fu.unit_norm == 1 else (0, fu.u)
+    table = [(0, 0), (2, 0)]
+    for k in range(2, K + 1):
+        (p0, q0), (p, q) = table[-2:]
+        p, q = a * p + N * b * q - p0, a * q + b * p - q0
+        if (q if fu.unit_norm == 1 or k % 2 else p) != 0:
+            raise InternalInconsistency(f"[{k}] has the wrong shape for N={N}")
+        table.append((p, q))
+    return table[: K + 1]
 
-    When the unit norm is +1 (or m is odd) the value is a rational
-    integer; with unit norm -1 and even m it lies in Z*sqrt(N).  Both
-    facts are asserted.
-    """
+
+def quantum_int(field_or_n, m: int) -> QuantumInt:
+    """[m] = (eps^m - eps^-m)/(eps - eps^-1) = -[-m] from _quantum_table,
+    which asserts each [k]'s shape on its integer coordinates."""
     fld = field(field_or_n)
     if fld.N < 2:
         raise NotApplicable("quantum integers need a real field")
-    fu = fundamental_unit(fld)
-    # eps + eps^-1 is the trace t when the norm is +1, else u*sqrt(N)
-    s = fld.integer(fu.t) if fu.unit_norm == 1 else make(fld, 0, 2 * fu.u)
-    prev, cur = fld.zero(), fld.one()
-    for _ in range(abs(m) - 1):
-        prev, cur = cur, s * cur - prev
-    value = fld.zero() if m == 0 else (cur if m > 0 else -cur)
-    if fu.unit_norm == 1 or m % 2:
-        if value.q != 0:
-            raise InternalInconsistency(f"[{m}] should be rational for N={fld.N}")
-    elif value.p != 0:
-        raise InternalInconsistency(f"[{m}] should be in Z*sqrt(N) for N={fld.N}")
-    return QuantumInt(fld, m, value)
+    p, q = _quantum_table(fld, abs(m))[abs(m)]
+    return QuantumInt(fld, m, make(fld, p, q) if m >= 0 else make(fld, -p, -q))
 
 
 # ---------------------------------------------------------------------------
@@ -147,8 +150,9 @@ def decompose_global_dim(
     eps^-j must be a rational integer; no j: rem must be 0).
     candidates_scanned is still the raw box size, the number of d_int times
     the product of the caps floor(target * eps^-j).  Every solution is
-    re-checked against the target and against the quantum-integer identity
-    [m]*d_int = sum ell_j * [j-m].
+    re-checked on integer coordinates, both of them, against the target and
+    against the quantum-integer identity [m]*d_int = sum ell_j * [j-m],
+    with [0], ..., [K] from one pass of _quantum_table.
     """
     fld = field(field_or_n)
     if ell < 1 or m < 0:
@@ -158,10 +162,10 @@ def decompose_global_dim(
             f"divisor_constraint must be >= 1, got {divisor_constraint}"
         )
     fu = fundamental_unit(fld)
-    target = fu.eps**m * ell
+    fact = CanonicalFactorization(fld.N, ell, m, (0, 0, 0), generator_set(fld).case)
+    target = evaluate(fact)
     if not in_dplus(target):
         raise NotInDPlus(f"{target} = {ell}*eps^{m} is not a dominant d-number")
-    gs = generator_set(fld)
     N, tp, tq = fld.N, target.p, target.q
     pool = divisors(ell if divisor_constraint is None else divisor_constraint)
     # (j, P, Q) with eps^j = (P + Q*sqrt(N))/2 <= target and, j being even
@@ -175,7 +179,6 @@ def decompose_global_dim(
             scanned *= _floor_quadratic(tp * P - N * tq * Q, tq * P - tp * Q, N, 4)
         j, P, Q = j + 1, (P * fu.t + N * Q * fu.u) // 2, (P * fu.u + Q * fu.t) // 2
     solutions: list[Decomposition] = []
-    fact = CanonicalFactorization(N, ell, m, (0, 0, 0), gs.case)
 
     def walk(idx: int, rp: int, rq: int, chosen: list[tuple[int, int]]) -> None:
         if idx < 2:
@@ -195,18 +198,18 @@ def decompose_global_dim(
     for d in pool:
         walk(len(terms) - 1, tp - 2 * d, tq, [])
 
-    if solutions:
-        q_m = quantum_int(fld, m).value
-        used = {j for sol in solutions for j, _ in sol.coeffs}
-        check = {  # eps^j and [j - m] for every j that a solution uses
-            j: (P, Q, quantum_int(fld, j - m).value) for j, P, Q in terms if j in used
-        }
-    for sol in solutions:
-        rp, rq, rhs = 2 * sol.d_int, 0, fld.zero()
+    if solutions:  # [m] and every [j - m] a solution uses, from one table
+        power = {j: (P, Q) for j, P, Q in terms}
+        K = max([m] + [abs(j - m) for s in solutions for j, _ in s.coeffs])
+        qint = _quantum_table(fld, K)
+        mp, mq = qint[m]
+    for sol in solutions:  # d_int + sum ell_j*eps^j and sum ell_j*[j - m]
+        rp, rq, sp, sq = 2 * sol.d_int, 0, 0, 0
         for j, lj in sol.coeffs:
-            P, Q, q_j = check[j]
-            rp, rq, rhs = rp + lj * P, rq + lj * Q, rhs + q_j * lj
-        if (rp, rq) != (tp, tq) or q_m * sol.d_int != rhs:
+            (P, Q), (qp, qq) = power[j], qint[abs(j - m)]
+            lq = lj if j >= m else -lj
+            rp, rq, sp, sq = rp + lj * P, rq + lj * Q, sp + lq * qp, sq + lq * qq
+        if (rp, rq) != (tp, tq) or (mp * sol.d_int, mq * sol.d_int) != (sp, sq):
             raise InternalInconsistency(f"solver check failed on {sol}")
     solutions.sort(key=lambda s: (-s.d_int, s.coeffs))
     return DecompositionScan(fld, fact, scanned, tuple(solutions))
@@ -483,15 +486,11 @@ def quantum_group_table() -> list[QuantumGroupDim]:
     for line in path.read_text().splitlines():
         if not line or line.startswith("#"):
             continue
-        series, n, k, ell, power, big_n, flag = line.split("\t")
-        fld = field(int(big_n))
-        value = fundamental_unit(fld).eps ** int(power) * int(ell)
-        if int(flag):
+        series, *rest = line.split("\t")
+        n, k, ell, power, big_n, flag = map(int, rest)
+        fld = field(big_n)
+        value = fundamental_unit(fld).eps**power * ell
+        if flag:
             value = value * fld.sqrt_n()
-        rows.append(
-            QuantumGroupDim(
-                series, int(n), int(k), int(ell), int(power), int(big_n),
-                bool(int(flag)), value,
-            )
-        )
+        rows.append(QuantumGroupDim(series, n, k, ell, power, big_n, bool(flag), value))
     return rows

@@ -96,7 +96,8 @@ class Rejected(ValueError):
 # 10^6 multiply to more than 10^12.  A larger cofactor takes Miller-Rabin
 # and can be a perfect power (of a large prime in a user's ell): its exact
 # integer root is taken before rho, and rho runs only on cofactors that
-# are not perfect powers.
+# are not perfect powers.  The pieces they split off keep every prime factor
+# above 10^6, so a piece below 10^12 is prime by the same proof.
 
 _SIEVE_BOUND = 10**6
 _BELOW_100 = (  # the first 25 entries of _primes()
@@ -274,7 +275,7 @@ def factorize(n: int) -> dict[int, int]:
     stack = [(n, 1)]  # (cofactor, exponent it carries)
     while stack:
         m, e = stack.pop()
-        if _is_probable_prime(m):
+        if m < _SIEVE_BOUND**2 or _is_probable_prime(m):
             out[m] = out.get(m, 0) + e
             continue
         r, k = _perfect_power(m)
@@ -360,9 +361,6 @@ class QuadField:
 
     def one(self) -> "QuadInt":
         return _raw(self, 2, 0)
-
-    def zero(self) -> "QuadInt":
-        return _raw(self, 0, 0)
 
     def integer(self, k: int) -> "QuadInt":
         return _raw(self, 2 * k, 0)

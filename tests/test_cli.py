@@ -48,6 +48,19 @@ def test_golden_enumerate(capsys):
     assert out == (FIXTURES / "enumerate_5.jsonl").read_text()
 
 
+def test_golden_qint(capsys):
+    """dnum qint N m, as text and as --json, on five fields and -4 <= m <= 7."""
+    out = {(): "", ("--json",): ""}
+    for N in (2, 3, 5, 13, 21):
+        for m in range(-4, 8):
+            for flags in out:
+                code, text, _ = run(capsys, *flags, "qint", str(N), str(m))
+                assert code == 0
+                out[flags] += text
+    assert out[()] == (FIXTURES / "qint.txt").read_text()
+    assert out[("--json",)] == (FIXTURES / "qint.jsonl").read_text()
+
+
 def test_golden_enumerate_under_optimised_python():
     """Internal invariants raise InternalInconsistency instead of using
     assert, so they still run under python -O; the output is unchanged."""

@@ -6,6 +6,7 @@ import math
 
 import pytest
 
+from artifact import fusion
 from artifact.dnumbers import canonical_factor, evaluate, is_dnumber, sqrt_classes
 from artifact.dplus import enumerate_field, in_dplus
 from artifact.fusion import (
@@ -24,8 +25,10 @@ from artifact.fusion import (
     tambara_yamagami_dim,
 )
 from artifact.quadring import (
+    InternalInconsistency,
     NotApplicable,
     NotInDPlus,
+    QuadInt,
     Rejected,
     divides,
     divisors,
@@ -55,12 +58,12 @@ def test_quantum_int_small_values():
 def test_quantum_int_matches_direct_formula():
     """The recurrence agrees with (eps^m - eps^-m)/(eps - eps^-1) and the
     value is integral of the predicted shape."""
-    for N in squarefree_range(50):
+    for N in squarefree_range(200):
         if N < 2:
             continue
         fu = fundamental_unit(N)
         denom = fu.eps - fu.eps**-1
-        for m in range(-12, 13):
+        for m in range(-20, 21):
             got = quantum_int(N, m).value
             want = exact_divide(fu.eps**m - fu.eps**-m, denom)
             assert got == want, (N, m)
@@ -113,7 +116,7 @@ def test_decompose_solutions_satisfy_both_identities():
         target = fu.eps**m * ell
         for sol in scan.solutions:
             total = sol.field.integer(sol.d_int)
-            rhs = sol.field.zero()
+            rhs = sol.field.integer(0)
             for j, lj in sol.coeffs:
                 assert lj > 0
                 total = total + fu.eps**j * lj
@@ -122,6 +125,39 @@ def test_decompose_solutions_satisfy_both_identities():
             assert quantum_int(N, m).value * sol.d_int == rhs
             if fu.unit_norm == -1:
                 assert all(j % 2 == 0 for j, _ in sol.coeffs)
+
+
+def test_decompose_recheck_rejects_a_corrupt_quantum_integer(monkeypatch):
+    """The re-check on integers is not vacuous: [k] raised by 1 in the table,
+    at a k != m that a solution's [j - m] reads, fails it."""
+    scan = decompose_global_dim(5, 72, 2)
+    used = {abs(j - 2) for s in scan.solutions for j, _ in s.coeffs}
+    k = max(used - {2})
+    real = fusion._quantum_table
+
+    def shifted(fld, K):
+        table = real(fld, K)
+        p, q = table[k]
+        return table[:k] + [(p + 2, q)] + table[k + 1 :]
+
+    monkeypatch.setattr(fusion, "_quantum_table", shifted)
+    with pytest.raises(InternalInconsistency, match="solver check failed"):
+        decompose_global_dim(5, 72, 2)
+
+
+def test_decompose_makes_no_quadint_arithmetic(monkeypatch):
+    """The walk, the target and the re-check run on integer coordinates:
+    no QuadInt +, -, * or ** on two targets with many solutions."""
+    calls = []
+
+    def counted(name, real):
+        return lambda *args: calls.append(name) or real(*args)
+
+    for name in ("__add__", "__sub__", "__mul__", "__pow__"):
+        monkeypatch.setattr(QuadInt, name, counted(name, getattr(QuadInt, name)))
+    for (N, ell, m), count in [((5, 72, 2), 58), ((5, 60, 2), 46)]:
+        assert len(decompose_global_dim(N, ell, m).solutions) == count
+    assert calls == []
 
 
 def full_walk(N, ell, m, divisor_constraint=None):
@@ -215,7 +251,7 @@ def test_last_coefficients_against_brute_force():
             caps = [max(k for k in range(bound + 1) if e * k <= bound) for e in powers]
             table = {}
             for ls in itertools.product(*(range(c + 1) for c in caps)):
-                x = sum((e * lj for e, lj in zip(powers, ls)), field(N).zero())
+                x = sum((e * lj for e, lj in zip(powers, ls)), field(N).integer(0))
                 table[(x.p, x.q)] = [(j, lj) for j, lj in zip(js, ls)]
             terms = [(j, e.p, e.q) for j, e in zip(js, powers)]
             for rq in range(-12, 13):

@@ -337,6 +337,17 @@ def test_trial_division_proves_cofactors_below_the_sieve_square(monkeypatch):
         1000003**2: ({1000003: 2}, True),
         10**12 + 39: ({10**12 + 39: 1}, True),
     }
+    # the pieces that rho or a perfect-power root split off such a cofactor
+    # are below 10^12 here, so only the cofactor itself takes the test
+    for n, want in [
+        (100000007 * 99999989, {99999989: 1, 100000007: 1}),
+        (1000003 * 1000033, {1000003: 1, 1000033: 1}),
+        (1000003**2, {1000003: 2}),
+        (1000003**3 * 7, {7: 1, 1000003: 3}),
+    ]:
+        calls.clear()
+        assert qr.factorize(n) == want
+        assert len(calls) == 1 and min(calls) >= 10**12, (n, calls)
 
 
 def test_sieve_against_sympy():
