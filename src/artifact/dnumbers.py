@@ -28,6 +28,7 @@ from .quadring import (
     QuadField,
     QuadInt,
     ZeroElement,
+    _power,
     _raw,
     _sign,
     exact_divide,
@@ -256,12 +257,8 @@ def evaluate(fact: CanonicalFactorization) -> QuadInt:
     N = fact.N
     rec = _field_record(N)
     _, p, q, _ = rec.rows[rec.deltas.index(fact.delta)]
-    (t, u), m = rec.eps if fact.m >= 0 else rec.inverse, abs(fact.m)
-    while m:  # right-to-left binary powering into g^delta
-        if m & 1:
-            p, q = (p * t + N * q * u) // 2, (p * u + q * t) // 2
-        t, u = (t * t + N * u * u) // 2, t * u
-        m >>= 1
+    t, u = rec.eps if fact.m >= 0 else rec.inverse
+    p, q = _power(p, q, t, u, abs(fact.m), N)
     return _raw(rec.field, p * fact.ell, q * fact.ell)
 
 

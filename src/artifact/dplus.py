@@ -10,9 +10,10 @@ every member of every field by a walk over traces p and norms p^2/k for
 the divisors 5 <= k <= p of p^2, which needs no unit, certifies each hit
 with in_dplus and takes its factorization from canonical_factor; the
 canonical form is unique, so it is the one the cell walk would report.
-Every cutoff is decided in integer arithmetic: both ell cutoffs are one
-floor of a/(b*x) on the doubled coordinates of x (`_floor_over`), and the
-cutoff M = a/b enters every test as the integers a and b.
+Both walks run on integer coordinates: the cell walk reads each g^delta
+from the field record's rows and keeps eps^m as a pair, each ell cutoff is
+one `_floor_quadratic`, the cutoff M = a/b enters every test as the
+integers a and b, and one key (`_value_order`) sorts both lists.
 """
 
 from __future__ import annotations
@@ -21,13 +22,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
 
-from .dnumbers import CanonicalFactorization, canonical_factor, evaluate
+from .dnumbers import CanonicalFactorization, canonical_factor
 from .dnumbers import generator_set, is_dnumber
 from .quadring import (
     InternalInconsistency,
     NotApplicable,
     QuadInt,
+    _coordinates,
     _floor_quadratic,
+    _power,
+    _raw,
     _sign,
     compare_values,
     decimal_str,
@@ -80,17 +84,16 @@ def in_dplus(x: QuadInt) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# exact ell cutoffs
-
-
-def _floor_over(a: int, b: int, x: QuadInt) -> int:
-    """floor(a / (b*x)) for b > 0 and x, sigma(x) > 0, so n = norm(x) > 0:
-    a/(b*x) = (a*p - a*q*sqrt(N)) / (2*b*n) with 2*b*n a positive integer."""
-    return _floor_quadratic(a * x.p, -a * x.q, x.N, 2 * b * x.norm())
-
-
-# ---------------------------------------------------------------------------
 # enumeration
+
+_EXACT = cmp_to_key(compare_values)
+
+
+def _value_order(e: DPlusElement):
+    """The sort key of e's value, in any field: floor(value * 2^64) orders
+    almost every pair, and only a tie falls back to compare_values."""
+    p, q, N, d = _coordinates(e.value)
+    return _floor_quadratic(p << 64, q << 64, N, d), _EXACT(e.value)
 
 
 def enumerate_field(field_or_n, M) -> list[DPlusElement]:
@@ -100,7 +103,7 @@ def enumerate_field(field_or_n, M) -> list[DPlusElement]:
     globally instead of once per field.
     """
     fld = field(field_or_n)
-    if fld.N < 2:
+    if (N := fld.N) < 2:
         raise NotApplicable("enumeration needs a real field")
     M = Fraction(M)
     a, b = M.numerator, M.denominator
@@ -110,36 +113,38 @@ def enumerate_field(field_or_n, M) -> list[DPlusElement]:
     # cheapest exit first: the smallest irrational member is eps (unit norm
     # +1) or eps^2 (unit norm -1); skip building the field record -- its
     # kappa gcds and square-root checks -- when even that exceeds M
-    smallest = fu.eps if fu.unit_norm == 1 else fu.eps**2
-    if smallest * b > a:
+    p, q = _power(2, 0, fu.t, fu.u, 1 if fu.unit_norm == 1 else 2, N)
+    if _sign(b * p - 2 * a, b * q, N) > 0:
         return []
     rec = generator_set(fld)
-    found: list[tuple[QuadInt, CanonicalFactorization]] = []
-    m = 0
-    while fu.eps ** (2 * m) * b <= a:  # every member with this m is >= eps^(2m)
-        for delta in rec.deltas:
+    found: list[DPlusElement] = []
+    ep, eq, m = 2, 0, 0  # eps^m
+    # every member with this m is >= eps^(2m), doubled ((ep^2 + N*eq^2)/2, ep*eq)
+    while _sign(b * (ep * ep + N * eq * eq) - 4 * a, 2 * b * ep * eq, N) <= 0:
+        for delta, (_, gp, gq, gn) in zip(rec.deltas, rec.rows):
             if m == 0 and delta == (0, 0, 0):
                 continue  # rational integers
-            base = evaluate(CanonicalFactorization(fld.N, 1, m, delta, rec.case))
-            sigma = base.conjugate()
-            if sigma.sign() <= 0:
+            p, q = _power(gp, gq, ep, eq, 1, N)  # base = g^delta * eps^m
+            if _sign(p, -q, N) <= 0:
                 continue  # no positive multiple dominates its conjugate
-            if base.q < 0:
+            if q < 0:
                 raise InternalInconsistency(
-                    f"m >= 0 should force dominance (N={fld.N}, m={m})"
+                    f"m >= 0 should force dominance (N={N}, m={m})"
                 )
-            # ell * sigma >= 1 and ell * base <= M; sigma and base are totally > 0
-            first = max(1, -_floor_over(-1, 1, sigma))
-            last = _floor_over(a, b, base)
+            # ell * sigma(base) >= 1 and ell * base <= M; norm(base) = n > 0
+            n = gn * fu.unit_norm**m
+            first = max(1, -_floor_quadratic(-p, -q, N, 2 * n))
+            last = _floor_quadratic(a * p, -a * q, N, 2 * b * n)
             for ell in range(first, last + 1):
-                value = base * ell
+                value = _raw(fld, p * ell, q * ell)
                 if not in_dplus(value):
                     raise InternalInconsistency(f"enumerated non-member {value}")
-                fact = CanonicalFactorization(fld.N, ell, m, delta, rec.case)
-                found.append((value, fact))
+                fact = CanonicalFactorization(N, ell, m, delta, rec.case)
+                found.append(DPlusElement(value, fact, decimal_str(value)))
+        ep, eq = _power(ep, eq, fu.t, fu.u, 1, N)
         m += 1
-    found.sort(key=lambda t: t[0])
-    return [DPlusElement(v, f, decimal_str(v)) for v, f in found]
+    found.sort(key=_value_order)
+    return found
 
 
 def _trace_walk(a: int, b: int) -> list[tuple[int, int, int]]:
@@ -192,18 +197,7 @@ def enumerate_all(M, include_integers: bool = False) -> list[DPlusElement]:
             DPlusElement(k, None, decimal_str(k))
             for k in range(1, a // b + 1)
         )
-    # floor(value * 2^64) orders almost every pair; only a tie falls back to
-    # compare_values
-    exact = cmp_to_key(compare_values)
-    scale = 1 << 64
-
-    def key(e: DPlusElement):
-        v = e.value
-        if isinstance(v, int):
-            return v * scale, exact(v)
-        return _floor_quadratic(v.p * scale, v.q * scale, v.N, 2), exact(v)
-
-    out.sort(key=key)
+    out.sort(key=_value_order)
     return out
 
 

@@ -445,7 +445,7 @@ def kronecker_screen(
     """
     if not in_dplus(target):
         raise NotInDPlus(f"{target} is not a dominant d-number")
-    if (target - 5).sign() >= 0:
+    if _sign(target.p - 10, target.q, target.N) >= 0:
         raise NotApplicable("screen needs target - 1 < 4")
     goal = {1: target.p - 2, target.N: target.q}  # target - 1, doubled
     ns = sorted(_EXACT_COS_SQUARES, reverse=True)

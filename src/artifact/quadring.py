@@ -148,8 +148,9 @@ def _is_probable_prime(n: int) -> bool:
         return False
     # The first 13 primes as bases decide every n below psi_13 = 3.3e24, the
     # least strong pseudoprime to all of them (the first 12 are fooled by
-    # psi_12 = 318665857834031151167461); above that we add random rounds (a
-    # composite slipping through 64 rounds is ~2^-128).
+    # psi_12 = 318665857834031151167461).  From psi_13 on, 64 more bases
+    # from Random(n), fixed per n, give a probable prime: ~2^-128 is a bound
+    # for random bases only (ROADMAP item 5 plans Baillie-PSW).
     bases = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41]
     for p in bases:
         if n % p == 0:
@@ -243,7 +244,8 @@ def factorize(n: int) -> dict[int, int]:
     proves a cofactor below 10^12 prime; a larger one takes Miller-Rabin,
     exact perfect-power roots, and Brent's rho if not a perfect power.
     Raises FactorizationLimit if rho spends the budget of the current
-    context (set_factor_budget); never returns a wrong factorization.
+    context (set_factor_budget).  A factor below psi_13 = 3.3e24 is proven
+    prime, a larger one only probable (`_is_probable_prime`).
     """
     if n < 1:
         raise ValueError("factorize expects n >= 1")
@@ -483,13 +485,7 @@ class QuadInt:
         if not isinstance(k, int):
             return NotImplemented
         base = self if k >= 0 else self.inverse()
-        N, bp, bq = self.field.N, base.p, base.q
-        p, q = 2, 0  # the doubled coordinates of 1
-        for bit in bin(abs(k))[2:]:
-            p, q = (p * p + N * q * q) // 2, p * q
-            if bit == "1":
-                p, q = (p * bp + N * q * bq) // 2, (p * bq + q * bp) // 2
-        return _raw(self.field, p, q)
+        return _raw(self.field, *_power(2, 0, base.p, base.q, abs(k), self.field.N))
 
     # -- comparisons (exact; real fields only for order) -------------------
 
@@ -565,6 +561,18 @@ class QuadInt:
 _set_field = QuadInt.field.__set__
 _set_p = QuadInt.p.__set__
 _set_q = QuadInt.q.__set__
+
+
+def _power(p: int, q: int, t: int, u: int, m: int, N: int) -> tuple[int, int]:
+    """x * e^m on doubled coordinates, x = (p + q*sqrt(N))/2, e = (t +
+    u*sqrt(N))/2 and m >= 0, by right-to-left binary powering."""
+    while m:
+        if m & 1:
+            p, q = (p * t + N * q * u) // 2, (p * u + q * t) // 2
+        m >>= 1
+        if m:
+            t, u = (t * t + N * u * u) // 2, t * u
+    return p, q
 
 
 def _raw(fld: QuadField, p: int, q: int) -> QuadInt:

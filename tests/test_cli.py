@@ -48,6 +48,16 @@ def test_golden_enumerate(capsys):
     assert out == (FIXTURES / "enumerate_5.jsonl").read_text()
 
 
+@pytest.mark.parametrize("M, N", [("60", "5"), ("60", "3"), ("200", "2")])
+def test_golden_enumerate_field(capsys, M, N):
+    """dnum enumerate M --field N, as text and as --json; the unit of N = 2
+    has norm -1."""
+    for flags, suffix in [((), "txt"), (("--json",), "jsonl")]:
+        code, out, _ = run(capsys, *flags, "enumerate", M, "--field", N)
+        assert code == 0
+        assert out == (FIXTURES / f"enumerate_{M}_field_{N}.{suffix}").read_text()
+
+
 def test_golden_qint(capsys):
     """dnum qint N m, as text and as --json, on five fields and -4 <= m <= 7."""
     out = {(): "", ("--json",): ""}

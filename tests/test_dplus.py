@@ -9,6 +9,7 @@ from functools import cmp_to_key
 import pytest
 
 from artifact import dnumbers, dplus, quadring, units
+from artifact.cli import main
 from artifact.dnumbers import CanonicalFactorization, canonical_factor
 from artifact.dplus import (
     DPlusElement,
@@ -76,6 +77,25 @@ def test_enumerate_field_examples():
         enumerate_field(field(-7), 5)
     with pytest.raises(ValueError):
         enumerate_field(5, Fraction(1, 2))
+
+
+def test_enumerate_field_makes_no_quadint_arithmetic(quadint_calls):
+    """The cell walk, its cutoffs and its sort run on integer coordinates;
+    each member builds one QuadInt, its value, with no operator or order."""
+    big = [len(enumerate_field(N, 2000)) for N in (2, 3, 5, 6, 7, 13, 21)]
+    small = [len(enumerate_field(N, 50)) for N in squarefree_range(399)[1:]]
+    assert (sum(big), sum(small)) == (6528, 152)
+    assert not quadint_calls
+
+
+def test_cell_walk_members_are_certified(monkeypatch, capsys):
+    # in_dplus rejecting one member, 5+sqrt5, is a bug the walk reports
+    real = dplus.in_dplus
+    monkeypatch.setattr(dplus, "in_dplus", lambda x: real(x) and (x.p, x.q) != (10, 2))
+    with pytest.raises(InternalInconsistency, match="enumerated non-member"):
+        enumerate_field(5, 60)
+    assert main(["enumerate", "60", "--field", "5"]) == 4
+    assert "enumerated non-member 5+√5" in capsys.readouterr().err
 
 
 def test_enumerate_all_up_to_five():

@@ -28,7 +28,6 @@ from artifact.quadring import (
     InternalInconsistency,
     NotApplicable,
     NotInDPlus,
-    QuadInt,
     Rejected,
     divides,
     divisors,
@@ -145,19 +144,12 @@ def test_decompose_recheck_rejects_a_corrupt_quantum_integer(monkeypatch):
         decompose_global_dim(5, 72, 2)
 
 
-def test_decompose_makes_no_quadint_arithmetic(monkeypatch):
+def test_decompose_makes_no_quadint_arithmetic(quadint_calls):
     """The walk, the target and the re-check run on integer coordinates:
-    no QuadInt +, -, * or ** on two targets with many solutions."""
-    calls = []
-
-    def counted(name, real):
-        return lambda *args: calls.append(name) or real(*args)
-
-    for name in ("__add__", "__sub__", "__mul__", "__pow__"):
-        monkeypatch.setattr(QuadInt, name, counted(name, getattr(QuadInt, name)))
+    no QuadInt operator or order on two targets with many solutions."""
     for (N, ell, m), count in [((5, 72, 2), 58), ((5, 60, 2), 46)]:
         assert len(decompose_global_dim(N, ell, m).solutions) == count
-    assert calls == []
+    assert not quadint_calls
 
 
 def full_walk(N, ell, m, divisor_constraint=None):
@@ -448,6 +440,13 @@ def test_kronecker_screen_preconditions():
         kronecker_screen(field(3).integer(5))  # needs target - 1 < 4
     with pytest.raises(NotApplicable):
         kronecker_screen(make(5, 10, 2))  # 5+sqrt(5): dominant but too big
+
+
+def test_kronecker_screen_makes_no_quadint_arithmetic(quadint_calls):
+    """The bound target - 1 < 4 and the search run on integer coordinates."""
+    for N, p, q in [(5, 2, 0), (5, 4, 0), (5, 6, 0), (5, 5, 1), (5, 8, 0), (3, 6, 2)]:
+        kronecker_screen(make(N, p, q))
+    assert not quadint_calls
 
 
 # the screen's answers, filter on and off, by the target's value

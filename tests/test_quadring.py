@@ -360,7 +360,9 @@ def test_probable_prime_against_sympy():
     on both sides of psi_13 = 3.3e24, where the random rounds start; the
     strong pseudoprimes psi_12 and psi_13 to the first 12 and 13 prime
     bases; products of two primes near 10^15; Carmichael numbers, small and
-    of Chernick's form (6k+1)(12k+1)(18k+1) with three prime factors."""
+    of Chernick's form (6k+1)(12k+1)(18k+1) with three prime factors; and
+    strong Lucas and strong base-2 pseudoprimes, each of which fools one
+    half of a Baillie-PSW test."""
     sympy = pytest.importorskip("sympy")
     rng = random.Random(19)
     psi_12, psi_13 = 318665857834031151167461, 3317044064679887385961981
@@ -372,6 +374,9 @@ def test_probable_prime_against_sympy():
         p, q = (sympy.nextprime(10**15 + rng.randrange(10**12)) for _ in "pq")
         cases += [p * q, p * p]
     cases += [561, 1105, 1729, 2465, 2821, 6601, 8911, 41041, 62745, 825265]
+    # strong Lucas pseudoprimes, then strong pseudoprimes to base 2
+    cases += [5459, 5777, 10877, 16109, 18971, 22499, 24569, 25199, 40309, 58519]
+    cases += [3277, 4033, 4681, 8321, 15841, 29341]
     for start in (1, 10**6, 10**9):
         k, found = start, 0
         while found < 3:

@@ -4,7 +4,8 @@
   `math` function beyond the integer ones, and no true division except the
   `Path` join by a string.
 - No dead API: every function, class, method or property the package
-  defines is used by the package, or is allowed by name with a reason."""
+  defines is used by the package, or is allowed by name with a reason.
+- Integers inside: `fractions` is imported only where a rational enters."""
 
 import ast
 from pathlib import Path
@@ -54,6 +55,51 @@ def test_scan_catches_each_forbidden_construct():
     source = "x = 0.5\ny = float(x)\nz = math.floor(x)\nw = a / b\nv /= 2\nu = p / 'd'\n"
     lines = sorted(line for line, _ in float_uses(ast.parse(source)))
     assert lines == [1, 2, 3, 4, 5]
+
+
+# The modules that may import `fractions`, and why.
+FRACTION_IMPORTERS = {
+    "cli.py": "a user's cutoff M is parsed as a Fraction",
+    "dplus.py": "the enumerators take a cutoff M = a/b as a Fraction",
+    "quadring.py": "QuadInt ==, order and compare_values accept a Fraction",
+}
+
+
+def fraction_imports(tree):
+    """Lines of every import of the `fractions` module or of a name
+    `Fraction`, from any module, in the tree."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            if any(alias.name == "fractions" for alias in node.names):
+                yield node.lineno
+        elif isinstance(node, ast.ImportFrom) and (
+            node.module == "fractions"
+            or any(alias.name == "Fraction" for alias in node.names)
+        ):
+            yield node.lineno
+
+
+def test_fractions_only_where_a_rational_enters():
+    importers = {
+        path.name
+        for path in SRC.glob("*.py")
+        if any(fraction_imports(ast.parse(path.read_text())))
+    }
+    # a module that stops importing it leaves the list
+    assert importers == set(FRACTION_IMPORTERS)
+
+
+def test_fraction_scan_catches_each_import():
+    source = (
+        "import fractions\n"
+        "from fractions import Fraction\n"
+        "from .quadring import Fraction\n"
+        "import math, fractions as fr\n"
+        "from fractions import *\n"
+        "from .dplus import in_dplus\n"
+        "x = Fraction\n"
+    )
+    assert sorted(fraction_imports(ast.parse(source))) == [1, 2, 3, 4, 5]
 
 
 # Defined in the package, used by nothing in it, and kept for a reason.
