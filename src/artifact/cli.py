@@ -410,31 +410,38 @@ def _run(argv: list[str] | None) -> int:
     args = _build_parser().parse_args(argv)
     if args.budget is not None:
         set_factor_budget(args.budget)
+    # an answer may pass str()'s default limit of 4300 digits, argv may not
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
     try:
-        lines, payloads = args.func(args)
-    except FactorizationLimit as err:
-        print(f"FactorizationLimit: {err}", file=sys.stderr)
-        return 3
-    except InternalInconsistency as err:
-        print(f"InternalInconsistency: {err}", file=sys.stderr)
-        return 4
-    except (ArithmeticError, ValueError, TypeError) as err:
-        print(f"{type(err).__name__}: {err}", file=sys.stderr)
-        return 1
-    try:
-        if args.json:
-            for command, payload in payloads:
-                print(_record(command, payload))
-        else:
-            for line in lines:
-                print(line)
-        sys.stdout.flush()  # a closed pipe raises here, not at exit
-    except BrokenPipeError:
-        # the reader has gone (`dnum ... | head`); Python flushes stdout again
-        # at exit, so point it at devnull first (Python docs, "Note on SIGPIPE")
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return 141
-    return 0
+        try:
+            lines, payloads = args.func(args)
+        except FactorizationLimit as err:
+            print(f"FactorizationLimit: {err}", file=sys.stderr)
+            return 3
+        except InternalInconsistency as err:
+            print(f"InternalInconsistency: {err}", file=sys.stderr)
+            return 4
+        except (ArithmeticError, ValueError, TypeError) as err:
+            print(f"{type(err).__name__}: {err}", file=sys.stderr)
+            return 1
+        try:
+            if args.json:
+                for command, payload in payloads:
+                    print(_record(command, payload))
+            else:
+                for line in lines:
+                    print(line)
+            sys.stdout.flush()  # a closed pipe raises here, not at exit
+        except BrokenPipeError:
+            # the reader has gone (`dnum ... | head`); Python flushes stdout
+            # again at exit, so point it at devnull first (Python docs, "Note
+            # on SIGPIPE")
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            return 141
+        return 0
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

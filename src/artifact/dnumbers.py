@@ -28,9 +28,12 @@ from .quadring import (
     QuadField,
     QuadInt,
     ZeroElement,
+    _mul,
     _power,
+    _quotient,
     _raw,
     _sign,
+    _unit_exponent,
     exact_divide,
     field,
     is_square,
@@ -62,14 +65,9 @@ def dnumber_order(x: QuadInt) -> int:
     if not is_dnumber(x):
         raise NotADNumber(f"{x} is not a d-number")
     n = abs(x.norm())
-    s = math.isqrt(n)
-    if s * s != n:
-        return 2
-    try:
-        y = exact_divide(x, x.field.integer(s))
-    except NotDivisible:
-        return 2
-    return 1 if abs(y.norm()) == 1 else 2
+    s = math.isqrt(n)  # |N(x)| = s^2 and s | x leave |N(x/s)| = 1
+    unit = s * s == n and _quotient(x.p, x.q, 2 * s, 0, n, x.N) is not None
+    return 1 if unit else 2
 
 
 # ---------------------------------------------------------------------------
@@ -176,7 +174,7 @@ def _product(a: tuple, b: tuple, key: int, N: int) -> tuple:
     """The row of the product of rows a and b, under the key of its norm."""
     _, p, q, n = a
     _, r, s, m = b
-    return key, (p * r + N * q * s) // 2, (p * s + q * r) // 2, n * m
+    return key, *_mul(p, q, r, s, N), n * m
 
 
 @lru_cache(maxsize=None)
@@ -243,15 +241,6 @@ class CanonicalFactorization(NamedTuple):
         return f"ell={self.ell} m={self.m} delta={''.join(map(str, self.delta))}"
 
 
-def _divide(p: int, q: int, gp: int, gq: int, n: int, N: int) -> tuple[int, int]:
-    """(p + q*sqrt(N)) / (gp + gq*sqrt(N)), of norm n, with exact_divide's
-    checks; every division here is certain, so a failed one is a bug."""
-    p, q = (p * gp - N * q * gq) // 2, (q * gp - p * gq) // 2  # times conj(g)
-    if p % n or q % n or (p // n - q // n) % 2 or (N % 4 != 1 and p // n % 2):
-        raise InternalInconsistency(f"({gp}, {gq}) does not divide in N={N}")
-    return p // n, q // n
-
-
 def evaluate(fact: CanonicalFactorization) -> QuadInt:
     """ell * eps^m * g^delta from the field record; ValueError off its deltas."""
     N = fact.N
@@ -260,35 +249,6 @@ def evaluate(fact: CanonicalFactorization) -> QuadInt:
     t, u = rec.eps if fact.m >= 0 else rec.inverse
     p, q = _power(p, q, t, u, abs(fact.m), N)
     return _raw(rec.field, p * fact.ell, q * fact.ell)
-
-
-def _unit_exponent(p: int, q: int, N: int, t: int, u: int) -> int:
-    """m with v = (p + q*sqrt(N))/2 = eps^m, eps = (t + u*sqrt(N))/2.
-
-    A v < 1 becomes N(v)*conj(v) = N(v)^2/v, a power of eps only when v is
-    a unit.  Traces of eps^j rise strictly with j >= 1 (not from j = 0:
-    eps_5 has trace 1), so square eps^(2^k) until the trace passes v's,
-    then keep the bits of m, top down, whose product still has trace <= v's.
-    """
-    if (p, q) == (2, 0):
-        return 0
-    sign = _sign(p - 2, q, N)  # v > 1 or v < 1
-    if sign < 0:
-        n = (p * p - N * q * q) // 4
-        p, q = n * p, -n * q
-    powers = [(t, u)]
-    while t <= p:
-        t, u = (t * t + N * u * u) // 2, t * u
-        powers.append((t, u))
-    m, ap, aq = 0, 2, 0
-    for k in range(len(powers) - 1, -1, -1):
-        t, u = powers[k]
-        sp, sq = (ap * t + N * aq * u) // 2, (ap * u + aq * t) // 2
-        if sp <= p:
-            m, ap, aq = m + (1 << k), sp, sq
-    if (ap, aq) != (p, q):
-        raise InternalInconsistency(f"({p}, {q}) is no power of eps_{N}")
-    return sign * m
 
 
 def canonical_factor(x: QuadInt) -> CanonicalFactorization:
@@ -315,10 +275,14 @@ def canonical_factor(x: QuadInt) -> CanonicalFactorization:
             break
     else:
         raise InternalInconsistency(f"norm {n} is no key times a square, N={N}")
-    yp, yq = _divide(x.p, x.q, gp, gq, gn, N)
-    # |N(y)| = ell^2, or u = y/ell is no unit and the descent rejects it
-    ell = math.isqrt(abs(n // gn)) * _sign(yp, yq, N)
-    m = _unit_exponent(*_divide(yp, yq, 2 * ell, 0, ell * ell, N), N, *rec.eps)
+    # y = x/g^delta has |N(y)| = ell^2 and x's sign (g^delta, eps^m > 0), or
+    # u = y/ell is no power of eps and the descent rejects it
+    ell = math.isqrt(abs(n // gn)) * _sign(x.p, x.q, N)
+    y = _quotient(x.p, x.q, gp, gq, gn, N)
+    u = _quotient(*y, 2 * ell, 0, ell * ell, N) if y else None
+    if u is None:  # every division here is certain: a failed one is a bug
+        raise InternalInconsistency(f"{x} is no {ell} * g^{delta} * a unit, N={N}")
+    m = _unit_exponent(*u, N, *rec.eps)
     return CanonicalFactorization(N, ell, m, delta, rec.case)
 
 

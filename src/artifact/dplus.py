@@ -30,7 +30,7 @@ from .quadring import (
     QuadInt,
     _coordinates,
     _floor_quadratic,
-    _power,
+    _mul,
     _raw,
     _sign,
     compare_values,
@@ -110,21 +110,14 @@ def enumerate_field(field_or_n, M) -> list[DPlusElement]:
     if a < b:
         raise ValueError("cutoff M must be at least 1")
     fu = fundamental_unit(fld)
-    # cheapest exit first: the smallest irrational member is eps (unit norm
-    # +1) or eps^2 (unit norm -1); skip building the field record -- its
-    # kappa gcds and square-root checks -- when even that exceeds M
-    p, q = _power(2, 0, fu.t, fu.u, 1 if fu.unit_norm == 1 else 2, N)
-    if _sign(b * p - 2 * a, b * q, N) > 0:
-        return []
     rec = generator_set(fld)
     found: list[DPlusElement] = []
-    ep, eq, m = 2, 0, 0  # eps^m
-    # every member with this m is >= eps^(2m), doubled ((ep^2 + N*eq^2)/2, ep*eq)
-    while _sign(b * (ep * ep + N * eq * eq) - 4 * a, 2 * b * ep * eq, N) <= 0:
+    ep, eq, sp, sq, m = 2, 0, 2, 0, 0  # eps^m, and eps^(2m) <= every member at m
+    while _sign(b * sp - 2 * a, b * sq, N) <= 0:
         for delta, (_, gp, gq, gn) in zip(rec.deltas, rec.rows):
             if m == 0 and delta == (0, 0, 0):
                 continue  # rational integers
-            p, q = _power(gp, gq, ep, eq, 1, N)  # base = g^delta * eps^m
+            p, q = _mul(gp, gq, ep, eq, N)  # base = g^delta * eps^m
             if _sign(p, -q, N) <= 0:
                 continue  # no positive multiple dominates its conjugate
             if q < 0:
@@ -141,8 +134,8 @@ def enumerate_field(field_or_n, M) -> list[DPlusElement]:
                     raise InternalInconsistency(f"enumerated non-member {value}")
                 fact = CanonicalFactorization(N, ell, m, delta, rec.case)
                 found.append(DPlusElement(value, fact, decimal_str(value)))
-        ep, eq = _power(ep, eq, fu.t, fu.u, 1, N)
-        m += 1
+        ep, eq, m = *_mul(ep, eq, fu.t, fu.u, N), m + 1
+        sp, sq = _mul(ep, eq, ep, eq, N)
     found.sort(key=_value_order)
     return found
 

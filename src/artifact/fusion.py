@@ -34,6 +34,8 @@ from .quadring import (
     QuadInt,
     Rejected,
     _floor_quadratic,
+    _mul,
+    _power,
     _radical_sub,
     _sign,
     divisors,
@@ -64,11 +66,11 @@ def _quantum_table(fld: QuadField, K: int) -> list[tuple[int, int]]:
     u*sqrt(N).  Each [k] must be rational (q = 0) when the norm is +1 or k
     is odd, else in Z*sqrt(N) (p = 0): InternalInconsistency if not."""
     fu = fundamental_unit(fld)
-    N, (a, b) = fld.N, (fu.t, 0) if fu.unit_norm == 1 else (0, fu.u)
+    N, s = fld.N, (2 * fu.t, 0) if fu.unit_norm == 1 else (0, 2 * fu.u)
     table = [(0, 0), (2, 0)]
     for k in range(2, K + 1):
-        (p0, q0), (p, q) = table[-2:]
-        p, q = a * p + N * b * q - p0, a * q + b * p - q0
+        (p, q), (p0, q0) = _mul(*s, *table[-1], N), table[-2]
+        p, q = p - p0, q - q0
         if (q if fu.unit_norm == 1 or k % 2 else p) != 0:
             raise InternalInconsistency(f"[{k}] has the wrong shape for N={N}")
         table.append((p, q))
@@ -145,9 +147,11 @@ def decompose_global_dim(
     A walk fixes ell_j from the largest j down to the third smallest.  Every
     j it visits has sigma(eps^j) = eps^-j > 0, so a remainder must stay
     >= 0 in both real embeddings: ell_j is capped by the floor of the
-    smaller embedding of rem * eps^-j.  The last two coefficients are then
-    decided exactly by Cramer's rule on doubled coordinates (one j: rem *
-    eps^-j must be a rational integer; no j: rem must be 0).
+    smaller embedding of rem * eps^-j, and by r_q // Q_j for rem = (r_p +
+    r_q*sqrt(N))/2, since every term has Q > 0 and the final remainder has
+    q = 0, so sum ell_j * Q_j = r_q exactly.  The last two coefficients are
+    then decided exactly by Cramer's rule on doubled coordinates (one j:
+    rem * eps^-j must be a rational integer; no j: rem must be 0).
     candidates_scanned is still the raw box size, the number of d_int times
     the product of the caps floor(target * eps^-j).  Every solution is
     re-checked on integer coordinates, both of them, against the target and
@@ -176,8 +180,8 @@ def decompose_global_dim(
     while _sign(tp - P, tq - Q, N) >= 0:
         if fu.unit_norm == 1 or j % 2 == 0:
             terms.append((j, P, Q))
-            scanned *= _floor_quadratic(tp * P - N * tq * Q, tq * P - tp * Q, N, 4)
-        j, P, Q = j + 1, (P * fu.t + N * Q * fu.u) // 2, (P * fu.u + Q * fu.t) // 2
+            scanned *= _floor_quadratic(*_mul(tp, tq, P, -Q, N), N, 2)
+        j, (P, Q) = j + 1, _mul(P, Q, fu.t, fu.u, N)
     solutions: list[Decomposition] = []
 
     def walk(idx: int, rp: int, rq: int, chosen: list[tuple[int, int]]) -> None:
@@ -189,9 +193,8 @@ def decompose_global_dim(
             return
         j, p, q = terms[idx]
         # rem * eps^-j = (x + y*sqrt(N))/2 with eps^-j = (p - q*sqrt(N))/2
-        x = (rp * p - N * rq * q) // 2
-        y = (rq * p - rp * q) // 2
-        top = _floor_quadratic(x, -abs(y), N, 2)
+        x, y = _mul(rp, rq, p, -q, N)
+        top = min(_floor_quadratic(x, -abs(y), N, 2), rq // q)
         for lj in range(top, -1, -1):
             walk(idx - 1, rp - lj * p, rq - lj * q, chosen + [(j, lj)])
 
@@ -488,9 +491,8 @@ def quantum_group_table() -> list[QuantumGroupDim]:
             continue
         series, *rest = line.split("\t")
         n, k, ell, power, big_n, flag = map(int, rest)
-        fld = field(big_n)
-        value = fundamental_unit(fld).eps**power * ell
-        if flag:
-            value = value * fld.sqrt_n()
+        fu = fundamental_unit(big_n)
+        base = (0, 2 * ell) if flag else (2 * ell, 0)  # ell * sqrt(N)^flag
+        value = make(big_n, *_power(*base, fu.t, fu.u, power, big_n))
         rows.append(QuantumGroupDim(series, n, k, ell, power, big_n, bool(flag), value))
     return rows

@@ -17,10 +17,12 @@ multiples of square roots by squaring, with no interval, and is handed
 integer coefficients.  A `Fraction` appears only where a rational cutoff
 enters.
 
-Parity is checked where coordinates enter (`make`, `exact_divide`).  Ring
-operations build their results with the unchecked `_raw`, since sums,
-products, conjugates and powers of algebraic integers are algebraic
-integers.
+The pair format is this module's alone: other modules call `_mul`,
+`_quotient`, `_power` and `_unit_exponent` (its inverse), and only this
+module checks parity: where coordinates enter (`make`) and where a
+quotient may leave the ring (`_quotient`).  Ring results come from the
+unchecked `_raw`, since sums, products, conjugates and powers of
+algebraic integers are algebraic integers.
 """
 
 from __future__ import annotations
@@ -358,9 +360,6 @@ class QuadField:
     def __repr__(self):
         return f"QuadField({self.N})"
 
-    def sqrt_n(self) -> "QuadInt":
-        return _raw(self, 0, 2)
-
     def one(self) -> "QuadInt":
         return _raw(self, 2, 0)
 
@@ -467,10 +466,7 @@ class QuadInt:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        # both halves are even by the parity invariant of the factors
-        p, q = self.p, self.q
-        return _raw(self.field, (p * o.p + self.field.N * q * o.q) // 2,
-                    (p * o.q + q * o.p) // 2)
+        return _raw(self.field, *_mul(self.p, self.q, o.p, o.q, self.field.N))
 
     __rmul__ = __mul__
 
@@ -563,6 +559,21 @@ _set_p = QuadInt.p.__set__
 _set_q = QuadInt.q.__set__
 
 
+def _mul(p: int, q: int, r: int, s: int, N: int) -> tuple[int, int]:
+    """(p + q*sqrt(N))/2 * (r + s*sqrt(N))/2 on doubled coordinates."""
+    return (p * r + N * q * s) // 2, (p * s + q * r) // 2
+
+
+def _quotient(p: int, q: int, r: int, s: int, n: int, N: int) -> tuple[int, int] | None:
+    """x/y on doubled coordinates for y = (r + s*sqrt(N))/2 of norm n, or None
+    when x*conj(y) leaves a remainder mod n or the quotient is off the ring."""
+    p, q = (p * r - N * q * s) // 2, (q * r - p * s) // 2  # x * conj(y), inline
+    if p % n or q % n:
+        return None
+    p, q = p // n, q // n
+    return None if (p - q) % 2 or (N % 4 != 1 and p % 2) else (p, q)
+
+
 def _power(p: int, q: int, t: int, u: int, m: int, N: int) -> tuple[int, int]:
     """x * e^m on doubled coordinates, x = (p + q*sqrt(N))/2, e = (t +
     u*sqrt(N))/2 and m >= 0, by right-to-left binary powering."""
@@ -573,6 +584,35 @@ def _power(p: int, q: int, t: int, u: int, m: int, N: int) -> tuple[int, int]:
         if m:
             t, u = (t * t + N * u * u) // 2, t * u
     return p, q
+
+
+def _unit_exponent(p: int, q: int, N: int, t: int, u: int) -> int:
+    """m with v = (p + q*sqrt(N))/2 = eps^m, eps = (t + u*sqrt(N))/2.
+
+    A v < 1 becomes N(v)*conj(v) = N(v)^2/v, a power of eps only when v is
+    a unit.  Traces of eps^j rise strictly with j >= 1 (not from j = 0:
+    eps_5 has trace 1), so square eps^(2^k) until the trace passes v's,
+    then keep the bits of m, top down, whose product still has trace <= v's.
+    """
+    if (p, q) == (2, 0):
+        return 0
+    sign = _sign(p - 2, q, N)  # v > 1 or v < 1
+    if sign < 0:
+        n = (p * p - N * q * q) // 4
+        p, q = n * p, -n * q
+    powers = [(t, u)]
+    while t <= p:
+        t, u = (t * t + N * u * u) // 2, t * u
+        powers.append((t, u))
+    m, ap, aq = 0, 2, 0
+    for k in range(len(powers) - 1, -1, -1):
+        t, u = powers[k]
+        sp, sq = (ap * t + N * aq * u) // 2, (ap * u + aq * t) // 2
+        if sp <= p:
+            m, ap, aq = m + (1 << k), sp, sq
+    if (ap, aq) != (p, q):
+        raise InternalInconsistency(f"({p}, {q}) is no power of eps_{N}")
+    return sign * m
 
 
 def _raw(fld: QuadField, p: int, q: int) -> QuadInt:
@@ -618,16 +658,9 @@ def exact_divide(x: QuadInt, y: QuadInt) -> QuadInt:
         raise FieldMismatch(f"{x.field} vs {y.field}")
     if y.is_zero():
         raise DivByZero("division by zero element")
-    n = y.norm()
-    z = x * y.conjugate()
-    if z.p % n or z.q % n:
+    if (z := _quotient(x.p, x.q, y.p, y.q, y.norm(), x.N)) is None:
         raise NotDivisible(f"{y} does not divide {x}")
-    try:
-        return QuadInt(x.field, z.p // n, z.q // n)
-    except ParityError:
-        # Coordinates divide but the quotient is a half-integer point
-        # outside the ring (possible only in the 1 mod 4 basis).
-        raise NotDivisible(f"{y} does not divide {x}") from None
+    return _raw(x.field, *z)
 
 
 def divides(y: QuadInt, x: QuadInt) -> bool:

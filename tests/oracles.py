@@ -121,7 +121,7 @@ def norm_minus_one_bounds(field_or_n, x: DPlusElement) -> dict:
     else:
         f = x.factorization
         ell, m, d0 = f.ell, f.m, f.delta[0]
-    lhs = fld.integer(ell) * (fld.sqrt_n() if d0 else fld.one())
+    lhs = fld.integer(ell) * (make(fld, 0, 2) if d0 else fld.one())
     if not lhs >= fu.eps**m:
         raise InternalInconsistency(f"ell lower bound fails on {x.value}")
     if compare_values(x.value, fu.eps ** (2 * m)) < 0:
@@ -219,7 +219,7 @@ def generator_set(N: int) -> GeneratorSet:
     from `dnumbers._kappa`, which certifies each one by an exact root."""
     fld = field(N)
     fu = fundamental_unit(fld)
-    root_n = fld.sqrt_n()
+    root_n = make(fld, 0, 2)
     if fu.unit_norm == -1:
         return GeneratorSet(
             N, CASE_NORM_MINUS_ONE, None, None,

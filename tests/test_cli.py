@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from artifact import dplus, units
+from artifact import dplus, fusion, units
 from artifact.cli import main
 from artifact.quadring import factorize
 from artifact.units import fundamental_unit
@@ -26,6 +26,26 @@ def test_unit_line(capsys):
     code, out, _ = run(capsys, "unit", "19")
     assert code == 0
     assert out == "t=340 u=78 norm=+1\n"
+
+
+def test_answers_beyond_the_int_str_digit_limit(capsys):
+    """[20000] = b*sqrt(2) has a b of 7,656 digits, above the default limit
+    of 4300 on str() of an int: text and --json both print it, and main
+    restores the limit for its caller."""
+    limit = sys.get_int_max_str_digits()
+    b = fusion.quantum_int(2, 20000).value.q // 2
+    code, out, err = run(capsys, "qint", "2", "20000")
+    assert (code, err) == (0, "") and out.endswith("√2\n")
+    digits = out[: -len("√2\n")]
+    k = len(digits)
+    assert k == 7656 and 10 ** (k - 1) <= b < 10**k
+    assert digits[:30] == str(b // 10 ** (k - 30))
+    assert digits[-30:] == str(b % 10**30).zfill(30)
+    assert sys.get_int_max_str_digits() == limit
+    code, out, err = run(capsys, "--json", "qint", "2", "20000")
+    assert (code, err) == (0, "")
+    assert '"m":20000,"p":0,"q":' in out and f'"value":"{digits}\\u221a2"' in out
+    assert sys.get_int_max_str_digits() == limit
 
 
 def test_golden_tables(capsys):

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from artifact import dnumbers
+from artifact import dnumbers, quadring
 from artifact.dnumbers import (
     CASE_ELSE,
     CASE_KAPPA_PRODUCT_EQ_N,
@@ -331,11 +331,11 @@ def test_unit_exponent_exact_for_large_powers():
 def test_unit_exponent_rejects_non_powers():
     t, u = fundamental_unit(3).t, fundamental_unit(3).u
     with pytest.raises(InternalInconsistency):
-        dnumbers._unit_exponent(-t, -u, 3, t, u)  # -eps
+        quadring._unit_exponent(-t, -u, 3, t, u)  # -eps
     with pytest.raises(InternalInconsistency):
-        dnumbers._unit_exponent(6, 2, 3, t, u)  # make(3, 6, 2): norm 6, no unit
+        quadring._unit_exponent(6, 2, 3, t, u)  # make(3, 6, 2): norm 6, no unit
     with pytest.raises(InternalInconsistency):
-        dnumbers._unit_exponent(-2, 2, 3, t, u)  # sqrt3 - 1 < 1: norm -2, no unit
+        quadring._unit_exponent(-2, 2, 3, t, u)  # sqrt3 - 1 < 1: norm -2, no unit
 
 
 def test_unit_exponent_small_m_order_trap():
@@ -345,7 +345,7 @@ def test_unit_exponent_small_m_order_trap():
     gs = generator_set(5)
     for m in range(-2, 3):
         e = fu.eps**m
-        assert dnumbers._unit_exponent(e.p, e.q, 5, fu.t, fu.u) == m
+        assert quadring._unit_exponent(e.p, e.q, 5, fu.t, fu.u) == m
         for ell in (1, -3):
             for delta in gs.delta_combos():
                 f = CanonicalFactorization(5, ell, m, delta, gs.case)
@@ -427,14 +427,14 @@ def test_field_record_rejects_a_corrupt_unit(monkeypatch):
 
 
 def test_failed_table_division_is_a_bug(monkeypatch):
-    """A division the canonical form relies on raises InternalInconsistency
-    when it leaves a remainder or a point off the ring, never a bare
-    ZeroDivisionError or ValueError; so does a corrupted record.  A caller's
-    delta outside the record is a ValueError in evaluate."""
-    with pytest.raises(InternalInconsistency):
-        dnumbers._divide(2, 0, 0, 2, -3, 3)  # 1 / sqrt3
-    with pytest.raises(InternalInconsistency):
-        dnumbers._divide(2, 2, 4, 0, 4, 3)  # (1+sqrt3)/2 is not in Z[sqrt3]
+    """The quotient the canonical form relies on is None when it leaves a
+    remainder or a point off the ring, and a corrupted record makes
+    canonical_factor raise InternalInconsistency, never a bare
+    ZeroDivisionError or ValueError.  A caller's delta outside the record
+    is a ValueError in evaluate."""
+    assert quadring._quotient(2, 0, 0, 2, -3, 3) is None  # 1 / sqrt3
+    assert quadring._quotient(2, 2, 4, 0, 4, 3) is None  # (1+sqrt3)/2 not in Z[sqrt3]
+    assert quadring._quotient(6, 2, 2, 2, -2, 3) == (0, 2)  # (3+sqrt3)/(1+sqrt3)
     with pytest.raises(ValueError):
         evaluate(CanonicalFactorization(15, 1, 0, (1, 1, 0), CASE_ELSE))
     rec = generator_set(3)
@@ -457,20 +457,18 @@ def test_dnumber_divides_examples():
         dnumber_divides(make(2, 2, 2), make(3, 6, 2))
 
 
-def test_order_and_divides_let_bugs_propagate(monkeypatch):
+def test_divides_lets_bugs_propagate(monkeypatch):
     """Only NotDivisible means "no quotient"; any other error out of
     exact_divide is a bug and must not turn into an answer."""
     real = dnumbers.exact_divide
-    seven, beta, alpha = make(3, 14, 0), make(3, 2, 2), make(3, 6, 2)
+    beta, alpha = make(3, 2, 2), make(3, 6, 2)
 
     def broken(x, y):
-        if (x, y) in ((seven, field(3).integer(7)), (alpha, beta)):
+        if (x, y) == (alpha, beta):
             raise InternalInconsistency("injected")
         return real(x, y)
 
     monkeypatch.setattr(dnumbers, "exact_divide", broken)
-    with pytest.raises(InternalInconsistency):
-        dnumber_order(seven)  # norm 49 is a square, so it tries 7 | x
     with pytest.raises(InternalInconsistency):
         dnumber_divides(beta, alpha)
 

@@ -304,7 +304,7 @@ def test_no_sqrt_n_multiples_in_norm_plus_one_fields():
             assert e.factorization.delta != (1, 0, 0)
     for N in (3, 6, 7, 15, 21):
         eps = fundamental_unit(N).eps
-        root = field(N).sqrt_n()
+        root = make(N, 0, 2)
         for m in range(3):
             for ell in (1, 2, 7):
                 assert not in_dplus(root * eps**m * ell)

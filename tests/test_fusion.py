@@ -152,6 +152,24 @@ def test_decompose_makes_no_quadint_arithmetic(quadint_calls):
     assert not quadint_calls
 
 
+def test_decompose_work_follows_the_output(monkeypatch):
+    """The cap ell_j <= r_q // Q_j keeps the walk output-sensitive: 2 *
+    eps_2^0 = 199999 has one solution, d_int = ell, and the walk makes 2
+    two-term solves for it (1,702,640 with the embedding cap alone), while
+    the raw box stays the same size."""
+    calls = []
+
+    def spy(rp, rq, terms):
+        calls.append(len(terms))
+        return _last_coefficients(rp, rq, terms)
+
+    monkeypatch.setattr(fusion, "_last_coefficients", spy)
+    scan = decompose_global_dim(2, 199999, 0)
+    assert [(s.d_int, s.coeffs) for s in scan.solutions] == [(199999, ())]
+    assert scan.candidates_scanned == 10236013678140600
+    assert len(calls) == 2
+
+
 def full_walk(N, ell, m, divisor_constraint=None):
     """Oracle for decompose_global_dim: every ell_j walked from its cap down
     to 0, largest j first, and a solution wherever the remainder is exactly
@@ -388,7 +406,7 @@ def test_haagerup_izumi_dim():
     rho, cat = haagerup_izumi_dim(11)
     assert rho == fundamental_unit(5).eps ** 5
     assert cat == make(5, 1375, 605)
-    assert cat == fundamental_unit(5).eps ** 5 * field(5).sqrt_n() * 55
+    assert cat == fundamental_unit(5).eps ** 5 * make(5, 0, 2) * 55
 
 
 def test_generalized_near_group_check():
@@ -544,8 +562,11 @@ def test_kronecker_screen_against_brute_force():
             assert kronecker_screen(target) == consistent, target
 
 
-def test_quantum_group_table():
+def test_quantum_group_table(quadint_calls):
+    """The shipped rows, each value built on the unit's (t, u), ell and
+    sqrt(N) with no QuadInt arithmetic."""
     rows = quantum_group_table()
+    assert not quadint_calls
     assert len(rows) == 30
     assert sorted({r.N for r in rows}) == [2, 3, 5, 6, 21]
     by_label = {r.label(): r for r in rows}

@@ -5,7 +5,9 @@
   `Path` join by a string.
 - No dead API: every function, class, method or property the package
   defines is used by the package, or is allowed by name with a reason.
-- Integers inside: `fractions` is imported only where a rational enters."""
+- Integers inside: `fractions` is imported only where a rational enters.
+- Doubled coordinates belong to `quadring`: no other module halves a
+  product, as the product of two (p, q) pairs does."""
 
 import ast
 from pathlib import Path
@@ -100,6 +102,45 @@ def test_fraction_scan_catches_each_import():
         "x = Fraction\n"
     )
     assert sorted(fraction_imports(ast.parse(source))) == [1, 2, 3, 4, 5]
+
+
+def halved_products(tree):
+    """Lines of every floor division by 2 of an expression that contains a
+    product, such as (p*r + N*q*s) // 2."""
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.BinOp)
+            and isinstance(node.op, ast.FloorDiv)
+            and isinstance(node.right, ast.Constant)
+            and node.right.value == 2
+            and any(
+                isinstance(sub, ast.BinOp) and isinstance(sub.op, ast.Mult)
+                for sub in ast.walk(node.left)
+            )
+        ):
+            yield node.lineno
+
+
+def test_doubled_coordinates_multiply_only_in_quadring():
+    found = [
+        f"{path.name}:{line}"
+        for path in sorted(SRC.glob("*.py"))
+        if path.name != "quadring.py"
+        for line in halved_products(ast.parse(path.read_text()))
+    ]
+    assert found == []
+
+
+def test_halved_product_scan_catches_each_form():
+    source = (
+        "a = (p * r + N * q * s) // 2\n"
+        "b = p * q // 2\n"
+        "c = (t * u) // 2\n"
+        "d = (p + s) // 2\n"
+        "e = p * q // 4\n"
+        "f = p // 2\n"
+    )
+    assert sorted(halved_products(ast.parse(source))) == [1, 2, 3]
 
 
 # Defined in the package, used by nothing in it, and kept for a reason.
