@@ -15,7 +15,6 @@ from the unit's (t, u) alone; each square root is checked by its square.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -127,8 +126,7 @@ def pell_witness(field_or_n, bound: int) -> tuple[int, int] | None:
     return (kappa, r) if max(kappa, r) <= bound else None
 
 
-@dataclass(frozen=True)
-class FieldRecord:
+class FieldRecord(NamedTuple):
     """The classification of one real field, on integers.
 
     eps = (t + u*sqrt(N))/2 and 1/eps are doubled coordinates (t, u).
@@ -290,8 +288,7 @@ def canonical_factor(x: QuadInt) -> CanonicalFactorization:
 # divisibility with certificates
 
 
-@dataclass(frozen=True)
-class DivisibilityVerdict:
+class DivisibilityVerdict(NamedTuple):
     divides: bool
     rejected_by: str | None  # "ell", "corollary", or "exact_divide"
 
@@ -335,8 +332,7 @@ def dnumber_divides(y: QuadInt, x: QuadInt) -> DivisibilityVerdict:
 # imaginary quadratic fields
 
 
-@dataclass(frozen=True)
-class ComplexClassification:
+class ComplexClassification(NamedTuple):
     N: int
     kind: str  # "Generic", "Gaussian", or "Eisenstein"
     description: str

@@ -18,9 +18,9 @@ integers a and b, and one key (`_value_order`) sorts both lists.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
+from typing import NamedTuple
 
 from .dnumbers import CanonicalFactorization, canonical_factor
 from .dnumbers import generator_set, is_dnumber
@@ -44,8 +44,7 @@ from .quadring import (
 from .units import fundamental_unit
 
 
-@dataclass(frozen=True)
-class DPlusElement:
+class DPlusElement(NamedTuple):
     """One dominant d-number: exact value, factorization, display string."""
 
     value: QuadInt | int

@@ -14,9 +14,9 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
 from bisect import bisect_right
-from dataclasses import dataclass
-from pathlib import Path
+from typing import NamedTuple
 
 from .dnumbers import (
     CanonicalFactorization,
@@ -51,8 +51,7 @@ from .units import fundamental_unit
 # quantum integers
 
 
-@dataclass(frozen=True)
-class QuantumInt:
+class QuantumInt(NamedTuple):
     """[m] = (eps^m - eps^-m)/(eps - eps^-1), always an algebraic integer."""
 
     field: QuadField
@@ -60,30 +59,30 @@ class QuantumInt:
     value: QuadInt
 
 
-def _quantum_table(fld: QuadField, K: int) -> list[tuple[int, int]]:
-    """Doubled coordinates (p, q) of [0], ..., [K] by one integer pass of
-    [k+1] = s*[k] - [k-1], s = eps + eps^-1 = t for unit norm +1, else
-    u*sqrt(N).  Each [k] must be rational (q = 0) when the norm is +1 or k
-    is odd, else in Z*sqrt(N) (p = 0): InternalInconsistency if not."""
+def _quantum_ints(fld: QuadField):
+    """Yield the doubled coordinates (p, q) of [0], [1], ... by the integer
+    recurrence [k+1] = s*[k] - [k-1], from [-1] = -1 and [0] = 0, with s =
+    eps + eps^-1 = t for unit norm +1, else u*sqrt(N); only the last two
+    rows are kept.  Each [k] must be rational (q = 0) when the norm is +1
+    or k is odd, else in Z*sqrt(N) (p = 0): InternalInconsistency if not."""
     fu = fundamental_unit(fld)
     N, s = fld.N, (2 * fu.t, 0) if fu.unit_norm == 1 else (0, 2 * fu.u)
-    table = [(0, 0), (2, 0)]
-    for k in range(2, K + 1):
-        (p, q), (p0, q0) = _mul(*s, *table[-1], N), table[-2]
-        p, q = p - p0, q - q0
+    (p0, q0), (p, q) = (-2, 0), (0, 0)
+    for k in itertools.count():
         if (q if fu.unit_norm == 1 or k % 2 else p) != 0:
             raise InternalInconsistency(f"[{k}] has the wrong shape for N={N}")
-        table.append((p, q))
-    return table[: K + 1]
+        yield p, q
+        x, y = _mul(*s, p, q, N)
+        (p0, q0), (p, q) = (p, q), (x - p0, y - q0)
 
 
 def quantum_int(field_or_n, m: int) -> QuantumInt:
-    """[m] = (eps^m - eps^-m)/(eps - eps^-1) = -[-m] from _quantum_table,
-    which asserts each [k]'s shape on its integer coordinates."""
+    """[m] = (eps^m - eps^-m)/(eps - eps^-1) = -[-m], the |m|-th row of
+    _quantum_ints, which asserts each [k]'s shape on integers."""
     fld = field(field_or_n)
     if fld.N < 2:
         raise NotApplicable("quantum integers need a real field")
-    p, q = _quantum_table(fld, abs(m))[abs(m)]
+    p, q = next(itertools.islice(_quantum_ints(fld), abs(m), None))
     return QuantumInt(fld, m, make(fld, p, q) if m >= 0 else make(fld, -p, -q))
 
 
@@ -91,8 +90,7 @@ def quantum_int(field_or_n, m: int) -> QuantumInt:
 # global-dimension decomposition
 
 
-@dataclass(frozen=True)
-class Decomposition:
+class Decomposition(NamedTuple):
     """d_int + sum_j ell_j * eps^j = ell * eps^m with every ell_j >= 0."""
 
     field: QuadField
@@ -101,8 +99,7 @@ class Decomposition:
     coeffs: tuple[tuple[int, int], ...]  # (j, ell_j), ascending j, nonzero only
 
 
-@dataclass(frozen=True)
-class DecompositionScan:
+class DecompositionScan(NamedTuple):
     """Solver outcome plus the size of the raw search space it covered."""
 
     field: QuadField
@@ -113,27 +110,40 @@ class DecompositionScan:
 
 def _last_coefficients(
     rp: int, rq: int, terms: list[tuple[int, int, int]]
-) -> list[tuple[int, int]] | None:
-    """The integers ell_j >= 0 with (rp + rq*sqrt(N))/2 = sum ell_j * eps^j
-    over at most two terms (j, P, Q), eps^j = (P + Q*sqrt(N))/2, or None.
+) -> list[list[tuple[int, int]]]:
+    """Every list of ell_j >= 0, ascending j, with (rp + rq*sqrt(N))/2 =
+    sum ell_j * eps^j over at most three terms (j, P, Q), eps^j = (P +
+    Q*sqrt(N))/2; three terms a < b < c need b - a = c - b.
 
-    Two terms: Cramer's rule, with det = P0*Q1 - P1*Q0 nonzero because
-    eps^a and eps^b are independent over Q.  One term: rem * eps^-j must be
-    a rational integer, that is (rp, rq) = ell_j * (P, Q).  None: rem = 0.
+    Cramer's rule (det != 0: eps^a, eps^b are independent over Q) writes
+    rem = X*eps^b + Y*eps^a, a solution for two terms when X, Y are
+    integers >= 0.  For three, e = eps^(b-a) has norm 1 (b - a is even
+    when N(eps) = -1), so eps^c + eps^a = (e + 1/e)*eps^b = T*eps^b with
+    T = trace(e) = (P_a + P_c)/P_b, and rem - ell_c*eps^c = (X -
+    T*ell_c)*eps^b + (Y + ell_c)*eps^a: integral for every ell_c or for
+    none, and >= 0 exactly for ell_c in [max(0, -Y), floor(X/T)].  One
+    term: (rp, rq) = ell_j * (P, Q).  No term: rem = 0.
     """
-    if len(terms) == 2:
-        (a, p0, q0), (b, p1, q1) = terms
+    if len(terms) >= 2:
+        (a, p0, q0), (b, p1, q1), *rest = terms
         det = p0 * q1 - p1 * q0
-        la, ra = divmod(rp * q1 - p1 * rq, det)
-        lb, rb = divmod(p0 * rq - rp * q0, det)
-        if ra or rb or la < 0 or lb < 0:
-            return None
-        return [(a, la), (b, lb)]
+        y, ry = divmod(rp * q1 - p1 * rq, det)
+        x, rx = divmod(p0 * rq - rp * q0, det)
+        if ry or rx:
+            return []
+        if not rest:
+            return [[(a, y), (b, x)]] if x >= 0 and y >= 0 else []
+        [(c, p2, _)] = rest
+        T = (p0 + p2) // p1
+        return [
+            [(a, y + lc), (b, x - T * lc), (c, lc)]
+            for lc in range(max(0, -y), x // T + 1)
+        ]
     if terms:
         [(a, p, q)] = terms
         la, ra = divmod(rq, q)
-        return None if ra or la < 0 or la * p != rp else [(a, la)]
-    return None if rp or rq else []
+        return [] if ra or la < 0 or la * p != rp else [[(a, la)]]
+    return [] if rp or rq else [[]]
 
 
 def decompose_global_dim(
@@ -144,19 +154,18 @@ def decompose_global_dim(
     d_int ranges over the divisors of divisor_constraint (default, when it
     is None: of ell); j over every j >= 1 with eps^j <= target, even j only
     when the unit norm is -1, each eps^j built once on doubled coordinates.
-    A walk fixes ell_j from the largest j down to the third smallest.  Every
-    j it visits has sigma(eps^j) = eps^-j > 0, so a remainder must stay
-    >= 0 in both real embeddings: ell_j is capped by the floor of the
+    A walk fixes ell_j from the largest j down to the fourth smallest.
+    Every j it visits has sigma(eps^j) = eps^-j > 0, so a remainder must
+    stay >= 0 in both real embeddings: ell_j is capped by the floor of the
     smaller embedding of rem * eps^-j, and by r_q // Q_j for rem = (r_p +
     r_q*sqrt(N))/2, since every term has Q > 0 and the final remainder has
-    q = 0, so sum ell_j * Q_j = r_q exactly.  The last two coefficients are
-    then decided exactly by Cramer's rule on doubled coordinates (one j:
-    rem * eps^-j must be a rational integer; no j: rem must be 0).
+    q = 0, so sum ell_j * Q_j = r_q exactly.  _last_coefficients then lists
+    the last three exactly, an interval of the third smallest per node.
     candidates_scanned is still the raw box size, the number of d_int times
     the product of the caps floor(target * eps^-j).  Every solution is
     re-checked on integer coordinates, both of them, against the target and
     against the quantum-integer identity [m]*d_int = sum ell_j * [j-m],
-    with [0], ..., [K] from one pass of _quantum_table.
+    with [0], ..., [K] taken from _quantum_ints.
     """
     fld = field(field_or_n)
     if ell < 1 or m < 0:
@@ -173,7 +182,7 @@ def decompose_global_dim(
     N, tp, tq = fld.N, target.p, target.q
     pool = divisors(ell if divisor_constraint is None else divisor_constraint)
     # (j, P, Q) with eps^j = (P + Q*sqrt(N))/2 <= target and, j being even
-    # when the unit norm is -1, eps^-j = (P - Q*sqrt(N))/2; the first two
+    # when the unit norm is -1, eps^-j = (P - Q*sqrt(N))/2; the first three
     # close the walk.  The box has one cap floor(target * eps^-j) per j.
     terms, scanned = [], len(pool)
     j, P, Q = 1, fu.t, fu.u
@@ -185,10 +194,10 @@ def decompose_global_dim(
     solutions: list[Decomposition] = []
 
     def walk(idx: int, rp: int, rq: int, chosen: list[tuple[int, int]]) -> None:
-        if idx < 2:
-            last = _last_coefficients(rp, rq, terms[: idx + 1])
-            if last is not None:
-                coeffs = tuple((j, lj) for j, lj in sorted(chosen + last) if lj)
+        # chosen holds the (j, ell_j) fixed so far, ascending j
+        if idx < 3:
+            for last in _last_coefficients(rp, rq, terms[: idx + 1]):
+                coeffs = tuple((j, lj) for j, lj in last + chosen if lj)
                 solutions.append(Decomposition(fld, fact, d, coeffs))
             return
         j, p, q = terms[idx]
@@ -196,7 +205,7 @@ def decompose_global_dim(
         x, y = _mul(rp, rq, p, -q, N)
         top = min(_floor_quadratic(x, -abs(y), N, 2), rq // q)
         for lj in range(top, -1, -1):
-            walk(idx - 1, rp - lj * p, rq - lj * q, chosen + [(j, lj)])
+            walk(idx - 1, rp - lj * p, rq - lj * q, [(j, lj)] + chosen)
 
     for d in pool:
         walk(len(terms) - 1, tp - 2 * d, tq, [])
@@ -204,7 +213,7 @@ def decompose_global_dim(
     if solutions:  # [m] and every [j - m] a solution uses, from one table
         power = {j: (P, Q) for j, P, Q in terms}
         K = max([m] + [abs(j - m) for s in solutions for j, _ in s.coeffs])
-        qint = _quantum_table(fld, K)
+        qint = list(itertools.islice(_quantum_ints(fld), K + 1))
         mp, mq = qint[m]
     for sol in solutions:  # d_int + sum ell_j*eps^j and sum ell_j*[j - m]
         rp, rq, sp, sq = 2 * sol.d_int, 0, 0, 0
@@ -222,8 +231,7 @@ def decompose_global_dim(
 # simple-dimension refinement
 
 
-@dataclass(frozen=True)
-class SimpleDimProfile:
+class SimpleDimProfile(NamedTuple):
     """One way to split each ell_j into simple squared dimensions c*eps^j."""
 
     decomposition: Decomposition
@@ -465,8 +473,7 @@ def kronecker_screen(
 # the strictly quadratic quantum-group dimension table
 
 
-@dataclass(frozen=True)
-class QuantumGroupDim:
+class QuantumGroupDim(NamedTuple):
     """One strictly quadratic global dimension from the X_{n,k} table."""
 
     series: str
@@ -482,11 +489,15 @@ class QuantumGroupDim:
         return f"{self.series}{self.n},{self.k}"
 
 
+_TABLE_PATH = os.path.join(os.path.dirname(__file__), "data", "quantum_group_dims.tsv")
+
+
 def quantum_group_table() -> list[QuantumGroupDim]:
     """Parse the shipped table of strictly quadratic X_{n,k} dimensions."""
     rows = []
-    path = Path(__file__).with_name("data") / "quantum_group_dims.tsv"
-    for line in path.read_text().splitlines():
+    with open(_TABLE_PATH, encoding="utf-8") as table:
+        text = table.read()
+    for line in text.splitlines():
         if not line or line.startswith("#"):
             continue
         series, *rest = line.split("\t")

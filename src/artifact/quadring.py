@@ -576,7 +576,10 @@ def _quotient(p: int, q: int, r: int, s: int, n: int, N: int) -> tuple[int, int]
 
 def _power(p: int, q: int, t: int, u: int, m: int, N: int) -> tuple[int, int]:
     """x * e^m on doubled coordinates, x = (p + q*sqrt(N))/2, e = (t +
-    u*sqrt(N))/2 and m >= 0, by right-to-left binary powering."""
+    u*sqrt(N))/2 and m >= 0, by right-to-left binary powering; a negative m
+    is a caller's bug (its bits never run out)."""
+    if m < 0:
+        raise InternalInconsistency(f"_power needs m >= 0, got {m}")
     while m:
         if m & 1:
             p, q = (p * t + N * q * u) // 2, (p * u + q * t) // 2

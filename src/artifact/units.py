@@ -16,9 +16,9 @@ giving p^2 - N q^2 = +-4 is the unit, in either integral basis.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, cycle, islice
+from typing import NamedTuple
 
 from .quadring import (
     HALF_ONE_PLUS_SQRT_N,
@@ -35,8 +35,7 @@ OMEGA_KIND = "Omega"
 _MAX_CF_STEPS = 10**6
 
 
-@dataclass(frozen=True)
-class CFExpansion:
+class CFExpansion(NamedTuple):
     """Periodic continued fraction: preamble digits, then a repeating cycle."""
 
     N: int
@@ -94,8 +93,7 @@ def cf_expand(field_or_n, kind: str = SQRT_KIND) -> CFExpansion:
             raise InternalInconsistency(f"no period found for N={fld.N}")
 
 
-@dataclass(frozen=True)
-class FundamentalUnit:
+class FundamentalUnit(NamedTuple):
     """The smallest unit > 1 of the ring, as eps = (t + u*sqrt(N)) / 2."""
 
     N: int

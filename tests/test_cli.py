@@ -388,6 +388,17 @@ def test_internal_inconsistency_exits_4(capsys, monkeypatch):
     assert err.startswith("InternalInconsistency: trace walk hit 2+√3 (N=3)")
 
 
+def test_corrupt_table_row_exits_4(capsys, monkeypatch, tmp_path):
+    """A negative unit power in the shipped table is a bug in the data: `dnum
+    table fig3` exits 4 on it instead of powering forever."""
+    table = tmp_path / "quantum_group_dims.tsv"
+    table.write_text("A\t1\t3\t2\t-1\t5\t1\n")
+    monkeypatch.setattr(fusion, "_TABLE_PATH", str(table))
+    code, out, err = run(capsys, "table", "fig3")
+    assert code == 4 and out == ""
+    assert err.startswith("InternalInconsistency: _power needs m >= 0, got -1")
+
+
 @pytest.mark.parametrize("bug", [RuntimeError, AssertionError])
 def test_bug_raises_with_its_traceback(monkeypatch, bug):
     # only the package's domain errors print as exit 1; anything else, as a

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import random
 
@@ -414,8 +413,8 @@ def test_field_record_rejects_a_corrupt_unit(monkeypatch):
     fu = fundamental_unit(3)
     eps2 = fu.eps * fu.eps
     for unit, message in (
-        (dataclasses.replace(fu, u=fu.u + 2), "no square root"),
-        (dataclasses.replace(fu, eps=eps2, t=eps2.p, u=eps2.q), "collide"),
+        (fu._replace(u=fu.u + 2), "no square root"),
+        (fu._replace(eps=eps2, t=eps2.p, u=eps2.q), "collide"),
     ):
         monkeypatch.setattr(dnumbers, "fundamental_unit", lambda N: unit)
         dnumbers._field_record.cache_clear()
@@ -439,7 +438,7 @@ def test_failed_table_division_is_a_bug(monkeypatch):
         evaluate(CanonicalFactorization(15, 1, 0, (1, 1, 0), CASE_ELSE))
     rec = generator_set(3)
     doubled = tuple((key, 2 * p, 2 * q, 4 * n) for key, p, q, n in rec.rows)
-    corrupt = dataclasses.replace(rec, rows=doubled)
+    corrupt = rec._replace(rows=doubled)
     monkeypatch.setattr(dnumbers, "_field_record", lambda N: corrupt)
     for x in (make(3, 6, 2), make(3, 4, 2), make(3, 0, 2)):
         with pytest.raises(InternalInconsistency):

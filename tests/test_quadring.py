@@ -156,6 +156,14 @@ def test_inverse_and_negative_powers():
         make(2, 6, 2).inverse()
 
 
+def test_power_refuses_a_negative_exponent():
+    """Binary powering ends because m's bits run out, which a negative m's
+    never do: it is refused before the loop, not left to run forever."""
+    assert qr._power(2, 0, 2, 2, 3, 2) == (14, 10)  # (1 + sqrt2)^3
+    with pytest.raises(qr.InternalInconsistency, match="m >= 0"):
+        qr._power(2, 0, 3, 1, -1, 2)
+
+
 def test_sign_and_ordering_exact():
     assert make(2, 2, 2).sign() == 1
     assert make(2, -2, -2).sign() == -1

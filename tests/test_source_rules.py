@@ -1,16 +1,26 @@
 """Rules checked on the package source.
 
 - "No floating point decides anything": no float literal, no `float`, no
-  `math` function beyond the integer ones, and no true division except the
-  `Path` join by a string.
+  `math` function beyond the integer ones, and no true division.
 - No dead API: every function, class, method or property the package
   defines is used by the package, or is allowed by name with a reason.
 - Integers inside: `fractions` is imported only where a rational enters.
 - Doubled coordinates belong to `quadring`: no other module halves a
-  product, as the product of two (p, q) pairs does."""
+  product, as the product of two (p, q) pairs does.
+- A quick start: records are `NamedTuple`s, and importing the CLI loads
+  neither `dataclasses` nor the modules it pulls in, nor `pathlib`."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
+
+from artifact.dnumbers import DivisibilityVerdict
+from artifact.fusion import decompose_global_dim, quantum_group_table, quantum_int
+from artifact.units import cf_expand, fundamental_unit
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "artifact"
 INTEGER_MATH = {"isqrt", "gcd", "lcm", "prod"}
@@ -37,9 +47,7 @@ def float_uses(tree):
         elif isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(
             node.op, ast.Div
         ):
-            right = node.right if isinstance(node, ast.BinOp) else node.value
-            if not (isinstance(right, ast.Constant) and isinstance(right.value, str)):
-                yield node.lineno, "true division"
+            yield node.lineno, "true division"
 
 
 def test_no_floating_point_in_the_package():
@@ -56,7 +64,7 @@ def test_no_floating_point_in_the_package():
 def test_scan_catches_each_forbidden_construct():
     source = "x = 0.5\ny = float(x)\nz = math.floor(x)\nw = a / b\nv /= 2\nu = p / 'd'\n"
     lines = sorted(line for line, _ in float_uses(ast.parse(source)))
-    assert lines == [1, 2, 3, 4, 5]
+    assert lines == [1, 2, 3, 4, 5, 6]
 
 
 # The modules that may import `fractions`, and why.
@@ -205,3 +213,61 @@ def test_unused_scan_flags_each_kind_of_definition():
     }
     found = unused_definitions({k: ast.parse(v) for k, v in source.items()})
     assert found == ["a.py:1: Dead", "a.py:2: method", "a.py:4: prop", "a.py:6: dead"]
+
+
+# Loaded by `import dataclasses` (inspect, ast, dis, tokenize) or by a path
+# object; none of them answers a question of the paper.
+SLOW_IMPORTS = ("dataclasses", "inspect", "ast", "dis", "tokenize", "pathlib")
+
+
+def test_cli_import_loads_no_slow_module():
+    """A fresh `python -S` (no site, so no `.pth` file can import one of
+    them first) imports the CLI without loading any of SLOW_IMPORTS."""
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    probe = (
+        "import sys, artifact.cli; "
+        f"print(' '.join(m for m in {SLOW_IMPORTS!r} if m in sys.modules))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", probe],
+        env=env, capture_output=True, text=True, check=True,
+    ).stdout
+    assert out.split() == []
+
+
+def dataclass_imports(tree):
+    """Lines of every import of the `dataclasses` module in the tree."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            if any(alias.name == "dataclasses" for alias in node.names):
+                yield node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module == "dataclasses":
+            yield node.lineno
+
+
+def test_no_dataclasses_in_the_package():
+    found = [
+        f"{path.name}:{line}"
+        for path in sorted(SRC.glob("*.py"))
+        for line in dataclass_imports(ast.parse(path.read_text()))
+    ]
+    assert found == []
+    source = "import dataclasses\nfrom dataclasses import dataclass\nimport math\n"
+    assert list(dataclass_imports(ast.parse(source))) == [1, 2]
+
+
+def test_records_keep_their_semantics():
+    """A verdict is false when it does not divide, a record's fields cannot
+    be assigned, and the methods and __str__ of each record still work."""
+    assert not DivisibilityVerdict(False, "ell")
+    assert DivisibilityVerdict(True, None)
+    fu = fundamental_unit(5)
+    assert str(fu) == f"eps_5 = {fu.eps} (norm -1)"
+    scan = decompose_global_dim(5, 72, 2)
+    row = quantum_group_table()[0]
+    records = [fu, cf_expand(7), scan, scan.solutions[0], quantum_int(5, 3), row]
+    for record in records:
+        with pytest.raises(AttributeError):
+            setattr(record, record._fields[0], None)
+    assert cf_expand(7).digits(5) == [2, 1, 1, 1, 4]
+    assert row.label() == f"{row.series}{row.n},{row.k}"
