@@ -33,7 +33,6 @@ from contextvars import ContextVar
 from fractions import Fraction
 from functools import lru_cache
 from itertools import compress
-from random import Random
 
 
 # ---------------------------------------------------------------------------
@@ -162,6 +161,7 @@ def _is_probable_prime(n: int) -> bool:
         d //= 2
         s += 1
     if n >= 3_317_044_064_679_887_385_961_981:
+        from random import Random  # here, so that start-up does not load it
         rng = Random(n)
         bases += [rng.randrange(2, n - 1) for _ in range(64)]
     for a in bases:
@@ -199,6 +199,7 @@ def _brent_rho(n: int, spent: list[int]) -> int:
     """One nontrivial factor of odd composite n, or raise FactorizationLimit
     once spent[0], the rho iterations of this factorization, reaches the
     budget of the current context."""
+    from random import Random
     budget = _factor_budget.get()
     rng = Random(n)
     while True:

@@ -1,16 +1,33 @@
 """Continued fractions and fundamental units of real quadratic fields.
 
-The expansion of (P0 + sqrt(N))/Q0 runs on the classical integer state
-recurrence
+The expansion of x_0 = (P0 + sqrt(N))/Q0, with (P0, Q0) = (0, 1) for
+sqrt(N) and (1, 2) for omega = (1 + sqrt(N))/2, runs on the classical
+integer state recurrence x_i = (P_i + sqrt(N))/Q_i,
 
     a_i = (P_i + isqrt(N)) // Q_i,
     P_{i+1} = a_i * Q_i - P_i,
-    Q_{i+1} = (N - P_{i+1}^2) / Q_i   (always exact),
+    Q_{i+1} = (N - P_{i+1}^2) / Q_i   (always exact).
 
-`cf_expand` reads the period off at the first repeated (P, Q) state.  The
-fundamental unit needs no period: it is read off the state stream in one
-pass, accumulating convergents alongside the digits, and the first one
-giving p^2 - N q^2 = +-4 is the unit, in either integral basis.
+Every Q_i is positive (for i >= 1 the conjugate of x_i lies in (-1, 0)
+while x_i > 1).  `_cf_states` yields each digit a_{i-1} with the state i
+that it leads to, and both loops stop at the first i >= 1 with Q_i = Q0:
+`cf_expand` proves that the period closes there, and the fundamental unit
+is the convergent h/k of a_0 ... a_{i-1}.  With h_j/k_j the convergents
+of x_0, the classical relation (Jacobson & Williams, *Solving the Pell
+Equation*, 2009)
+
+    (Q0*h_j - P0*k_j)^2 - N*k_j^2 = (-1)^(j+1) * Q0 * Q_{j+1}
+
+reads, in the doubled coordinates p = 2h - k, q = k of the omega basis
+and p = 2h, q = 2k of the sqrt(N) basis,
+
+    p^2 - N*q^2 = (-1)^(j+1) * 4 * Q_{j+1} / Q0,
+
+which is +-4 at j = i - 1 and at no earlier j.  Every unit
+(p + q sqrt(N))/2 > 1 comes from a convergent of x_0, so the first
+convergent of norm +-1 is the fundamental unit, and its norm is (-1)^i.
+No norm is computed per step: the unit loop checks p^2 - N q^2 = +-4 once,
+at the stop, as the certificate of the rule.
 """
 
 from __future__ import annotations
@@ -48,12 +65,12 @@ class CFExpansion(NamedTuple):
 
 
 def _cf_states(N: int, P0: int, Q0: int):
-    """Yield (a_i, P_i, Q_i) forever for the expansion of (P0+sqrt(N))/Q0."""
+    """Yield (a_{i-1}, P_i, Q_i) for i = 1, 2, ..., _MAX_CF_STEPS: each digit
+    of the expansion of (P0+sqrt(N))/Q0 with the state that it leads to."""
     r = math.isqrt(N)
     P, Q = P0, Q0
-    while True:
+    for _ in range(_MAX_CF_STEPS):
         a = (P + r) // Q
-        yield a, P, Q
         P = a * Q - P
         num = N - P * P
         if num % Q:
@@ -61,6 +78,7 @@ def _cf_states(N: int, P0: int, Q0: int):
                 f"continued-fraction state left the integer lattice for N={N}"
             )
         Q = num // Q
+        yield a, P, Q
 
 
 def cf_expand(field_or_n, kind: str = SQRT_KIND) -> CFExpansion:
@@ -68,6 +86,18 @@ def cf_expand(field_or_n, kind: str = SQRT_KIND) -> CFExpansion:
 
     The Omega kind is only defined when N = 1 mod 4 (otherwise the
     half-integer point is not in the ring).
+
+    The period closes at the first i >= 1 with Q_i = Q0.  There
+    x_i = x_0 + (P_i - P0)/Q0, and (P_i - P0)/Q0 is an integer: trivially
+    for Q0 = 1, and for Q0 = 2 because 2 Q_{i-1} = N - P_i^2 with N odd
+    makes P_i odd.  So x_i and x_0 have the same fractional part,
+    a_i = a_0 + (P_i - P0)/Q0 and x_{i+1} = x_1.  Conversely x_{j+1} = x_1
+    matches the sqrt(N) coefficients 1/Q_j and 1/Q0 of the fractional
+    parts of x_j and x_0, so i is the least period of x_1, x_2, ...  If
+    also P_i = P0, then x_i = x_0 and the expansion is purely periodic
+    (only omega for N = 5, the one reduced x_0).  Otherwise x_0 never
+    recurs: x_j = x_0 needs Q_j = Q0, so i divides j and x_j = x_i.  The
+    preamble is a_0 alone.
     """
     fld = field(field_or_n)
     if fld.N < 0:
@@ -82,15 +112,14 @@ def cf_expand(field_or_n, kind: str = SQRT_KIND) -> CFExpansion:
         raise ValueError(f"unknown expansion kind {kind!r}")
 
     digits: list[int] = []
-    seen: dict[tuple[int, int], int] = {}
     for a, P, Q in _cf_states(fld.N, P0, Q0):
-        if (P, Q) in seen:
-            j = seen[(P, Q)]
-            return CFExpansion(fld.N, kind, tuple(digits[:j]), tuple(digits[j:]))
-        seen[(P, Q)] = len(digits)
         digits.append(a)
-        if len(digits) > _MAX_CF_STEPS:
-            raise InternalInconsistency(f"no period found for N={fld.N}")
+        if Q == Q0:  # the period closes at i = len(digits)
+            if P == P0:
+                return CFExpansion(fld.N, kind, (), tuple(digits))
+            a_i = digits[0] + (P - P0) // Q0
+            return CFExpansion(fld.N, kind, (digits[0],), (*digits[1:], a_i))
+    raise InternalInconsistency(f"no period found for N={fld.N}")
 
 
 class FundamentalUnit(NamedTuple):
@@ -111,18 +140,17 @@ def _fundamental_unit_cached(N: int) -> FundamentalUnit:
     fld = field(N)
     omega_basis = fld.omega_kind == HALF_ONE_PLUS_SQRT_N
     P0, Q0 = (1, 2) if omega_basis else (0, 1)  # omega = (P0 + sqrt(N))/Q0
-    h1, h2 = 1, 0  # h_{-1}, h_{-2}
-    k1, k2 = 0, 1
-    for a, _, _ in islice(_cf_states(N, P0, Q0), _MAX_CF_STEPS):
+    h1, h2, k1, k2 = 1, 0, 0, 1  # h_{-1}, h_{-2}, k_{-1}, k_{-2}
+    for a, _, Q in _cf_states(N, P0, Q0):
         h1, h2 = a * h1 + h2, h1
         k1, k2 = a * k1 + k2, k1
-        # convergent h/k approximates omega; rebuild doubled coordinates
-        p, q = (2 * h1 - k1, k1) if omega_basis else (2 * h1, 2 * k1)
-        d = p * p - N * q * q
-        if d == 4 or d == -4:
-            eps = make(fld, p, q)
-            return FundamentalUnit(N, eps, p, q, d // 4)
-    raise InternalInconsistency(f"no unit among the first convergents for N={N}")
+        if Q == Q0:  # the period closes: h1/k1 is the unit (module docstring)
+            p, q = (2 * h1 - k1, k1) if omega_basis else (2 * h1, 2 * k1)
+            d = p * p - N * q * q
+            if abs(d) != 4:
+                raise InternalInconsistency(f"N={N}: p^2 - N q^2 = {d} at the stop")
+            return FundamentalUnit(N, make(fld, p, q), p, q, d // 4)
+    raise InternalInconsistency(f"no period found for N={N}")
 
 
 def fundamental_unit(field_or_n) -> FundamentalUnit:

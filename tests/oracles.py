@@ -12,6 +12,11 @@
   `canonical_factor`, `_unit_exponent`): generator products, exact_divide
   and a descent on QuadInt powers, which the library's integer-coordinate
   path must match.
+- The continued fraction on its division-free recurrence
+  (`cf_oracle_states`): the period by a dict of every state seen
+  (`cf_period_by_seen_states`) and the unit by a norm test at every
+  convergent (`unit_by_norm_test`), which `units.cf_expand` and
+  `units.fundamental_unit`, stopping where Q returns to Q0, must match.
 - The residue search for the least negative-Pell witness
   (`pell_witness_search`), which the closed form `dnumbers.pell_witness`
   must match.
@@ -311,6 +316,49 @@ def canonical_factor(x: QuadInt) -> CanonicalFactorization:
     if evaluate(fact) != x:
         raise InternalInconsistency(f"round trip failed for {x}")
     return fact
+
+
+def cf_oracle_states(N: int, P0: int, Q0: int):
+    """Yield (a_i, P_i, Q_i) forever for the expansion of (P0 + sqrt(N))/Q0,
+    Q0 > 0 dividing N - P0^2, by the division-free form of the recurrence:
+    Q_{i+1} = Q_{i-1} + a_i (P_i - P_{i+1}), from Q_{-1} = (N - P0^2)/Q0."""
+    r = math.isqrt(N)
+    P, Q, Q_prev = P0, Q0, (N - P0 * P0) // Q0
+    while True:
+        a = (P + r) // Q
+        yield a, P, Q
+        P_next = a * Q - P
+        Q, Q_prev = Q_prev + a * (P - P_next), Q
+        P = P_next
+
+
+def cf_period_by_seen_states(N: int, P0: int, Q0: int) -> tuple[tuple, tuple]:
+    """(preamble, period) of (P0 + sqrt(N))/Q0: the digits before and from
+    the first state (P, Q) that repeats, found in a dict of every state."""
+    digits: list[int] = []
+    seen: dict[tuple[int, int], int] = {}
+    for a, P, Q in cf_oracle_states(N, P0, Q0):
+        if (P, Q) in seen:
+            j = seen[(P, Q)]
+            return tuple(digits[:j]), tuple(digits[j:])
+        seen[(P, Q)] = len(digits)
+        digits.append(a)
+
+
+def unit_by_norm_test(N: int) -> tuple[int, int, int]:
+    """(t, u, norm) of the fundamental unit (t + u sqrt(N))/2 of real N:
+    the first convergent h/k of the integral basis element (sqrt(N), or
+    (1 + sqrt(N))/2 when N = 1 mod 4) whose doubled coordinates p, q have
+    p^2 - N q^2 = +-4, testing that norm at every convergent."""
+    omega = N % 4 == 1
+    h1, h2, k1, k2 = 1, 0, 0, 1
+    for a, _, _ in cf_oracle_states(N, *((1, 2) if omega else (0, 1))):
+        h1, h2 = a * h1 + h2, h1
+        k1, k2 = a * k1 + k2, k1
+        p, q = (2 * h1 - k1, k1) if omega else (2 * h1, 2 * k1)
+        d = p * p - N * q * q
+        if d in (4, -4):
+            return p, q, d // 4
 
 
 def pell_witness_search(field_or_n, bound: int) -> tuple[int, int] | None:

@@ -48,6 +48,40 @@ def test_answers_beyond_the_int_str_digit_limit(capsys):
     assert sys.get_int_max_str_digits() == limit
 
 
+@pytest.fixture
+def no_digit_limit():
+    """Lift the int-to-str digit limit, so that a test can parse and print
+    answers beyond 4300 digits itself."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    yield
+    sys.set_int_max_str_digits(limit)
+
+
+def test_unit_and_pell_at_large_n(capsys, no_digit_limit):
+    """The unit of N = 1000000007 (t of 6,382 digits) and the negative Pell
+    witness of N = 1000000021 (the solvable branch, x of over 4300 digits)
+    print in full, as text and as --json."""
+    fu = fundamental_unit(1000000007)
+    assert len(str(fu.t)) == 6382 and fu.t**2 - 1000000007 * fu.u**2 == 4
+    line = f"t={fu.t} u={fu.u} norm=+1\n"
+    assert run(capsys, "unit", "1000000007") == (0, line, "")
+    code, out, err = run(capsys, "--json", "unit", "1000000007")
+    assert (code, err) == (0, "")
+    payload = json.loads(out)["payload"]
+    assert (payload["t"], payload["u"], payload["unit_norm"]) == (fu.t, fu.u, 1)
+
+    code, out, err = run(capsys, "pell", "1000000021")
+    prefix = "negative_pell=yes witness: x="
+    assert (code, err) == (0, "") and out.startswith(prefix) and out.endswith("\n")
+    x, y = map(int, out[len(prefix) : -1].split(" y="))
+    assert x * x - 1000000021 * y * y == -1 and len(str(x)) > 4300
+    code, out, err = run(capsys, "--json", "pell", "1000000021")
+    assert (code, err) == (0, "")
+    payload = json.loads(out)["payload"]
+    assert payload["solvable"] and payload["witness"] == {"x": x, "y": y}
+
+
 def test_golden_tables(capsys):
     for name, fixture in [
         ("units", "table_units.txt"),

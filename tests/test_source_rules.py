@@ -8,7 +8,8 @@
 - Doubled coordinates belong to `quadring`: no other module halves a
   product, as the product of two (p, q) pairs does.
 - A quick start: records are `NamedTuple`s, and importing the CLI loads
-  neither `dataclasses` nor the modules it pulls in, nor `pathlib`."""
+  neither `dataclasses` nor the modules it pulls in, nor `pathlib`, nor
+  `random`, which only the largest factorizations use."""
 
 import ast
 import os
@@ -218,15 +219,20 @@ def test_unused_scan_flags_each_kind_of_definition():
 # Loaded by `import dataclasses` (inspect, ast, dis, tokenize) or by a path
 # object; none of them answers a question of the paper.
 SLOW_IMPORTS = ("dataclasses", "inspect", "ast", "dis", "tokenize", "pathlib")
+# Used only by Miller-Rabin's extra bases from psi_13 on and by Brent's rho,
+# which run on cofactors of at least 10^12 alone; they import it on first use.
+LAZY_IMPORTS = ("random",)
 
 
 def test_cli_import_loads_no_slow_module():
     """A fresh `python -S` (no site, so no `.pth` file can import one of
-    them first) imports the CLI without loading any of SLOW_IMPORTS."""
+    them first) imports the CLI without loading any of SLOW_IMPORTS or
+    LAZY_IMPORTS."""
     env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    names = SLOW_IMPORTS + LAZY_IMPORTS
     probe = (
         "import sys, artifact.cli; "
-        f"print(' '.join(m for m in {SLOW_IMPORTS!r} if m in sys.modules))"
+        f"print(' '.join(m for m in {names!r} if m in sys.modules))"
     )
     out = subprocess.run(
         [sys.executable, "-S", "-c", probe],

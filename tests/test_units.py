@@ -2,10 +2,17 @@ import math
 
 import pytest
 
+from artifact import units
+from artifact.cli import main
 from artifact.dnumbers import kappas, pell_witness
-from artifact.quadring import NotApplicable, is_square
+from artifact.quadring import InternalInconsistency, NotApplicable, is_square
 from artifact.units import cf_expand, fundamental_unit
-from oracles import pell_witness_search, squarefree_range
+from oracles import (
+    cf_period_by_seen_states,
+    pell_witness_search,
+    squarefree_range,
+    unit_by_norm_test,
+)
 
 # Fundamental units eps = (t + u sqrt(N))/2 for every squarefree N <= 57,
 # independently recomputed and frozen.  The final column is the unit norm.
@@ -176,13 +183,61 @@ def test_negative_pell_matches_table():
 
 
 def test_negative_pell_period_parity_sweep():
-    """Period parity and unit norm are computed independently and must
-    agree everywhere."""
+    """The unit's norm and the parity of the sqrt(N) period of the oracle,
+    which shares no code with `units`, agree everywhere."""
     for N in squarefree_range(500):
         if N < 2:
             continue
         solvable = fundamental_unit(N).unit_norm == -1
-        assert solvable == (len(cf_expand(N).period) % 2 == 1)
+        assert solvable == (len(cf_period_by_seen_states(N, 0, 1)[1]) % 2 == 1)
+
+
+def test_stop_rule_matches_seen_states_and_norm_tests():
+    """Stopping where Q returns to Q0 gives the period that a dict of seen
+    states finds and the unit that a norm test at every convergent finds,
+    both on the oracle's own recurrence: every squarefree N < 3000 in both
+    kinds, and the units of two large fields."""
+    for N in squarefree_range(2999)[1:]:
+        fu = fundamental_unit(N)
+        assert (fu.t, fu.u, fu.unit_norm) == unit_by_norm_test(N), N
+        kinds = (("SqrtN", 0, 1), ("Omega", 1, 2)) if N % 4 == 1 else (("SqrtN", 0, 1),)
+        for kind, P0, Q0 in kinds:
+            e = cf_expand(N, kind)
+            assert (e.preamble, e.period) == cf_period_by_seen_states(N, P0, Q0), N
+    for N in (1000003, 100000007):
+        fu = fundamental_unit(N)
+        assert (fu.t, fu.u, fu.unit_norm) == unit_by_norm_test(N), N
+
+
+_true_states = units._cf_states
+
+
+def _early_return(N, P0, Q0):
+    """The true stream of (a_{i-1}, P_i, Q_i), except that Q_1 = Q0."""
+    for i, (a, P, Q) in enumerate(_true_states(N, P0, Q0), 1):
+        yield a, P, Q0 if i == 1 else Q
+
+
+def _wrong_digit(N, P0, Q0):
+    """The true stream of (a_{i-1}, P_i, Q_i), except that a_1 is one too
+    large."""
+    for i, (a, P, Q) in enumerate(_true_states(N, P0, Q0), 1):
+        yield a + (i == 2), P, Q
+
+
+@pytest.mark.parametrize("stream", [_early_return, _wrong_digit])
+def test_certificate_guards_the_stop(capsys, monkeypatch, stream):
+    """A state stream that stops the unit loop at a convergent that is no
+    unit makes `fundamental_unit` raise, and `dnum unit` exit 4, rather than
+    return it: the +-4 check at the stop is what catches it."""
+    monkeypatch.setattr(units, "_cf_states", stream)
+    units._fundamental_unit_cached.cache_clear()
+    for N in (19, 21):  # the sqrt(N) and the omega basis
+        with pytest.raises(InternalInconsistency, match="at the stop"):
+            fundamental_unit(N)
+    assert main(["unit", "19"]) == 4
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("InternalInconsistency: N=19: p^2 - N q^2 = ")
 
 
 def test_pell_witness_known_values():
