@@ -1,12 +1,19 @@
 """Command-line interface: `dnum <subcommand>`.
 
 Field elements are passed as the doubled coordinates (p, q) meaning
-(p + q*sqrt(N))/2, so every input is a plain integer.  Human-readable
-output is the default; --json switches to one compact JSON record per
-line with a fixed schema_version.  Exit codes: 0 success, 1 domain
-error (the error class name goes to stderr), 2 usage error, 3
-factorization budget exhausted, 4 internal inconsistency (a bug), 141
-stdout closed by its reader before the output ended (as after SIGPIPE).
+(p + q*sqrt(N))/2, so every input is a plain integer.  Each handler yields
+its answer as (command, payload) records, and each record prints as it is
+produced: as one compact JSON record per line with a fixed schema_version
+under --json, else as the human-readable line(s) that _TEXT renders from
+the same payload.  Exit codes: 0 success, 1 domain error (the error class
+name goes to stderr), 2 usage error, 3 factorization budget exhausted, 4
+internal inconsistency (a bug), 141 stdout closed by its reader before the
+output ended (as after SIGPIPE), which also stops the computation.
+
+Every handler makes the library calls that can raise a domain error or
+exhaust the factor budget before it yields its first record, so exits 1,
+2 and 3 leave stdout empty.  Only an InternalInconsistency may follow
+partial output: exit 4 after the records printed before the check failed.
 """
 
 from __future__ import annotations
@@ -49,79 +56,58 @@ def _record(command: str, payload: dict) -> str:
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers: each returns (human_lines, payloads)
+# subcommand handlers: each yields (command, payload) records, and a str for
+# a line that only the text output has
 
 
 def _cmd_unit(args):
     fu = units.fundamental_unit(args.N)
-    line = f"t={fu.t} u={fu.u} norm={fu.unit_norm:+d}"
-    payload = {
+    yield "unit", {
         "N": fu.N, "t": fu.t, "u": fu.u, "unit_norm": fu.unit_norm,
         "eps": render(fu.eps),
     }
-    return [line], [("unit", payload)]
 
 
 def _cmd_kappa(args):
     k1, k2 = dnumbers.kappas(args.N)
-    return (
-        [f"kappa1={k1} kappa2={k2}"],
-        [("kappa", {"N": args.N, "kappa1": k1, "kappa2": k2})],
-    )
+    yield "kappa", {"N": args.N, "kappa1": k1, "kappa2": k2}
 
 
 def _cmd_generators(args):
     gs = dnumbers.generator_set(args.N)
-    gens = ", ".join(render(g) for g in gs.generators)
-    line = f"case={gs.case} generators: {gens}" if gens else f"case={gs.case}"
-    payload = {
+    yield "generators", {
         "N": gs.N, "case": gs.case, "kappa1": gs.kappa1, "kappa2": gs.kappa2,
         "generators": [render(g) for g in gs.generators],
     }
-    return [line], [("generators", payload)]
 
 
 def _cmd_member(args):
     x = make(args.N, args.p, args.q)
-    payload = {"N": args.N, "p": args.p, "q": args.q}
-    if not dnumbers.is_dnumber(x):
-        payload["dnumber"] = False
-        return [f"{render(x)}: dnumber=no"], [("member", payload)]
-    order = dnumbers.dnumber_order(x)
-    fact = dnumbers.canonical_factor(x)
-    payload.update(
-        dnumber=True, order=order, ell=fact.ell, m=fact.m,
-        delta="".join(map(str, fact.delta)),
-    )
-    return (
-        [f"{render(x)}: dnumber=yes order={order} {fact}"],
-        [("member", payload)],
-    )
+    payload = {"N": args.N, "p": args.p, "q": args.q, "dnumber": dnumbers.is_dnumber(x)}
+    if payload["dnumber"]:
+        order = dnumbers.dnumber_order(x)
+        fact = dnumbers.canonical_factor(x)
+        payload.update(
+            order=order, ell=fact.ell, m=fact.m, delta="".join(map(str, fact.delta))
+        )
+    yield "member", payload
 
 
 def _cmd_factor(args):
-    x = make(args.N, args.p, args.q)
-    fact = dnumbers.canonical_factor(x)
-    payload = {
+    fact = dnumbers.canonical_factor(make(args.N, args.p, args.q))
+    yield "factor", {
         "N": args.N, "p": args.p, "q": args.q, "ell": fact.ell, "m": fact.m,
         "delta": "".join(map(str, fact.delta)), "case": fact.case,
     }
-    return [str(fact)], [("factor", payload)]
 
 
 def _cmd_divides(args):
     y = make(args.N, args.p1, args.q1)
     x = make(args.N, args.p2, args.q2)
     verdict = dnumbers.dnumber_divides(y, x)
-    if verdict.divides:
-        line = "divides=yes"
-    else:
-        line = f"divides=no rejected_by={verdict.rejected_by}"
-    payload = {
-        "N": args.N, "divides": verdict.divides,
-        "rejected_by": verdict.rejected_by,
+    yield "divides", {
+        "N": args.N, "divides": verdict.divides, "rejected_by": verdict.rejected_by,
     }
-    return [line], [("divides", payload)]
 
 
 def _cmd_enumerate(args):
@@ -129,48 +115,27 @@ def _cmd_enumerate(args):
         elements = dplus.enumerate_field(args.field, args.M)
     else:
         elements = dplus.enumerate_all(args.M, include_integers=not args.no_integers)
-    lines = [el.record() for el in elements]
-    payloads = [("enumerate", {**el.columns(), "value": str(el)}) for el in elements]
-    return lines, payloads
+    for el in elements:
+        yield "enumerate", {**el.columns(), "value": str(el)}
 
 
 def _cmd_pell(args):
     fu = units.fundamental_unit(args.N)
-    solvable = fu.unit_norm == -1
-    payload: dict = {"N": args.N, "solvable": solvable}
-    if solvable:
+    payload: dict = {"N": args.N, "solvable": fu.unit_norm == -1}
+    if payload["solvable"]:
         # smallest power of eps with integer coordinates and norm -1
         wit = fu.eps if fu.eps.p % 2 == 0 else fu.eps**3
-        x, y = wit.p // 2, wit.q // 2
-        payload["witness"] = {"x": x, "y": y}
-        return (
-            [f"negative_pell=yes witness: x={x} y={y}"],
-            [("pell", payload)],
-        )
-    found = dnumbers.pell_witness(args.N, args.witness_bound)
-    payload["witness_bound"] = args.witness_bound
-    if found is None:
-        payload["witness"] = None
-        line = f"negative_pell=no witness=none within bound {args.witness_bound}"
+        payload["witness"] = {"x": wit.p // 2, "y": wit.q // 2}
     else:
-        kappa, n = found
-        payload["witness"] = {"kappa": kappa, "n": n}
-        line = f"negative_pell=no witness: kappa={kappa} n={n}"
-    return [line], [("pell", payload)]
+        found = dnumbers.pell_witness(args.N, args.witness_bound)
+        payload["witness_bound"] = args.witness_bound
+        payload["witness"] = None if found is None else {"kappa": found[0], "n": found[1]}
+    yield "pell", payload
 
 
 def _cmd_qint(args):
     v = fusion.quantum_int(args.N, args.m).value
-    payload = {"N": args.N, "m": args.m, "p": v.p, "q": v.q, "value": render(v)}
-    return [render(v)], [("qint", payload)]
-
-
-def _profile_line(profile) -> str:
-    groups = Counter(profile.parts)
-    shown = " ".join(
-        f"{count}x({c},j={j})" for (c, j), count in sorted(groups.items())
-    )
-    return f"  simple dims: {shown}" if shown else "  simple dims: (integral only)"
+    yield "qint", {"N": args.N, "m": args.m, "p": v.p, "q": v.q, "value": render(v)}
 
 
 def _cmd_decompose(args):
@@ -179,66 +144,45 @@ def _cmd_decompose(args):
     scan = fusion.decompose_global_dim(
         args.N, args.ell, args.m, divisor_constraint=args.dint_divides
     )
-    target = dnumbers.evaluate(scan.target)
-    lines = [
-        f"target={render(target)} scanned={scan.candidates_scanned} "
-        f"solutions={len(scan.solutions)}"
-    ]
-    record = dict(N=args.N, ell=args.ell, m=args.m, scanned=scan.candidates_scanned)
-    payloads = []
+    yield (
+        f"target={render(dnumbers.evaluate(scan.target))} "
+        f"scanned={scan.candidates_scanned} solutions={len(scan.solutions)}"
+    )
+    head = {"N": args.N, "ell": args.ell, "m": args.m, "scanned": scan.candidates_scanned}
     for sol in scan.solutions:
-        shown = " ".join(f"ell_{j}={lj}" for j, lj in sol.coeffs)
-        lines.append(f"d_int={sol.d_int} {shown}".rstrip())
-        payload = {**record, "d_int": sol.d_int, "coeffs": [list(c) for c in sol.coeffs]}
+        payload = {**head, "d_int": sol.d_int, "coeffs": [list(c) for c in sol.coeffs]}
         if args.refine:
-            profiles = fusion.refine_simple_dims(
-                sol, apply_modular_filter=args.modular_filter
-            )
-            for prof in profiles:
-                lines.append(_profile_line(prof))
             payload["refinements"] = [
-                [[c, j] for c, j in prof.parts] for prof in profiles
+                [list(part) for part in prof.parts]
+                for prof in fusion.refine_simple_dims(
+                    sol, apply_modular_filter=args.modular_filter
+                )
             ]
-        payloads.append(("decompose", payload))
-    if not payloads:  # no solutions at all: still emit the scan summary
-        payloads.append(("decompose", {**record, "d_int": None, "coeffs": []}))
-    return lines, payloads
+        yield "decompose", payload
+    if not scan.solutions:  # no solutions at all: still emit the scan summary
+        yield "decompose", {**head, "d_int": None, "coeffs": []}
 
 
 def _cmd_screen(args):
     target = make(args.N, args.p, args.q)
-    hits = fusion.kronecker_screen(target)
-    if not hits:
-        lines = [f"{render(target)}: eliminated"]
-    else:
-        shown = " ".join("{" + ",".join(map(str, h)) + "}" for h in hits)
-        lines = [f"{render(target)}: multisets {shown}"]
-    payload = {
+    yield "screen", {
         "N": args.N, "p": args.p, "q": args.q, "target": render(target),
-        "multisets": [list(h) for h in hits],
+        "multisets": [list(h) for h in fusion.kronecker_screen(target)],
     }
-    return lines, [("screen", payload)]
 
 
 def _cmd_table(args):
-    lines, payloads = [], []
     if args.name == "units":
         for n in UNIT_TABLE_FIELDS:
             fu = units.fundamental_unit(n)
-            lines.append(f"{n}\t{fu.t}\t{fu.u}\t{fu.unit_norm:+d}")
-            payloads.append(
-                (
-                    "table.units",
-                    {"N": n, "t": fu.t, "u": fu.u, "unit_norm": fu.unit_norm},
-                )
-            )
+            yield "table.units", {"N": n, "t": fu.t, "u": fu.u, "unit_norm": fu.unit_norm}
     elif args.name == "kappa":
         for n in KAPPA_TABLE_FIELDS:
             k1, k2 = dnumbers.kappas(n)
-            lines.append(f"{n}\t{k1}\t{k2}")
-            payloads.append(("table.kappa", {"N": n, "kappa1": k1, "kappa2": k2}))
-    else:  # fig3
-        for row in fusion.quantum_group_table():
+            yield "table.kappa", {"N": n, "kappa1": k1, "kappa2": k2}
+    else:  # fig3: every row is checked before the first one prints
+        rows = fusion.quantum_group_table()
+        for row in rows:
             fact = dnumbers.canonical_factor(row.value)
             if (
                 not dnumbers.is_dnumber(row.value)
@@ -248,30 +192,84 @@ def _cmd_table(args):
                 or fact.delta != ((1 if row.with_sqrt_n else 0), 0, 0)
             ):
                 raise InternalInconsistency(f"table row {row.label()} failed checks")
-            lines.append(f"{row.label()}\t{render(row.value)}\t{fact}")
-            payloads.append(
-                (
-                    "table.fig3",
-                    {
-                        "label": row.label(), "N": row.N, "ell": row.ell,
-                        "unit_power": row.unit_power,
-                        "sqrt_n": row.with_sqrt_n, "value": render(row.value),
-                    },
-                )
-            )
-    return lines, payloads
+        for row in rows:
+            yield "table.fig3", {
+                "label": row.label(), "N": row.N, "ell": row.ell,
+                "unit_power": row.unit_power, "sqrt_n": row.with_sqrt_n,
+                "value": render(row.value),
+            }
 
 
 def _cmd_complex(args):
     cls = dnumbers.complex_classify(args.N)
-    x = make(args.N, args.p, args.q)
-    member = cls.member(x)
-    line = f"kind={cls.kind} dnumber={'yes' if member else 'no'}"
-    payload = {
+    yield "complex", {
         "N": args.N, "p": args.p, "q": args.q, "kind": cls.kind,
-        "description": cls.description, "dnumber": member,
+        "description": cls.description, "dnumber": cls.member(make(args.N, args.p, args.q)),
     }
-    return [line], [("complex", payload)]
+
+
+# ---------------------------------------------------------------------------
+# text views: one line (or a solution's lines) per payload
+
+
+def _member_text(r: dict) -> str:
+    x = render(make(r["N"], r["p"], r["q"]))
+    if not r["dnumber"]:
+        return f"{x}: dnumber=no"
+    return "{}: dnumber=yes order={order} ell={ell} m={m} delta={delta}".format(x, **r)
+
+
+def _pell_text(r: dict) -> str:
+    wit = r["witness"]
+    if r["solvable"]:
+        return "negative_pell=yes witness: x={x} y={y}".format_map(wit)
+    if wit is None:
+        return f"negative_pell=no witness=none within bound {r['witness_bound']}"
+    return "negative_pell=no witness: kappa={kappa} n={n}".format_map(wit)
+
+
+def _decompose_text(r: dict) -> str | None:
+    """The solution line, then one line per refinement; a summary record
+    without a solution (d_int null) has none."""
+    if r["d_int"] is None:
+        return None
+    shown = "".join(f" ell_{j}={lj}" for j, lj in r["coeffs"])
+    lines = [f"d_int={r['d_int']}{shown}"]
+    for parts in r.get("refinements", ()):
+        groups = sorted(Counter(map(tuple, parts)).items())
+        shown = " ".join(f"{count}x({c},j={j})" for (c, j), count in groups)
+        lines.append(f"  simple dims: {shown or '(integral only)'}")
+    return "\n".join(lines)
+
+
+def _screen_text(r: dict) -> str:
+    if not r["multisets"]:
+        return f"{r['target']}: eliminated"
+    shown = " ".join("{" + ",".join(map(str, h)) + "}" for h in r["multisets"])
+    return f"{r['target']}: multisets {shown}"
+
+
+_TEXT = {
+    "unit": "t={t} u={u} norm={unit_norm:+d}".format_map,
+    "kappa": "kappa1={kappa1} kappa2={kappa2}".format_map,
+    "generators": lambda r: " generators: ".join(
+        filter(None, [f"case={r['case']}", ", ".join(r["generators"])])
+    ),
+    "member": _member_text,
+    "factor": "ell={ell} m={m} delta={delta}".format_map,
+    "divides": lambda r: (
+        "divides=yes" if r["divides"] else f"divides=no rejected_by={r['rejected_by']}"
+    ),
+    "enumerate": "{N}\t{p}\t{q}\t{ell}\t{m}\t{delta}\t{approx}".format_map,
+    "pell": _pell_text,
+    "qint": "{value}".format_map,
+    "decompose": _decompose_text,
+    "screen": _screen_text,
+    "table.units": "{N}\t{t}\t{u}\t{unit_norm:+d}".format_map,
+    "table.kappa": "{N}\t{kappa1}\t{kappa2}".format_map,
+    "table.fig3": "{label}\t{value}\tell={ell} m={unit_power} delta={sqrt_n:d}00".format_map,
+    "complex": lambda r: f"kind={r['kind']} dnumber={'yes' if r['dnumber'] else 'no'}",
+}
 
 
 # ---------------------------------------------------------------------------
@@ -414,34 +412,34 @@ def _run(argv: list[str] | None) -> int:
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:
-        try:
-            lines, payloads = args.func(args)
-        except FactorizationLimit as err:
-            print(f"FactorizationLimit: {err}", file=sys.stderr)
-            return 3
-        except InternalInconsistency as err:
-            print(f"InternalInconsistency: {err}", file=sys.stderr)
-            return 4
-        except (ArithmeticError, ValueError, TypeError) as err:
-            print(f"{type(err).__name__}: {err}", file=sys.stderr)
-            return 1
-        try:
-            if args.json:
-                for command, payload in payloads:
-                    print(_record(command, payload))
+        for record in args.func(args):
+            if isinstance(record, str):  # a line of the text output only
+                line = None if args.json else record
+            elif args.json:
+                line = _record(*record)
             else:
-                for line in lines:
-                    print(line)
-            sys.stdout.flush()  # a closed pipe raises here, not at exit
-        except BrokenPipeError:
-            # the reader has gone (`dnum ... | head`); Python flushes stdout
-            # again at exit, so point it at devnull first (Python docs, "Note
-            # on SIGPIPE")
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-            return 141
-        return 0
+                line = _TEXT[record[0]](record[1])
+            if line is not None:
+                print(line)
+        sys.stdout.flush()  # a closed pipe raises here, not at exit
+    except FactorizationLimit as err:
+        print(f"FactorizationLimit: {err}", file=sys.stderr)
+        return 3
+    except InternalInconsistency as err:
+        print(f"InternalInconsistency: {err}", file=sys.stderr)
+        return 4
+    except (ArithmeticError, ValueError, TypeError) as err:
+        print(f"{type(err).__name__}: {err}", file=sys.stderr)
+        return 1
+    except BrokenPipeError:
+        # the reader has gone (`dnum ... | head`); Python flushes stdout
+        # again at exit, so point it at devnull first (Python docs, "Note
+        # on SIGPIPE")
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     finally:
         sys.set_int_max_str_digits(limit)
+    return 0
 
 
 if __name__ == "__main__":

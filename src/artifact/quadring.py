@@ -151,7 +151,7 @@ def _is_probable_prime(n: int) -> bool:
     # least strong pseudoprime to all of them (the first 12 are fooled by
     # psi_12 = 318665857834031151167461).  From psi_13 on, 64 more bases
     # from Random(n), fixed per n, give a probable prime: ~2^-128 is a bound
-    # for random bases only (ROADMAP item 5 plans Baillie-PSW).
+    # for random bases only (the ROADMAP plans Baillie-PSW).
     bases = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41]
     for p in bases:
         if n % p == 0:

@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from itertools import chain, cycle, islice
 from typing import NamedTuple
 
 from .quadring import (
@@ -59,9 +58,6 @@ class CFExpansion(NamedTuple):
     kind: str
     preamble: tuple[int, ...]
     period: tuple[int, ...]
-
-    def digits(self, count: int) -> list[int]:
-        return list(islice(chain(self.preamble, cycle(self.period)), count))
 
 
 def _cf_states(N: int, P0: int, Q0: int):

@@ -17,6 +17,8 @@
   (`cf_period_by_seen_states`) and the unit by a norm test at every
   convergent (`unit_by_norm_test`), which `units.cf_expand` and
   `units.fundamental_unit`, stopping where Q returns to Q0, must match.
+- The digits of an expansion, preamble then the period repeated
+  (`cf_digits`).
 - The residue search for the least negative-Pell witness
   (`pell_witness_search`), which the closed form `dnumbers.pell_witness`
   must match.
@@ -31,6 +33,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key, lru_cache
+from itertools import chain, cycle, islice
 
 from artifact.dnumbers import (
     CASE_ELSE,
@@ -343,6 +346,12 @@ def cf_period_by_seen_states(N: int, P0: int, Q0: int) -> tuple[tuple, tuple]:
             return tuple(digits[:j]), tuple(digits[j:])
         seen[(P, Q)] = len(digits)
         digits.append(a)
+
+
+def cf_digits(expansion, count: int) -> list[int]:
+    """The first count digits of a CFExpansion: its preamble, then its
+    period repeated."""
+    return list(islice(chain(expansion.preamble, cycle(expansion.period)), count))
 
 
 def unit_by_norm_test(N: int) -> tuple[int, int, int]:

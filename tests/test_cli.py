@@ -10,7 +10,7 @@ import pytest
 
 from artifact import dplus, fusion, units
 from artifact.cli import main
-from artifact.quadring import factorize
+from artifact.quadring import InternalInconsistency, factorize
 from artifact.units import fundamental_unit
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -203,6 +203,37 @@ def test_closed_pipe_exits_without_traceback():
     proc.stderr.close()
     assert proc.wait(timeout=120) == 141
     assert err == b""  # no Traceback, and no "Exception ignored" at exit
+
+
+def test_closed_pipe_stops_the_computation(capsys, monkeypatch):
+    """Records print as they are produced, so the first write to a closed
+    pipe ends the run: `decompose 5 76 2 --refine` writes its summary line
+    first, and exits 141 before it refines any of its 17 solutions."""
+    fd = os.open(os.devnull, os.O_WRONLY)  # harmless target of the dup2
+
+    class ClosedPipe:
+        def write(self, text):
+            raise BrokenPipeError
+
+        def flush(self):
+            pass
+
+        def fileno(self):
+            return fd
+
+    real, calls = fusion.refine_simple_dims, []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(fusion, "refine_simple_dims", counted)
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    try:
+        assert main(["decompose", "5", "76", "2", "--refine"]) == 141
+    finally:
+        os.close(fd)
+    assert calls == [] and capsys.readouterr().err == ""
 
 
 def test_enumerate_flags(capsys):
@@ -431,6 +462,41 @@ def test_corrupt_table_row_exits_4(capsys, monkeypatch, tmp_path):
     code, out, err = run(capsys, "table", "fig3")
     assert code == 4 and out == ""
     assert err.startswith("InternalInconsistency: _power needs m >= 0, got -1")
+
+
+def test_table_checks_every_row_before_printing(capsys, monkeypatch, tmp_path):
+    """A row that fails the classifier checks (a negative ell) after a
+    valid one: `table fig3` checks every row before it prints the first,
+    so it exits 4 with nothing on stdout."""
+    table = tmp_path / "quantum_group_dims.tsv"
+    table.write_text("A\t1\t3\t2\t1\t5\t1\nA\t1\t4\t-2\t1\t5\t1\n")
+    monkeypatch.setattr(fusion, "_TABLE_PATH", str(table))
+    for flags in ((), ("--json",)):
+        assert run(capsys, *flags, "table", "fig3") == (
+            4, "", "InternalInconsistency: table row A1,4 failed checks\n"
+        )
+
+
+def test_inconsistency_midway_follows_partial_output(capsys, monkeypatch):
+    """Only an InternalInconsistency may follow partial output: one raised
+    while refining the second solution exits 4 after the summary line and
+    the first solution's lines."""
+    real, calls = fusion.refine_simple_dims, []
+
+    def second_fails(sol, **kwargs):
+        calls.append(sol)
+        if len(calls) == 2:
+            raise InternalInconsistency("refinement check failed")
+        return real(sol, **kwargs)
+
+    monkeypatch.setattr(fusion, "refine_simple_dims", second_fails)
+    assert run(capsys, "decompose", "3", "10", "1", "--refine") == (
+        4,
+        "target=20+10√3 scanned=80 solutions=2\n"
+        "d_int=2 ell_1=2 ell_2=2\n"
+        "  simple dims: 2x(1,j=2) 1x(2,j=1)\n",
+        "InternalInconsistency: refinement check failed\n",
+    )
 
 
 @pytest.mark.parametrize("bug", [RuntimeError, AssertionError])

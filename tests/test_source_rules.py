@@ -22,6 +22,7 @@ import pytest
 from artifact.dnumbers import DivisibilityVerdict
 from artifact.fusion import decompose_global_dim, quantum_group_table, quantum_int
 from artifact.units import cf_expand, fundamental_unit
+from oracles import cf_digits
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "artifact"
 INTEGER_MATH = {"isqrt", "gcd", "lcm", "prod"}
@@ -161,6 +162,7 @@ UNUSED_ALLOWED = {
     "cardinality_bound": "the paper's bound on the count below M; public API",
     "cf_expand": "perfbench's tracer looks it up by name",
     "delta_combos": "perfbench's worker draws its deltas from it",
+    "record": "perfbench's enumerate digest joins it",
 }
 
 
@@ -170,22 +172,32 @@ DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 def unused_definitions(trees: dict) -> list[str]:
     """"file:line: name" of every function, class, method or property that
     the trees define and that no name, attribute or import in them uses.
-    Dunder methods are used by the language, and are not reported."""
-    used, defined = set(), []
+    A method or property is used only through an attribute (x.name), so a
+    local variable of the same name does not hide it.  Dunder methods are
+    used by the language, and are not reported."""
+    names, attrs, defined = set(), set(), []
     for name, tree in trees.items():
+        methods = {
+            id(item)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ClassDef)
+            for item in node.body
+            if isinstance(item, DEFINITIONS)
+        }
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
-                used.add(node.id)
+                names.add(node.id)
             elif isinstance(node, ast.Attribute):
-                used.add(node.attr)
+                attrs.add(node.attr)
             elif isinstance(node, ast.ImportFrom):
-                used.update(alias.name for alias in node.names)
+                names.update(alias.name for alias in node.names)
             elif isinstance(node, DEFINITIONS):
-                defined.append((name, node.lineno, node.name))
+                defined.append((name, node.lineno, node.name, id(node) in methods))
     return [
         f"{name}:{line}: {what}"
-        for name, line, what in sorted(defined)
-        if what not in used and not (what.startswith("__") and what.endswith("__"))
+        for name, line, what, method in sorted(defined)
+        if what not in (attrs if method else names | attrs)
+        and not (what.startswith("__") and what.endswith("__"))
     ]
 
 
@@ -209,11 +221,16 @@ def test_unused_scan_flags_each_kind_of_definition():
             "def called(): pass\n"
             "class Live:\n"
             "    def attr(self): pass\n"
+            "    def shadowed(self): pass\n"
         ),
-        "b.py": "from a import Live\ncalled()\nLive().attr()\n",
+        # a local variable of a method's name does not use the method
+        "b.py": "from a import Live\ncalled()\nLive().attr()\nshadowed = 1\n",
     }
     found = unused_definitions({k: ast.parse(v) for k, v in source.items()})
-    assert found == ["a.py:1: Dead", "a.py:2: method", "a.py:4: prop", "a.py:6: dead"]
+    assert found == [
+        "a.py:1: Dead", "a.py:2: method", "a.py:4: prop", "a.py:6: dead",
+        "a.py:10: shadowed",
+    ]
 
 
 # Loaded by `import dataclasses` (inspect, ast, dis, tokenize) or by a path
@@ -275,5 +292,5 @@ def test_records_keep_their_semantics():
     for record in records:
         with pytest.raises(AttributeError):
             setattr(record, record._fields[0], None)
-    assert cf_expand(7).digits(5) == [2, 1, 1, 1, 4]
+    assert cf_digits(cf_expand(7), 5) == [2, 1, 1, 1, 4]
     assert row.label() == f"{row.series}{row.n},{row.k}"

@@ -8,6 +8,7 @@ from artifact.dnumbers import kappas, pell_witness
 from artifact.quadring import InternalInconsistency, NotApplicable, is_square
 from artifact.units import cf_expand, fundamental_unit
 from oracles import (
+    cf_digits,
     cf_period_by_seen_states,
     pell_witness_search,
     squarefree_range,
@@ -86,7 +87,7 @@ def test_cf_expand_sqrt():
     assert cf_expand(13).period == (1, 1, 1, 1, 6)
     assert cf_expand(19).period == (2, 1, 3, 1, 2, 8)
     # digits stream: preamble then cycling period
-    assert cf_expand(7).digits(9) == [2, 1, 1, 1, 4, 1, 1, 1, 4]
+    assert cf_digits(cf_expand(7), 9) == [2, 1, 1, 1, 4, 1, 1, 1, 4]
 
 
 def test_cf_expand_omega():
@@ -96,7 +97,7 @@ def test_cf_expand_omega():
     # (1+sqrt13)/2 is not reduced (conjugate < -1), so a preamble appears
     e = cf_expand(13, "Omega")
     assert e.preamble == (2,) and e.period == (3,)
-    assert e.digits(4) == [2, 3, 3, 3]
+    assert cf_digits(e, 4) == [2, 3, 3, 3]
     with pytest.raises(NotApplicable):
         cf_expand(7, "Omega")
     with pytest.raises(ValueError):
