@@ -31,6 +31,7 @@ from . import dnumbers, dplus, fusion, units
 from .quadring import (
     FactorizationLimit,
     InternalInconsistency,
+    is_squarefree,
     make,
     render,
     set_factor_budget,
@@ -38,11 +39,8 @@ from .quadring import (
 
 SCHEMA_VERSION = 1
 
-# N values of the shipped fundamental-unit table (all squarefree N <= 57)
-UNIT_TABLE_FIELDS = [
-    2, 3, 5, 6, 7, 10, 11, 13, 14, 15, 17, 19, 21, 22, 23, 26, 29, 30, 31,
-    33, 34, 35, 37, 38, 39, 41, 42, 43, 46, 47, 51, 53, 55, 57,
-]
+# N values of the shipped fundamental-unit table
+UNIT_TABLE_FIELDS = [n for n in range(2, 58) if is_squarefree(n)]
 # norm +1 fields of the kappa table: the 19 reference rows, every squarefree
 # N <= 46 of unit norm +1 except N = 43
 KAPPA_TABLE_FIELDS = [
@@ -208,6 +206,25 @@ def _cmd_complex(args):
     }
 
 
+# every subcommand, in the order `dnum --help` lists them: its handler, its
+# help and its integer positionals; _build_parser adds the other arguments
+_COMMANDS = {
+    "unit": (_cmd_unit, "fundamental unit of Q(sqrt(N))", "N"),
+    "kappa": (_cmd_kappa, "kappa_1, kappa_2 of a norm +1 field", "N"),
+    "generators": (_cmd_generators, "d-number monoid generators", "N"),
+    "member": (_cmd_member, "d-number test plus order and factorization", "N p q"),
+    "factor": (_cmd_factor, "canonical factorization of a d-number", "N p q"),
+    "divides": (_cmd_divides, "does (p1,q1) divide (p2,q2)?", "N p1 q1 p2 q2"),
+    "enumerate": (_cmd_enumerate, "dominant d-numbers up to M", ""),
+    "pell": (_cmd_pell, "negative Pell solvability and witness", "N"),
+    "qint": (_cmd_qint, "quantum integer [m]", "N m"),
+    "decompose": (_cmd_decompose, "split ell*eps^m into d_int + sum ell_j eps^j", "N ell m"),
+    "screen": (_cmd_screen, "small-dimension screen of a target", "N p q"),
+    "table": (_cmd_table, "regenerate or validate the shipped tables", ""),
+    "complex": (_cmd_complex, "d-number classification for N < 0", "N p q"),
+}
+
+
 # ---------------------------------------------------------------------------
 # text views: one line (or a solution's lines) per payload
 
@@ -314,39 +331,13 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("unit", help="fundamental unit of Q(sqrt(N))")
-    p.add_argument("N", type=int)
-    p.set_defaults(func=_cmd_unit)
+    for name, (handler, help_text, integers) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for arg in integers.split():
+            p.add_argument(arg, type=int)
+        p.set_defaults(func=handler)
 
-    p = sub.add_parser("kappa", help="kappa_1, kappa_2 of a norm +1 field")
-    p.add_argument("N", type=int)
-    p.set_defaults(func=_cmd_kappa)
-
-    p = sub.add_parser("generators", help="d-number monoid generators")
-    p.add_argument("N", type=int)
-    p.set_defaults(func=_cmd_generators)
-
-    p = sub.add_parser("member", help="d-number test plus order and factorization")
-    p.add_argument("N", type=int)
-    p.add_argument("p", type=int)
-    p.add_argument("q", type=int)
-    p.set_defaults(func=_cmd_member)
-
-    p = sub.add_parser("factor", help="canonical factorization of a d-number")
-    p.add_argument("N", type=int)
-    p.add_argument("p", type=int)
-    p.add_argument("q", type=int)
-    p.set_defaults(func=_cmd_factor)
-
-    p = sub.add_parser("divides", help="does (p1,q1) divide (p2,q2)?")
-    p.add_argument("N", type=int)
-    p.add_argument("p1", type=int)
-    p.add_argument("q1", type=int)
-    p.add_argument("p2", type=int)
-    p.add_argument("q2", type=int)
-    p.set_defaults(func=_cmd_divides)
-
-    p = sub.add_parser("enumerate", help="dominant d-numbers up to M")
+    p = sub.choices["enumerate"]
     p.add_argument(
         "M", type=fraction, help="upper bound (integer or fraction like 37/10)"
     )
@@ -355,45 +346,17 @@ def _build_parser() -> argparse.ArgumentParser:
         "--no-integers", action="store_true",
         help="omit the rational integers from the global listing",
     )
-    p.set_defaults(func=_cmd_enumerate)
-
-    p = sub.add_parser("pell", help="negative Pell solvability and witness")
-    p.add_argument("N", type=int)
-    p.add_argument("--witness-bound", type=nonnegative, default=100, metavar="B")
-    p.set_defaults(func=_cmd_pell)
-
-    p = sub.add_parser("qint", help="quantum integer [m]")
-    p.add_argument("N", type=int)
-    p.add_argument("m", type=int)
-    p.set_defaults(func=_cmd_qint)
-
-    p = sub.add_parser("decompose", help="split ell*eps^m into d_int + sum ell_j eps^j")
-    p.add_argument("N", type=int)
-    p.add_argument("ell", type=int)
-    p.add_argument("m", type=int)
+    sub.choices["pell"].add_argument(
+        "--witness-bound", type=nonnegative, default=100, metavar="B"
+    )
+    p = sub.choices["decompose"]
     p.add_argument("--dint-divides", type=int, metavar="D")
     p.add_argument("--refine", action="store_true", help="list simple dimensions")
     p.add_argument(
         "--modular-filter", action="store_true",
         help="require target/(c*eps^j) integral in refinements",
     )
-    p.set_defaults(func=_cmd_decompose)
-
-    p = sub.add_parser("screen", help="small-dimension screen of a target")
-    p.add_argument("N", type=int)
-    p.add_argument("p", type=int)
-    p.add_argument("q", type=int)
-    p.set_defaults(func=_cmd_screen)
-
-    p = sub.add_parser("table", help="regenerate or validate the shipped tables")
-    p.add_argument("name", choices=["units", "kappa", "fig3"])
-    p.set_defaults(func=_cmd_table)
-
-    p = sub.add_parser("complex", help="d-number classification for N < 0")
-    p.add_argument("N", type=int)
-    p.add_argument("p", type=int)
-    p.add_argument("q", type=int)
-    p.set_defaults(func=_cmd_complex)
+    sub.choices["table"].add_argument("name", choices=["units", "kappa", "fig3"])
 
     return parser
 

@@ -4,14 +4,16 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from artifact import dplus, fusion, units
+from artifact import cli, dplus, fusion, units
 from artifact.cli import main
 from artifact.quadring import InternalInconsistency, factorize
 from artifact.units import fundamental_unit
+from oracles import squarefree_range
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -304,6 +306,27 @@ def test_pell_output(capsys):
     )
 
 
+def test_pell_witness_against_sympy(capsys):
+    """For each of the 144 squarefree N <= 1000 with a unit of norm -1, the
+    witness of `pell` is sympy's least solution of x^2 - N y^2 = -1, as
+    --json and as text.  The CLI halves eps, or eps^3 when eps has odd
+    coordinates (38 of the fields); diop_DN shares no code with either."""
+    pytest.importorskip("sympy")
+    from sympy.solvers.diophantine.diophantine import diop_DN
+
+    fields = [N for N in squarefree_range(1000)[1:] if diop_DN(N, -1)]
+    assert len(fields) == 144
+    assert sum(fundamental_unit(N).t % 2 for N in fields) == 38
+    for N in fields:
+        x, y = diop_DN(N, -1)[0]
+        code, out, err = run(capsys, "--json", "pell", str(N))
+        assert (code, err) == (0, "")
+        assert json.loads(out)["payload"]["witness"] == {"x": x, "y": y}, N
+        assert run(capsys, "pell", str(N)) == (
+            0, f"negative_pell=yes witness: x={x} y={y}\n", ""
+        )
+
+
 def test_member_factor_divides_output(capsys):
     _, out, _ = run(capsys, "member", "3", "6", "2")
     assert out == "3+√3: dnumber=yes order=2 ell=1 m=0 delta=101\n"
@@ -328,6 +351,68 @@ def test_screen_and_complex_output(capsys):
     assert out == "kind=Gaussian dnumber=yes\n"
     _, out, _ = run(capsys, "complex", "-7", "3", "1")
     assert out == "kind=Generic dnumber=no\n"
+
+
+# the usage line of `dnum` and of each subcommand, in --help's order
+USAGE = {
+    "": "usage: dnum [-h] [--json] [--budget B] {unit,kappa,generators,member,"
+    "factor,divides,enumerate,pell,qint,decompose,screen,table,complex} ...",
+    "unit": "usage: dnum unit [-h] N",
+    "kappa": "usage: dnum kappa [-h] N",
+    "generators": "usage: dnum generators [-h] N",
+    "member": "usage: dnum member [-h] N p q",
+    "factor": "usage: dnum factor [-h] N p q",
+    "divides": "usage: dnum divides [-h] N p1 q1 p2 q2",
+    "enumerate": "usage: dnum enumerate [-h] [--field N] [--no-integers] M",
+    "pell": "usage: dnum pell [-h] [--witness-bound B] N",
+    "qint": "usage: dnum qint [-h] N m",
+    "decompose": "usage: dnum decompose [-h] [--dint-divides D] [--refine]"
+    " [--modular-filter] N ell m",
+    "screen": "usage: dnum screen [-h] N p q",
+    "table": "usage: dnum table [-h] {units,kappa,fig3}",
+    "complex": "usage: dnum complex [-h] N p q",
+}
+# one argv per subcommand, and the values it parses to
+PARSED = {
+    "unit 19": {"N": 19},
+    "kappa 21": {"N": 21},
+    "generators 15": {"N": 15},
+    "member 3 6 2": {"N": 3, "p": 6, "q": 2},
+    "factor 15 0 2": {"N": 15, "p": 0, "q": 2},
+    "divides 15 10 2 60 16": {"N": 15, "p1": 10, "q1": 2, "p2": 60, "q2": 16},
+    "enumerate 37/10 --field 5": {
+        "M": Fraction(37, 10), "field": 5, "no_integers": False,
+    },
+    "pell 21 --witness-bound 2": {"N": 21, "witness_bound": 2},
+    "qint 2 -3": {"N": 2, "m": -3},
+    "decompose 21 21 1 --dint-divides 7 --refine": {
+        "N": 21, "ell": 21, "m": 1, "dint_divides": 7, "refine": True,
+        "modular_filter": False,
+    },
+    "screen 3 6 2": {"N": 3, "p": 6, "q": 2},
+    "table fig3": {"name": "fig3"},
+    "complex -1 2 2": {"N": -1, "p": 2, "q": 2},
+}
+
+
+def test_parser_shape(capsys, monkeypatch):
+    """The parser's shape: each usage line (a usage error prints
+    format_usage() to stderr), and each argument's name, type and handler.
+    COLUMNS=200 keeps every usage on one line."""
+    monkeypatch.setenv("COLUMNS", "200")
+    for command, usage in USAGE.items():
+        with pytest.raises(SystemExit) as exc:
+            main(command.split())
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.splitlines()[0] == usage
+    assert [argv.split()[0] for argv in PARSED] == list(USAGE)[1:]
+    for argv, want in PARSED.items():
+        command = argv.split()[0]
+        args = vars(cli._build_parser().parse_args(argv.split()))
+        assert args.pop("func") is getattr(cli, f"_cmd_{command}")
+        want = {"json": False, "budget": None, "command": command, **want}
+        typed = {k: (type(v), v) for k, v in args.items()}
+        assert typed == {k: (type(v), v) for k, v in want.items()}, argv
 
 
 def test_exit_codes(capsys):
