@@ -23,9 +23,9 @@ import contextvars
 import json
 import os
 import sys
-from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
+from itertools import groupby
 
 from . import dnumbers, dplus, fusion, units
 from .quadring import (
@@ -253,8 +253,7 @@ def _decompose_text(r: dict) -> str | None:
     shown = "".join(f" ell_{j}={lj}" for j, lj in r["coeffs"])
     lines = [f"d_int={r['d_int']}{shown}"]
     for parts in r.get("refinements", ()):
-        groups = sorted(Counter(map(tuple, parts)).items())
-        shown = " ".join(f"{count}x({c},j={j})" for (c, j), count in groups)
+        shown = " ".join(f"{len([*g])}x({c},j={j})" for (c, j), g in groupby(parts))
         lines.append(f"  simple dims: {shown or '(integral only)'}")
     return "\n".join(lines)
 

@@ -238,20 +238,31 @@ class SimpleDimProfile(NamedTuple):
     parts: tuple[tuple[int, int], ...]  # (c, j) per non-integral simple object
 
 
-def _partitions(total: int, parts: list[int], j: int):
-    """Yield the partitions of total into the distinct ascending parts as
-    (c, j) pairs, c descending, in ascending order (see refine_simple_dims)."""
+def _partitions(total: int, parts: list[int], j: int) -> list[tuple]:
+    """The partitions of total into the distinct ascending parts, each as
+    (c, j) pairs with c ascending, listed in ascending order of their
+    reversal, the c-descending form (see refine_simple_dims).
 
-    def rec(rest: int, top: int, acc: tuple):
-        for i in range(min(top, bisect_right(parts, rest))):  # largest part c
-            c, pair = parts[i], ((parts[i], j),)
-            for k in range(1, rest // c + 1):  # and its count
-                if rest == k * c:
-                    yield acc + pair * k
-                elif i:  # parts below c remain
-                    yield from rec(rest - k * c, i, acc + pair * k)
+    A frame fixes the count k of its largest allowed part parts[i], k = 0
+    first: every partition without that part has a smaller largest part,
+    and a shorter run of it compares below a longer one, whose next pair is
+    that part again where the shorter run's is smaller or absent.  So each
+    frame lists its partitions in order, and the last part left, parts[0],
+    closes the rest by one divisibility test.
+    """
+    out: list[tuple] = []
 
-    return rec(total, len(parts), ())
+    def rec(rest: int, i: int, acc: tuple) -> None:
+        c, pair = parts[i], ((parts[i], j),)
+        for k in range(rest // c + 1) if i else (rest // c,):
+            if not (left := rest - k * c):
+                out.append(pair * k + acc)
+            elif below := bisect_right(parts, left, 0, i):
+                rec(left, below - 1, pair * k + acc)
+
+    if top := bisect_right(parts, total):
+        rec(total, top - 1, ())
+    return out
 
 
 def refine_simple_dims(
@@ -259,33 +270,40 @@ def refine_simple_dims(
 ) -> list[SimpleDimProfile]:
     """Split every ell_j into parts c with sqrt(c * eps^j) a d-number.
 
-    The parts are the c = c0 * k^2 <= ell_j for the squarefree classes c0
-    that sqrt_classes admits for the parity of j, so no part is factorized;
-    the c0 are distinct and squarefree, so the c are distinct.  The
-    optional filter additionally requires target/(c * eps^j) to be an
-    algebraic integer.  The target is ell * eps^m and eps is a unit, so
-    that is ell/c in the ring: a rational algebraic integer, so c | ell.
-    Listed j by j with c descending, the profiles come in ascending order
-    with no sort: each ell_j's partitions come in ascending order (by
-    largest part, then by its count, since a longer run of it compares
-    above a shorter run and a smaller part), and none is a prefix of
-    another.
+    The parts are the c = c0 * k^2 for the squarefree classes c0 that
+    sqrt_classes admits for the parity of j, so no part is factorized; the
+    c0 are distinct and squarefree, so the c are distinct.  The optional
+    filter additionally requires target/(c * eps^j) to be an algebraic
+    integer.  The target is ell * eps^m and eps is a unit, so that is ell/c
+    in the ring: a rational algebraic integer, so c | ell.  Each parity's
+    parts are listed once, up to its largest ell_j, when its first j is
+    reached, and every ell_j of that parity bisects into the one list; a j
+    with no partition ends the refinement before any later j is looked at.
+
+    The profiles are the product of the per-j lists, j ascending, so they
+    come in ascending order of their c-descending partitions joined j by
+    j: each list is in that order (see _partitions), and no partition of
+    ell_j is a prefix of another.  A profile's parts are its pairs sorted.
+    Each partition comes with c ascending, so the sort starts from one
+    ascending run per j: Timsort takes the first run whole and merges or
+    inserts the others, where a c-descending partition with a repeated
+    part is neither ascending nor strictly descending and breaks into short
+    runs.
     """
-    per_j = []
+    per_j, by_parity = [], {}
+    ell = d.target.ell if apply_modular_filter else 0  # every c divides 0
     for j, lj in d.coeffs:
-        parts = sorted(
-            c0 * k * k
-            for c0 in sqrt_classes(j % 2, d.field)
-            for k in range(1, math.isqrt(lj // c0) + 1)
-        )
-        if apply_modular_filter:
-            parts = [c for c in parts if d.target.ell % c == 0]
-        choices = list(_partitions(lj, parts, j))
-        if not choices:
+        if j % 2 not in by_parity:  # up to the largest ell_i of j's parity
+            top = max(li for i, li in d.coeffs if i % 2 == j % 2)
+            by_parity[j % 2] = sorted(
+                c0 * k * k
+                for c0 in sqrt_classes(j % 2, d.field)
+                for k in range(1, math.isqrt(top // c0) + 1)
+                if ell % (c0 * k * k) == 0
+            )
+        per_j.append(_partitions(lj, by_parity[j % 2], j))
+        if not per_j[-1]:
             return []
-        per_j.append(choices)
-    if len(per_j) == 1:  # one j: its partition reversed lists c ascending
-        return [SimpleDimProfile(d, parts[::-1]) for parts in per_j[0]]
     return [
         SimpleDimProfile(d, tuple(sorted(sum(parts, ()))))
         for parts in itertools.product(*per_j)

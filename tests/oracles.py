@@ -24,7 +24,8 @@
   must match.
 - The partitions of an integer by a recursion that opens one frame per part
   (`partitions_per_part`), which the multiplicity walk of
-  `fusion._partitions` must match.
+  `fusion._partitions` must match, each partition reversed (c ascending)
+  and in the same order.
 
 `squarefree_range` lists the fields the tests sweep.
 """

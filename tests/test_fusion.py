@@ -358,9 +358,9 @@ def test_refine_matches_per_part_oracle_at_workload_sizes():
 
 def test_partitions_match_recursion_oracle():
     """The multiplicity walk gives the partitions of the recursion that
-    takes one part per frame, in ascending order; on part sets with and
-    without 1, where the search can dead-end, and with a part equal to the
-    total."""
+    takes one part per frame, each with c ascending, listed in ascending
+    order of the c-descending form; on part sets with and without 1, where
+    the search can dead-end, and with a part equal to the total."""
     part_sets = [
         [1], [1, 2], [1, 2, 3, 5, 8], [1, 4, 9, 16, 25, 36], [1, 3, 12, 27],
         [2], [2, 3], [2, 8, 18, 32], [3, 4, 12], [5, 7, 20, 28, 45], [6, 24], [],
@@ -371,7 +371,46 @@ def test_partitions_match_recursion_oracle():
                 tuple((c, 3) for c in p)
                 for p in partitions_per_part(total, sorted(parts, reverse=True))
             )
-            assert list(_partitions(total, parts, 3)) == want, (parts, total)
+            got = _partitions(total, parts, 3)
+            assert got == [p[::-1] for p in want], (parts, total)
+
+
+def test_refine_lists_each_parity_once_and_stops_at_the_first_empty_j(
+    monkeypatch,
+):
+    """One sqrt_classes call per parity of the j reached, made when the
+    first j of that parity is reached, and no j partitioned after the first
+    one with no partition.  60*eps_5^2 (norm -1, even j only) has solutions
+    with several j of one parity; in 30*eps_3^2 (norm +1) the odd classes
+    are 2 and 6, so an odd ell_1 has no partition and the even j after it
+    are never reached."""
+    classes, walked = [], []
+    real_classes, real_partitions = fusion.sqrt_classes, fusion._partitions
+
+    def counted_classes(parity, fld):
+        classes.append(parity)
+        return real_classes(parity, fld)
+
+    def counted_partitions(total, parts, j):
+        walked.append(real_partitions(total, parts, j))
+        return walked[-1]
+
+    monkeypatch.setattr(fusion, "sqrt_classes", counted_classes)
+    monkeypatch.setattr(fusion, "_partitions", counted_partitions)
+    shared = early = 0
+    for N, ell, m in ((5, 60, 2), (3, 30, 2)):
+        for sol in decompose_global_dim(N, ell, m).solutions:
+            for apply in (True, False):
+                classes.clear()
+                walked.clear()
+                refine_simple_dims(sol, apply)
+                empty = [i for i, got in enumerate(walked) if not got]
+                reached = [j % 2 for j, _ in sol.coeffs[: len(walked)]]
+                assert len(walked) == (empty[0] + 1 if empty else len(sol.coeffs))
+                assert sorted(classes) == sorted(set(reached))
+                shared += len(reached) > len(set(reached))
+                early += any(j % 2 not in reached for j, _ in sol.coeffs)
+    assert (shared, early) == (104, 8)
 
 
 def test_refine_modular_filter_effect():

@@ -9,7 +9,9 @@
   product, as the product of two (p, q) pairs does.
 - A quick start: records are `NamedTuple`s, and importing the CLI loads
   neither `dataclasses` nor the modules it pulls in, nor `pathlib`, nor
-  `random`, which only the largest factorizations use."""
+  `random`, which only the largest factorizations use.
+- No module-global mutable state beyond the listed caches: every
+  `lru_cache` or `cache` in the package is allowed by name with a reason."""
 
 import ast
 import os
@@ -230,6 +232,69 @@ def test_unused_scan_flags_each_kind_of_definition():
     assert found == [
         "a.py:1: Dead", "a.py:2: method", "a.py:4: prop", "a.py:6: dead",
         "a.py:10: shadowed",
+    ]
+
+
+# The package's caches, and why each may hold state for the life of the
+# process.  Each maps an argument to a value that never changes.
+CACHES_ALLOWED = {
+    "_field": "interns one QuadField per N: QuadInt compares fields by identity first",
+    "_fundamental_unit_cached": "the continued fraction of N runs once",
+    "_field_record": "the generators and rows of field N are built once",
+    "_primes": "the sieve of primes up to 10^6 is built once, on first use",
+    "_prime_block": "the product of each block of sieve primes, on first use",
+    "_build_parser": "the dnum parser is built once; parsing never mutates it",
+}
+CACHE_NAMES = ("lru_cache", "cache")
+
+
+def cached_names(tree):
+    """(line, name) for every mention of `lru_cache` or `cache` in the
+    tree, bare or as functools.x: the name of the function it decorates,
+    or of the target of name = lru_cache(...)(f), else "?"."""
+    owner = {}
+    for node in ast.walk(tree):
+        if isinstance(node, DEFINITIONS):
+            uses, name = node.decorator_list, node.name
+        elif isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name):
+            uses, name = [node.value], node.targets[0].id
+        else:
+            continue
+        owner.update((id(sub), name) for use in uses for sub in ast.walk(use))
+    return sorted(
+        (node.lineno, owner.get(id(node), "?"))
+        for node in ast.walk(tree)
+        if getattr(node, "id", getattr(node, "attr", None)) in CACHE_NAMES
+    )
+
+
+def test_only_the_allowed_caches_in_the_package():
+    found = [
+        name
+        for path in SRC.glob("*.py")
+        for _, name in cached_names(ast.parse(path.read_text()))
+    ]
+    # a new cache needs a reason here; a cache that goes leaves the list
+    assert sorted(found) == sorted(CACHES_ALLOWED)
+
+
+def test_cache_scan_catches_each_form():
+    source = (
+        "import functools\n"
+        "from functools import cache, lru_cache\n"
+        "@lru_cache(maxsize=None)\n"
+        "def a(n): pass\n"
+        "@cache\n"
+        "def b(n): pass\n"
+        "@functools.lru_cache\n"
+        "def c(n): pass\n"
+        "d = lru_cache(maxsize=None)(len)\n"
+        "e = functools.cache(len)\n"
+        "def f(): return cache(len)\n"
+        "g = {}\n"
+    )
+    assert cached_names(ast.parse(source)) == [
+        (3, "a"), (5, "b"), (7, "c"), (9, "d"), (10, "e"), (11, "?"),
     ]
 
 
