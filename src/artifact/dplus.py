@@ -4,16 +4,17 @@ Call a d-number alpha dominant when alpha >= sigma(alpha) >= 1 (sigma the
 nontrivial automorphism).  Below any cutoff M the dominant d-numbers form a
 finite set: in the canonical form alpha = ell * eps^m * g^delta, dominance
 plus sigma-positivity force m >= 0 and kill most delta combinations, and
-ell is squeezed between 1/sigma(base) and M/base.  enumerate_field walks
-exactly that cell structure, one field at a time.  enumerate_all finds
-every member of every field by a walk over traces p and norms p^2/k for
-the divisors 5 <= k <= p of p^2, which needs no unit, certifies each hit
-with in_dplus and takes its factorization from canonical_factor; the
-canonical form is unique, so it is the one the cell walk would report.
-Both walks run on integer coordinates: the cell walk reads each g^delta
-from the field record's rows and keeps eps^m as a pair, each ell cutoff is
-one `_floor_quadratic`, the cutoff M = a/b enters every test as the
-integers a and b, and one key (`_value_order`) sorts both lists.
+ell is squeezed between 1/sigma(base) and M/base.  The cell walk covers
+exactly that cell structure, one field at a time, and is the only code
+that builds a member; enumerate_field runs it on one field.  enumerate_all
+runs it on every field that a second walk hits, a walk over traces p and
+norms p^2/k for the divisors 5 <= k <= p of p^2, which needs no unit.
+Both walks are complete, so the members that the cell walks list must be
+exactly the trace-walk hits, and a member that either walk misses is a
+bug.  Both walks run on integer coordinates: the cell walk reads each
+g^delta from the field record's rows and keeps eps^m as a pair, each ell
+cutoff is one `_floor_quadratic`, the cutoff M = a/b enters every test as
+the integers a and b, and one key (`_value_order`) sorts both lists.
 """
 
 from __future__ import annotations
@@ -22,8 +23,7 @@ from fractions import Fraction
 from functools import cmp_to_key
 from typing import NamedTuple
 
-from .dnumbers import CanonicalFactorization, canonical_factor
-from .dnumbers import generator_set, is_dnumber
+from .dnumbers import CanonicalFactorization, generator_set, is_dnumber
 from .quadring import (
     InternalInconsistency,
     NotApplicable,
@@ -38,7 +38,6 @@ from .quadring import (
     divisors,
     field,
     is_square,
-    make,
     squarefree_decompose,
 )
 from .units import fundamental_unit
@@ -95,21 +94,18 @@ def _value_order(e: DPlusElement):
     return _floor_quadratic(p << 64, q << 64, N, d), _EXACT(e.value)
 
 
-def enumerate_field(field_or_n, M) -> list[DPlusElement]:
-    """All dominant d-numbers of one real field in [1, M], ascending.
-
-    Rational integers are left to enumerate_all, so they appear once
-    globally instead of once per field.
-    """
-    fld = field(field_or_n)
-    if (N := fld.N) < 2:
-        raise NotApplicable("enumeration needs a real field")
+def _cutoff(M) -> tuple[int, int]:
+    """The cutoff M >= 1 as the integers a, b of M = a/b in lowest terms."""
     M = Fraction(M)
-    a, b = M.numerator, M.denominator
-    if a < b:
+    if M < 1:
         raise ValueError("cutoff M must be at least 1")
-    fu = fundamental_unit(fld)
-    rec = generator_set(fld)
+    return M.numerator, M.denominator
+
+
+def _cell_walk(N: int, a: int, b: int) -> list[DPlusElement]:
+    """Every dominant irrational d-number ell * eps^m * g^delta <= a/b of the
+    real field N, unsorted; a member that in_dplus rejects is a bug."""
+    fld, fu, rec = field(N), fundamental_unit(N), generator_set(N)
     found: list[DPlusElement] = []
     ep, eq, sp, sq, m = 2, 0, 2, 0, 0  # eps^m, and eps^(2m) <= every member at m
     while _sign(b * sp - 2 * a, b * sq, N) <= 0:
@@ -135,8 +131,19 @@ def enumerate_field(field_or_n, M) -> list[DPlusElement]:
                 found.append(DPlusElement(value, fact, decimal_str(value)))
         ep, eq, m = *_mul(ep, eq, fu.t, fu.u, N), m + 1
         sp, sq = _mul(ep, eq, ep, eq, N)
-    found.sort(key=_value_order)
     return found
+
+
+def enumerate_field(field_or_n, M) -> list[DPlusElement]:
+    """All dominant d-numbers of one real field in [1, M], ascending.
+
+    Rational integers are left to enumerate_all, so they appear once
+    globally instead of once per field.
+    """
+    fld = field(field_or_n)
+    if fld.N < 2:
+        raise NotApplicable("enumeration needs a real field")
+    return sorted(_cell_walk(fld.N, *_cutoff(M)), key=_value_order)
 
 
 def _trace_walk(a: int, b: int) -> list[tuple[int, int, int]]:
@@ -168,27 +175,26 @@ def _trace_walk(a: int, b: int) -> list[tuple[int, int, int]]:
 def enumerate_all(M, include_integers: bool = False) -> list[DPlusElement]:
     """Dominant d-numbers in [1, M] across every real field, ascending.
 
-    The trace walk gives every member's field and coordinates; a hit that
-    in_dplus rejects is a bug.  Rational integers join once, not per
-    field, and only on request.
+    The trace walk names the fields that own members, and the cell walk of
+    each lists them.  Both walks are complete, so each must find exactly
+    the members the other finds; a member that one of them misses is a bug.
+    A field that the trace walk misses whole escapes this check; the tests
+    sweep every field up to (2M - 1)^2 for that case.
+    Rational integers join once, not per field, and only on request.
     """
-    M = Fraction(M)
-    a, b = M.numerator, M.denominator
-    if a < b:
-        raise ValueError("cutoff M must be at least 1")
-    out: list[DPlusElement] = []
-    for N, p, q in _trace_walk(a, b):
-        value = make(N, p, q)
-        if not in_dplus(value):
-            raise InternalInconsistency(
-                f"trace walk hit {value} (N={N}) is not a dominant d-number"
-            )
-        out.append(DPlusElement(value, canonical_factor(value), decimal_str(value)))
-    if include_integers:
-        out.extend(
-            DPlusElement(k, None, decimal_str(k))
-            for k in range(1, a // b + 1)
+    a, b = _cutoff(M)
+    hits = set(_trace_walk(a, b))
+    out = [e for N in {N for N, _, _ in hits} for e in _cell_walk(N, a, b)]
+    built = {(e.value.N, e.value.p, e.value.q): e.value for e in out}
+    if odd := built.keys() ^ hits:
+        N, p, q = key = min(odd)
+        raise InternalInconsistency(
+            f"trace walk missed {built[key]} (N={N}), which its cell walk lists"
+            if key in built
+            else f"trace walk hit {_raw(field(N), p, q)} (N={N}) not in its cell walk"
         )
+    if include_integers:
+        out += [DPlusElement(k, None, decimal_str(k)) for k in range(1, a // b + 1)]
     out.sort(key=_value_order)
     return out
 

@@ -165,7 +165,8 @@ def decompose_global_dim(
     the product of the caps floor(target * eps^-j).  Every solution is
     re-checked on integer coordinates, both of them, against the target and
     against the quantum-integer identity [m]*d_int = sum ell_j * [j-m],
-    with [0], ..., [K] taken from _quantum_ints.
+    with [0], ..., [K] taken from _quantum_ints: every j lies in 1, ..., J,
+    the largest j of the walk, so K = max(m, J - m) bounds every |j - m|.
     """
     fld = field(field_or_n)
     if ell < 1 or m < 0:
@@ -212,7 +213,7 @@ def decompose_global_dim(
 
     if solutions:  # [m] and every [j - m] a solution uses, from one table
         power = {j: (P, Q) for j, P, Q in terms}
-        K = max([m] + [abs(j - m) for s in solutions for j, _ in s.coeffs])
+        K = max([m] + [j - m for j, _, _ in terms[-1:]])  # every |j - m| <= K
         qint = list(itertools.islice(_quantum_ints(fld), K + 1))
         mp, mq = qint[m]
     for sol in solutions:  # d_int + sum ell_j*eps^j and sum ell_j*[j - m]
@@ -234,7 +235,6 @@ def decompose_global_dim(
 class SimpleDimProfile(NamedTuple):
     """One way to split each ell_j into simple squared dimensions c*eps^j."""
 
-    decomposition: Decomposition
     parts: tuple[tuple[int, int], ...]  # (c, j) per non-integral simple object
 
 
@@ -305,7 +305,7 @@ def refine_simple_dims(
         if not per_j[-1]:
             return []
     return [
-        SimpleDimProfile(d, tuple(sorted(sum(parts, ()))))
+        SimpleDimProfile(tuple(sorted(sum(parts, ()))))
         for parts in itertools.product(*per_j)
     ]
 

@@ -48,8 +48,6 @@ from .quadring import (
 SQRT_KIND = "SqrtN"
 OMEGA_KIND = "Omega"
 
-_MAX_CF_STEPS = 10**6
-
 
 class CFExpansion(NamedTuple):
     """Periodic continued fraction: preamble digits, then a repeating cycle."""
@@ -61,11 +59,24 @@ class CFExpansion(NamedTuple):
 
 
 def _cf_states(N: int, P0: int, Q0: int):
-    """Yield (a_{i-1}, P_i, Q_i) for i = 1, 2, ..., _MAX_CF_STEPS: each digit
-    of the expansion of (P0+sqrt(N))/Q0 with the state that it leads to."""
+    """Yield (a_{i-1}, P_i, Q_i) for i = 1, 2, ..., r*(r + 1), r = isqrt(N):
+    each digit of the expansion of (P0+sqrt(N))/Q0 with the state that it
+    leads to.  The first i >= 1 with Q_i = Q0 comes within these steps, so
+    a caller that sees none has found a bug.
+
+    conj(x_0) < 0 and every a_i >= 1, so conj(x_{i+1}) = 1/(conj(x_i) - a_i)
+    lies in (-1, 0), and x_{i+1} > 1: every x_i with i >= 1 is reduced.  A
+    reduced (P + sqrt(N))/Q has a positive trace and a negative conjugate,
+    so 0 < P <= r, and sqrt(N) - P < Q < sqrt(N) + P, since its conjugate
+    is above -1 and itself above 1.  That leaves at most 2P values of Q per
+    P, r*(r + 1) states in all.  A reduced expansion is purely periodic
+    (Galois), and no state repeats within its least period L, so
+    L <= r*(r + 1).  x_{L+1} = x_1 gives x_L - a_L = x_0 - a_0, whose
+    sqrt(N) coefficients 1/Q_L and 1/Q0 then agree: Q_L = Q0.
+    """
     r = math.isqrt(N)
     P, Q = P0, Q0
-    for _ in range(_MAX_CF_STEPS):
+    for _ in range(r * (r + 1)):
         a = (P + r) // Q
         P = a * Q - P
         num = N - P * P

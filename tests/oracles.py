@@ -6,8 +6,9 @@
 - The trace walk over every divisor of p^2 (`trace_walk_all_divisors`),
   which the library's walk over the divisors k = p^2/n <= p must match.
 - The generators of each real field on QuadInt arithmetic (`GeneratorSet`,
-  `generator_set`), square roots checked by QuadInt products, which the
-  library's integer `FieldRecord` must match.
+  `generator_set`), kappa_1 and kappa_2 found among the divisors of 2N
+  (`squarefree_part_dividing`) and square roots checked by QuadInt
+  products, which the library's integer `FieldRecord` must match.
 - The canonical factorization on those generators (`evaluate`,
   `canonical_factor`, `_unit_exponent`): generator products, exact_divide
   and a descent on QuadInt powers, which the library's integer-coordinate
@@ -43,7 +44,6 @@ from artifact.dnumbers import (
     CASE_N_KAPPA2_EQ_KAPPA1,
     CASE_NORM_MINUS_ONE,
     CanonicalFactorization,
-    _kappa,
     is_dnumber,
 )
 from artifact.dplus import DPlusElement, in_dplus
@@ -222,10 +222,24 @@ class GeneratorSet:
         return out
 
 
+def squarefree_part_dividing(a: int, n: int) -> int:
+    """The squarefree d with a/d a perfect square, found among the divisors
+    of n, with no factoring of a."""
+    small = [d for d in range(1, math.isqrt(n) + 1) if n % d == 0]
+    for d in small + [n // d for d in small]:
+        if a % d == 0 and math.isqrt(a // d) ** 2 == a // d and all(
+            d % (k * k) for k in range(2, math.isqrt(d) + 1)
+        ):
+            return d
+    raise InternalInconsistency(f"no divisor of {n} is the squarefree part of {a}")
+
+
 @lru_cache(maxsize=None)
 def generator_set(N: int) -> GeneratorSet:
-    """The generators of a real field, as QuadInts; kappa_1 and kappa_2 come
-    from `dnumbers._kappa`, which certifies each one by an exact root."""
+    """The generators of a real field, as QuadInts.  (t+2)(t-2) = N*u^2 and
+    gcd(t+2, t-2) | 4 put the squarefree parts kappa_1 of t+2 and kappa_2
+    of t-2 among the divisors of 2N, where `squarefree_part_dividing`
+    finds them."""
     fld = field(N)
     fu = fundamental_unit(fld)
     root_n = make(fld, 0, 2)
@@ -235,7 +249,7 @@ def generator_set(N: int) -> GeneratorSet:
             (root_n,), (0,),
             {1: (0, 0, 0), N: (1, 0, 0)},
         )
-    k1, k2 = _kappa(fu.t + 2, N), _kappa(fu.t - 2, N)
+    k1, k2 = (squarefree_part_dividing(fu.t + d, 2 * N) for d in (2, -2))
     g1 = _sqrt_kappa_eps(fld, k1, plus=True)
     g2 = _sqrt_kappa_eps(fld, k2, plus=False)
     if k1 * k2 == N:

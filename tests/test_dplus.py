@@ -197,12 +197,32 @@ def test_trace_walk_matches_field_sweep(M):
 )
 def test_trace_walk_hits_are_certified(monkeypatch, hit):
     # one bad (N, p, q) beside the real hits: a d-number whose conjugate is
-    # below 1, or a dominant element that is no d-number; in_dplus rejects
-    # both before canonical_factor sees them
+    # below 1, or a dominant element that is no d-number; no cell walk
+    # lists either
     real = dplus._trace_walk
     monkeypatch.setattr(dplus, "_trace_walk", lambda a, b: real(a, b) + [hit])
     with pytest.raises(InternalInconsistency, match="trace walk hit"):
         enumerate_all(5)
+
+
+def test_each_walk_certifies_the_other(monkeypatch, capsys):
+    # (5+sqrt5)/2 lost by the cell walk of N = 5, whose other members are
+    # all sound, or by the trace walk, which still hits N = 5 below 12
+    cell, trace = dplus._cell_walk, dplus._trace_walk
+    monkeypatch.setattr(dplus, "_cell_walk", lambda N, a, b: [
+        e for e in cell(N, a, b) if e.value != make(5, 5, 1)
+    ])
+    assert [e.value for e in enumerate_field(5, 5)] == []
+    with pytest.raises(InternalInconsistency, match=r"hit \(5\+√5\)/2 \(N=5\)"):
+        enumerate_all(12)
+    assert main(["enumerate", "5"]) == 4
+    assert "trace walk hit (5+√5)/2 (N=5)" in capsys.readouterr().err
+    monkeypatch.setattr(dplus, "_cell_walk", cell)
+    monkeypatch.setattr(dplus, "_trace_walk", lambda a, b: [
+        hit for hit in trace(a, b) if hit != (5, 5, 1)
+    ])
+    with pytest.raises(InternalInconsistency, match=r"missed \(5\+√5\)/2 \(N=5\)"):
+        enumerate_all(12)
 
 
 def test_trace_walk_matches_all_divisor_walk():

@@ -2,8 +2,9 @@
 
 - "No floating point decides anything": no float literal, no `float`, no
   `math` function beyond the integer ones, and no true division.
-- No dead API: every function, class, method or property the package
-  defines is used by the package, or is allowed by name with a reason.
+- No dead API: every function, class, method, property or NamedTuple
+  field the package defines is used by the package, or is allowed by name
+  with a reason.
 - Integers inside: `fractions` is imported only where a rational enters.
 - Doubled coordinates belong to `quadring`: no other module halves a
   product, as the product of two (p, q) pairs does.
@@ -165,18 +166,36 @@ UNUSED_ALLOWED = {
     "cf_expand": "perfbench's tracer looks it up by name",
     "delta_combos": "perfbench's worker draws its deltas from it",
     "record": "perfbench's enumerate digest joins it",
+    "CFExpansion.preamble": "only tests read it; perfbench pins cf_expand",
+    "CFExpansion.period": "only tests read it; perfbench pins cf_expand",
 }
 
 
 DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
+def namedtuple_fields(tree):
+    """(line, Class.field, field) for every field of every NamedTuple class
+    that the tree defines."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef) and any(
+            getattr(base, "id", getattr(base, "attr", None)) == "NamedTuple"
+            for base in node.bases
+        ):
+            for item in node.body:
+                if isinstance(item, ast.AnnAssign):
+                    field = item.target.id
+                    yield item.lineno, f"{node.name}.{field}", field
+
+
 def unused_definitions(trees: dict) -> list[str]:
     """"file:line: name" of every function, class, method or property that
-    the trees define and that no name, attribute or import in them uses.
-    A method or property is used only through an attribute (x.name), so a
-    local variable of the same name does not hide it.  Dunder methods are
-    used by the language, and are not reported."""
+    the trees define and that no name, attribute or import in them uses,
+    and "file:line: Class.field" of every NamedTuple field that no
+    attribute in them reads.  A method, property or field is used only
+    through an attribute (x.name), so a local variable of the same name
+    does not hide it.  Dunder methods are used by the language, and are not
+    reported."""
     names, attrs, defined = set(), set(), []
     for name, tree in trees.items():
         methods = {
@@ -194,12 +213,18 @@ def unused_definitions(trees: dict) -> list[str]:
             elif isinstance(node, ast.ImportFrom):
                 names.update(alias.name for alias in node.names)
             elif isinstance(node, DEFINITIONS):
-                defined.append((name, node.lineno, node.name, id(node) in methods))
+                defined.append(
+                    (name, node.lineno, node.name, node.name, id(node) in methods)
+                )
+        defined += [
+            (name, line, what, field, True)
+            for line, what, field in namedtuple_fields(tree)
+        ]
     return [
         f"{name}:{line}: {what}"
-        for name, line, what, method in sorted(defined)
-        if what not in (attrs if method else names | attrs)
-        and not (what.startswith("__") and what.endswith("__"))
+        for name, line, what, used_as, member in sorted(defined)
+        if used_as not in (attrs if member else names | attrs)
+        and not (used_as.startswith("__") and used_as.endswith("__"))
     ]
 
 
@@ -224,14 +249,20 @@ def test_unused_scan_flags_each_kind_of_definition():
             "class Live:\n"
             "    def attr(self): pass\n"
             "    def shadowed(self): pass\n"
+            "class Row(NamedTuple):\n"
+            "    read: int\n"
+            "    unread: int\n"
         ),
-        # a local variable of a method's name does not use the method
-        "b.py": "from a import Live\ncalled()\nLive().attr()\nshadowed = 1\n",
+        # a local variable of a method's or a field's name does not use it
+        "b.py": (
+            "from a import Live, Row\ncalled()\nLive().attr()\nshadowed = 1\n"
+            "Row(1, 2).read\nunread = 2\n"
+        ),
     }
     found = unused_definitions({k: ast.parse(v) for k, v in source.items()})
     assert found == [
         "a.py:1: Dead", "a.py:2: method", "a.py:4: prop", "a.py:6: dead",
-        "a.py:10: shadowed",
+        "a.py:10: shadowed", "a.py:13: Row.unread",
     ]
 
 

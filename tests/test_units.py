@@ -104,6 +104,17 @@ def test_cf_expand_omega():
         cf_expand(7, "bogus")
 
 
+def test_cf_expand_long_period():
+    """A period of 1,605,386 digits is an answer, not a bug: the step bound
+    isqrt(N)*(isqrt(N) + 1) of `_cf_states` grows with N.  The period of
+    sqrt(N) ends in 2*isqrt(N), and the digits before it are a palindrome."""
+    N = 10**13 + 39
+    e = cf_expand(N)
+    assert e.preamble == (math.isqrt(N),) and len(e.period) == 1_605_386
+    assert e.period[-1] == 2 * math.isqrt(N)
+    assert e.period[:-1] == e.period[-2::-1]
+
+
 def test_cf_not_applicable_imaginary():
     with pytest.raises(NotApplicable):
         cf_expand(-1)
