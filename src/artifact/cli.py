@@ -10,6 +10,11 @@ name goes to stderr), 2 usage error, 3 factorization budget exhausted, 4
 internal inconsistency (a bug), 141 stdout closed by its reader before the
 output ended (as after SIGPIPE), which also stops the computation.
 
+Every argument of every subcommand is declared once, in _COMMANDS.  _scan
+reads a well-formed argv straight from that table; argparse is imported and
+built from it only for the rest (help, usage errors, abbreviated or `=`
+spellings), so it alone prints help and usage.
+
 Every handler makes the library calls that can raise a domain error or
 exhaust the factor budget before it yields its first record, so exits 1,
 2 and 3 leave stdout empty.  Only an InternalInconsistency may follow
@@ -18,7 +23,6 @@ partial output: exit 4 after the records printed before the check failed.
 
 from __future__ import annotations
 
-import argparse
 import contextvars
 import json
 import os
@@ -26,6 +30,7 @@ import sys
 from fractions import Fraction
 from functools import lru_cache
 from itertools import groupby
+from types import SimpleNamespace
 
 from . import dnumbers, dplus, fusion, units
 from .quadring import (
@@ -138,7 +143,8 @@ def _cmd_qint(args):
 
 def _cmd_decompose(args):
     if args.modular_filter and not args.refine:
-        _build_parser().error("argument --modular-filter: needs --refine")
+        parser = _build_parser().commands["decompose"]  # its usage, not dnum's
+        parser.error("argument --modular-filter: needs --refine")
     scan = fusion.decompose_global_dim(
         args.N, args.ell, args.m, divisor_constraint=args.dint_divides
     )
@@ -206,25 +212,6 @@ def _cmd_complex(args):
     }
 
 
-# every subcommand, in the order `dnum --help` lists them: its handler, its
-# help and its integer positionals; _build_parser adds the other arguments
-_COMMANDS = {
-    "unit": (_cmd_unit, "fundamental unit of Q(sqrt(N))", "N"),
-    "kappa": (_cmd_kappa, "kappa_1, kappa_2 of a norm +1 field", "N"),
-    "generators": (_cmd_generators, "d-number monoid generators", "N"),
-    "member": (_cmd_member, "d-number test plus order and factorization", "N p q"),
-    "factor": (_cmd_factor, "canonical factorization of a d-number", "N p q"),
-    "divides": (_cmd_divides, "does (p1,q1) divide (p2,q2)?", "N p1 q1 p2 q2"),
-    "enumerate": (_cmd_enumerate, "dominant d-numbers up to M", ""),
-    "pell": (_cmd_pell, "negative Pell solvability and witness", "N"),
-    "qint": (_cmd_qint, "quantum integer [m]", "N m"),
-    "decompose": (_cmd_decompose, "split ell*eps^m into d_int + sum ell_j eps^j", "N ell m"),
-    "screen": (_cmd_screen, "small-dimension screen of a target", "N p q"),
-    "table": (_cmd_table, "regenerate or validate the shipped tables", ""),
-    "complex": (_cmd_complex, "d-number classification for N < 0", "N p q"),
-}
-
-
 # ---------------------------------------------------------------------------
 # text views: one line (or a solution's lines) per payload
 
@@ -289,11 +276,11 @@ _TEXT = {
 
 
 # ---------------------------------------------------------------------------
-# parser
+# the grammar, declared once: _scan reads argv by it, argparse is built from it
 
 
 def fraction(text: str) -> Fraction:
-    """argparse type for M; a zero denominator is a usage error too."""
+    """The type of M; a zero denominator is a usage error too."""
     try:
         return Fraction(text)
     except ZeroDivisionError:
@@ -301,7 +288,7 @@ def fraction(text: str) -> Fraction:
 
 
 def nonnegative(text: str) -> int:
-    """argparse type for the witness bound; a negative one is a usage error."""
+    """The type of the witness bound; a negative one is a usage error."""
     value = int(text)
     if value < 0:
         raise ValueError(f"negative bound {value}")
@@ -309,54 +296,122 @@ def nonnegative(text: str) -> int:
 
 
 def positive(text: str) -> int:
-    """argparse type for the factor budget; one below 1 is a usage error."""
+    """The type of the factor budget; one below 1 is a usage error."""
     value = int(text)
     if value < 1:
         raise ValueError(f"budget {value} below 1")
     return value
 
 
+def _ints(names: str) -> tuple:
+    return tuple((name, {"type": int}) for name in names.split())
+
+
+# an argument is (name, keywords of argparse's add_argument), an option when
+# name starts with "--"; _scan reads "type", "choices", "default" and "action"
+# (always "store_true").  _COMMANDS lists every subcommand in --help's order,
+# with its handler, its help and its arguments, in --help's order too
+_GLOBAL_ARGS = (
+    ("--json", {"action": "store_true", "help": "emit JSON records"}),
+    ("--budget", {"type": positive, "metavar": "B",
+                  "help": "Pollard-rho iteration budget per factorization"}),
+)
+_COMMANDS = {
+    "unit": (_cmd_unit, "fundamental unit of Q(sqrt(N))", _ints("N")),
+    "kappa": (_cmd_kappa, "kappa_1, kappa_2 of a norm +1 field", _ints("N")),
+    "generators": (_cmd_generators, "d-number monoid generators", _ints("N")),
+    "member": (_cmd_member, "d-number test plus order and factorization", _ints("N p q")),
+    "factor": (_cmd_factor, "canonical factorization of a d-number", _ints("N p q")),
+    "divides": (_cmd_divides, "does (p1,q1) divide (p2,q2)?", _ints("N p1 q1 p2 q2")),
+    "enumerate": (_cmd_enumerate, "dominant d-numbers up to M", (
+        ("M", {"type": fraction, "help": "upper bound (integer or fraction like 37/10)"}),
+        ("--field", {"type": int, "metavar": "N", "help": "restrict to one field"}),
+        ("--no-integers", {"action": "store_true",
+                           "help": "omit the rational integers from the global listing"}),
+    )),
+    "pell": (_cmd_pell, "negative Pell solvability and witness", (
+        *_ints("N"),
+        ("--witness-bound", {"type": nonnegative, "default": 100, "metavar": "B"}),
+    )),
+    "qint": (_cmd_qint, "quantum integer [m]", _ints("N m")),
+    "decompose": (_cmd_decompose, "split ell*eps^m into d_int + sum ell_j eps^j", (
+        *_ints("N ell m"), ("--dint-divides", {"type": int, "metavar": "D"}),
+        ("--refine", {"action": "store_true", "help": "list simple dimensions"}),
+        ("--modular-filter", {"action": "store_true",
+                              "help": "require target/(c*eps^j) integral in refinements"}),
+    )),
+    "screen": (_cmd_screen, "small-dimension screen of a target", _ints("N p q")),
+    "table": (_cmd_table, "regenerate or validate the shipped tables",
+              (("name", {"choices": ("units", "kappa", "fig3")}),)),
+    "complex": (_cmd_complex, "d-number classification for N < 0", _ints("N p q")),
+}
+
+
+def _scan(argv: list[str]) -> SimpleNamespace | None:
+    """The namespace that argparse parses from argv, read straight from the
+    table: global options, the command, then its exact long flags anywhere
+    among its positionals.  None leaves argv to argparse: help, usage
+    errors, and the spellings only argparse reads (abbreviations,
+    --flag=value, --, a negative not spelled in ASCII digits)."""
+    at = next((i for i, token in enumerate(argv) if token in _COMMANDS), None)
+    if at is None:
+        return None
+    handler, _, args = _COMMANDS[argv[at]]
+    values = {"command": argv[at], "func": handler}
+    read = _read(argv[:at], _GLOBAL_ARGS, values) and _read(argv[at + 1 :], args, values)
+    return SimpleNamespace(**values) if read else None
+
+
+def _read(tokens: list[str], args: tuple, values: dict) -> bool:
+    """Read tokens by args into values as argparse does, or return False:
+    one token per positional, and a repeated option keeps its last value.
+    A value starts with "-" only as a negative in ASCII digits, which
+    argparse reads as a value since no dnum option looks like a number."""
+    options = {name: kw for name, kw in args if name.startswith("--")}
+    positionals = [(name, kw) for name, kw in args if name not in options]
+    for name, kw in options.items():
+        default = False if "action" in kw else None
+        values[name[2:].replace("-", "_")] = kw.get("default", default)
+    tokens = iter(tokens)
+    for token in tokens:
+        if token in options:
+            dest, kw = token[2:].replace("-", "_"), options[token]
+            if "action" in kw:
+                values[dest] = True
+                continue
+            token = next(tokens, "-")  # a missing value reads as no value
+        elif positionals:
+            dest, kw = positionals.pop(0)  # a positional's dest is its name
+        else:
+            return False
+        dash = token[:1] == "-" and not (token[1:].isascii() and token[1:].isdigit())
+        if dash or token not in kw.get("choices", (token,)):
+            return False
+        try:
+            values[dest] = kw.get("type", str)(token)
+        except ValueError:
+            return False
+    return not positionals
+
+
 @lru_cache(maxsize=None)
-def _build_parser() -> argparse.ArgumentParser:
-    """The `dnum` parser, built once per process; parsing never mutates it."""
+def _build_parser():
+    """The `dnum` argparse parser, built from the table once per process,
+    and only when _scan leaves an argv to it; parsing never mutates it.
+    parser.commands maps each command to its subparser."""
+    import argparse  # here, so that answering a well-formed argv never loads it
+
     parser = argparse.ArgumentParser(
-        prog="dnum",
-        description="Exact arithmetic of d-numbers in quadratic fields.",
-    )
-    parser.add_argument("--json", action="store_true", help="emit JSON records")
-    parser.add_argument(
-        "--budget", type=positive, metavar="B",
-        help="Pollard-rho iteration budget per factorization",
-    )
+        prog="dnum", description="Exact arithmetic of d-numbers in quadratic fields.")
+    for name, kw in _GLOBAL_ARGS:
+        parser.add_argument(name, **kw)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    for name, (handler, help_text, integers) in _COMMANDS.items():
-        p = sub.add_parser(name, help=help_text)
-        for arg in integers.split():
-            p.add_argument(arg, type=int)
+    for command, (handler, help_text, args) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        for name, kw in args:
+            p.add_argument(name, **kw)
         p.set_defaults(func=handler)
-
-    p = sub.choices["enumerate"]
-    p.add_argument(
-        "M", type=fraction, help="upper bound (integer or fraction like 37/10)"
-    )
-    p.add_argument("--field", type=int, metavar="N", help="restrict to one field")
-    p.add_argument(
-        "--no-integers", action="store_true",
-        help="omit the rational integers from the global listing",
-    )
-    sub.choices["pell"].add_argument(
-        "--witness-bound", type=nonnegative, default=100, metavar="B"
-    )
-    p = sub.choices["decompose"]
-    p.add_argument("--dint-divides", type=int, metavar="D")
-    p.add_argument("--refine", action="store_true", help="list simple dimensions")
-    p.add_argument(
-        "--modular-filter", action="store_true",
-        help="require target/(c*eps^j) integral in refinements",
-    )
-    sub.choices["table"].add_argument("name", choices=["units", "kappa", "fig3"])
-
+    parser.commands = sub.choices
     return parser
 
 
@@ -367,7 +422,8 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def _run(argv: list[str] | None) -> int:
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv  # the `dnum` script passes None
+    args = _scan(argv) or _build_parser().parse_args(argv)
     if args.budget is not None:
         set_factor_budget(args.budget)
     # an answer may pass str()'s default limit of 4300 digits, argv may not

@@ -27,6 +27,12 @@
   (`partitions_per_part`), which the multiplicity walk of
   `fusion._partitions` must match, each partition reversed (c ascending)
   and in the same order.
+- The `dnum` grammar declared by hand in argparse (`dnum_parser`), which
+  `cli._scan` and the parser that `cli._build_parser` builds from the
+  command table must both match.
+- A certificate that the unit is fundamental by power non-residues
+  (`power_nonresidue_certificate`), which shares no code with the
+  continued fraction of `units.fundamental_unit`.
 
 `squarefree_range` lists the fields the tests sweep.
 """
@@ -435,3 +441,109 @@ def partitions_per_part(total: int, parts: list[int]) -> list[tuple[int, ...]]:
 
     rec(total, 0, [])
     return out
+
+
+def dnum_parser():
+    """The grammar of `dnum`, each argument declared by hand as cli declared
+    it before its command table, with cli's handlers and value types.  It
+    is an oracle of parsing only: it has no help texts."""
+    import argparse
+
+    from artifact import cli
+
+    parser = argparse.ArgumentParser(prog="dnum")
+    parser.add_argument("--json", action="store_true")
+    parser.add_argument("--budget", type=cli.positive)
+    sub = parser.add_subparsers(dest="command", required=True)
+    integers = {
+        "unit": "N", "kappa": "N", "generators": "N", "member": "N p q",
+        "factor": "N p q", "divides": "N p1 q1 p2 q2", "enumerate": "",
+        "pell": "N", "qint": "N m", "decompose": "N ell m", "screen": "N p q",
+        "table": "", "complex": "N p q",
+    }
+    for name, names in integers.items():
+        p = sub.add_parser(name)
+        for arg in names.split():
+            p.add_argument(arg, type=int)
+        p.set_defaults(func=getattr(cli, f"_cmd_{name}"))
+    p = sub.choices["enumerate"]
+    p.add_argument("M", type=cli.fraction)
+    p.add_argument("--field", type=int)
+    p.add_argument("--no-integers", action="store_true")
+    sub.choices["pell"].add_argument("--witness-bound", type=cli.nonnegative, default=100)
+    p = sub.choices["decompose"]
+    p.add_argument("--dint-divides", type=int)
+    p.add_argument("--refine", action="store_true")
+    p.add_argument("--modular-filter", action="store_true")
+    sub.choices["table"].add_argument("name", choices=["units", "kappa", "fig3"])
+    return parser
+
+
+class NoPowerWitness(Exception):
+    """The witness search for prime k reached its step cap: eps may be a
+    k-th power (or the cap is too small)."""
+
+    def __init__(self, k: int, steps: int):
+        super().__init__(f"no witness for k={k} within {steps} steps")
+        self.k = k
+
+
+def _is_small_prime(p: int) -> bool:
+    return p > 1 and all(p % d for d in range(2, math.isqrt(p) + 1))
+
+
+def _sqrt_mod(a: int, p: int) -> int:
+    """A square root of the quadratic residue a modulo the odd prime p
+    (Tonelli-Shanks)."""
+    q, s = p - 1, 0
+    while q % 2 == 0:
+        q, s = q // 2, s + 1
+    z = next(z for z in range(2, p) if pow(z, (p - 1) // 2, p) == p - 1)
+    m, c, t, r = s, pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
+    while t != 1:
+        i, t2 = 1, t * t % p
+        while t2 != 1:
+            i, t2 = i + 1, t2 * t2 % p
+        b = pow(c, 1 << (m - i - 1), p)
+        m, c, t, r = i, b * b % p, t * b * b % p, r * b % p
+    return r
+
+
+def power_nonresidue_certificate(N: int, t: int, u: int, steps: int = 2000):
+    """[(k, p, r)] proving that the unit eps = (t + u*sqrt(N))/2 > 1 of
+    Q(sqrt(N)) is no k-th power of a unit for any k > 1, so that it is the
+    fundamental unit; raises NoPowerWitness when the search for some prime
+    k finds no witness among p = 1 + 2jk, j = 1 .. steps.
+
+    If eps = eta^k with eta > 1 a unit, then eta = (a + b*sqrt(N))/2 with
+    a, b >= 1 and a^2 = N*b^2 +- 4, so eta > L = isqrt(N - 4), and eps <
+    t + 1 gives k < log(t + 1)/log(L) <= t.bit_length()/(L.bit_length() - 1).
+    Below N = 20 (L of under 3 bits) eta is at least the golden ratio,
+    whose log2 exceeds 1/2.  A composite k has a prime factor k' with eps
+    a k'-th power, so the primes k up to the bound suffice.  For each,
+    the witness is a prime p = 1 (mod 2k) with p not dividing N and
+    r^2 = N (mod p): sqrt(N) -> r is a ring map from the integers of the
+    field onto F_p (p is odd), and a k-th power maps to e with
+    e^((p-1)/k) = 1, so e = (t + u*r)/2 with e^((p-1)/k) != 1 shows that
+    eps is no k-th power."""
+    if t * t - N * u * u not in (4, -4) or t < 1 or u < 1:
+        raise ValueError(f"({t}, {u}) is no unit above 1 of Q(sqrt({N}))")
+    L = math.isqrt(max(N - 4, 0))
+    if L.bit_length() < 3:
+        bound = 2 * t.bit_length() + 2
+    else:
+        bound = t.bit_length() // (L.bit_length() - 1) + 1
+    witnesses = []
+    for k in filter(_is_small_prime, range(2, bound + 1)):
+        for j in range(1, steps + 1):
+            p = 1 + 2 * j * k
+            if N % p == 0 or not _is_small_prime(p) or pow(N % p, (p - 1) // 2, p) != 1:
+                continue
+            r = _sqrt_mod(N % p, p)
+            e = (t + u * r) * pow(2, -1, p) % p
+            if pow(e, (p - 1) // k, p) != 1:
+                witnesses.append((k, p, r))
+                break
+        else:
+            raise NoPowerWitness(k, steps)
+    return witnesses

@@ -2,6 +2,7 @@
 
 import json
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -13,7 +14,7 @@ from artifact import cli, dplus, fusion, units
 from artifact.cli import main
 from artifact.quadring import InternalInconsistency, factorize
 from artifact.units import fundamental_unit
-from oracles import squarefree_range
+from oracles import dnum_parser, squarefree_range
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -406,16 +407,99 @@ def test_parser_shape(capsys, monkeypatch):
         assert exc.value.code == 2
         assert capsys.readouterr().err.splitlines()[0] == usage
     assert [argv.split()[0] for argv in PARSED] == list(USAGE)[1:]
-    for argv, want in PARSED.items():
-        command = argv.split()[0]
-        args = vars(cli._build_parser().parse_args(argv.split()))
-        assert args.pop("func") is getattr(cli, f"_cmd_{command}")
+    # and the shape of perfbench's factor requests
+    perfbench = {"budget": 300000, **PARSED["factor 15 0 2"]}
+    shapes = {**PARSED, "--budget 300000 factor 15 0 2": perfbench}
+    for argv, want in shapes.items():
+        command = next(token for token in argv.split() if token in cli._COMMANDS)
         want = {"json": False, "budget": None, "command": command, **want}
-        typed = {k: (type(v), v) for k, v in args.items()}
-        assert typed == {k: (type(v), v) for k, v in want.items()}, argv
+        # argparse parses each argv, and _scan reads it alike
+        for args in map(vars, [cli._build_parser().parse_args(argv.split()),
+                               cli._scan(argv.split())]):
+            assert args.pop("func") is getattr(cli, f"_cmd_{command}")
+            assert typed(args) == typed(want), argv
 
 
-def test_exit_codes(capsys):
+def typed(values: dict) -> dict:
+    return {k: (type(v), v) for k, v in values.items()}
+
+
+# tokens for the argv corpus: good values, then spellings that only argparse
+# reads (+, _, non-ASCII digits, a fraction after a minus sign) or that it
+# refuses
+INTEGERS = ["5", "21", "0", "-3", "-12", "+4", "1_000", "٣", "-٣", " 7 ", "1e3"]
+FRACTIONS = ["37/10", "5", "-1/2", "1/0", "-2", "+3/4", "2.5", "-1.5", "٣/٢"]
+NOISE = ["", "-", "--", "-h", "--help", "abc", "-x", "5 5", "--json", "--budget"]
+POOLS = {int: INTEGERS, cli.fraction: FRACTIONS}
+
+
+def argv_corpus(rng: random.Random, count: int):
+    """count argvs over every subcommand's grammar: global options in front,
+    options before, between and after the positionals, repeated options,
+    abbreviations, --flag=value, -- and -h, wrong counts and noise."""
+    for _ in range(count):
+        command = rng.choice(list(cli._COMMANDS))
+        _, _, args = cli._COMMANDS[command]
+        options = [(name, kw) for name, kw in args if name.startswith("--")]
+        argv = [
+            rng.choice(POOLS.get(kw.get("type")) or [*kw["choices"], "nosuch"])
+            for name, kw in args
+            if not name.startswith("--")
+        ]
+        if rng.random() < 0.05 and argv:  # one positional too few
+            del argv[rng.randrange(len(argv))]
+        if rng.random() < 0.05:  # or one too many
+            argv.insert(rng.randrange(len(argv) + 1), rng.choice(INTEGERS))
+        for _ in range(rng.choice([0, 1, 1, 2, 3]) if options else 0):
+            flag, kw = rng.choice(options)
+            if rng.random() < 0.1:
+                flag = flag[: rng.randrange(3, len(flag))]
+            value = [] if "action" in kw else [rng.choice(INTEGERS)]
+            if value and rng.random() < 0.1:
+                flag, value = f"{flag}={value[0]}", []
+            at = rng.randrange(len(argv) + 1)
+            argv[at:at] = [flag, *value]
+        if rng.random() < 0.1:
+            argv.insert(rng.randrange(len(argv) + 1), rng.choice(NOISE))
+        front = []
+        for _ in range(rng.choice([0, 0, 1, 2])):
+            front += rng.choice([["--json"], ["--budget", rng.choice(INTEGERS)]] * 3
+                                + [["--js"], ["--budget=300000"]])
+        yield front + [command] + argv
+
+
+def test_scan_matches_argparse(capsys, monkeypatch):
+    """Over a seeded corpus of 10,000 argvs, argparse as built from the
+    command table parses each as the hand-declared grammar does, and every
+    argv that _scan reads it reads to the same values; the corpus has both
+    argvs that _scan reads and argvs that only argparse reads.  A usage
+    error exits 2 here without formatting its message, which
+    test_parser_shape and test_exit_codes check."""
+    oracle, built = dnum_parser(), cli._build_parser()
+    monkeypatch.setattr(type(built), "error", lambda parser, message: sys.exit(2))
+
+    def parse(parser, argv):
+        try:
+            return typed(vars(parser.parse_args(argv)))
+        except SystemExit:
+            return None
+        finally:
+            capsys.readouterr()
+
+    read = argparse_only = 0
+    for argv in argv_corpus(random.Random(30), 10_000):
+        want = parse(oracle, argv)
+        assert parse(built, argv) == want, argv
+        got = cli._scan(argv)
+        if got is not None:
+            assert want is not None and typed(vars(got)) == want, argv
+            read += 1
+        argparse_only += got is None and want is not None
+    assert read > 2000 and argparse_only > 500, (read, argparse_only)
+
+
+def test_exit_codes(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "200")
     # 0: success
     assert run(capsys, "unit", "19")[0] == 0
     # 1: domain errors, error class name on stderr
@@ -458,7 +542,11 @@ def test_exit_codes(capsys):
     with pytest.raises(SystemExit) as exc:  # a filter with nothing to filter
         main(["decompose", "5", "76", "2", "--modular-filter"])
     assert exc.value.code == 2
-    assert "--modular-filter: needs --refine" in capsys.readouterr().err
+    out, err = capsys.readouterr()
+    assert out == "" and err.splitlines() == [
+        USAGE["decompose"],
+        "dnum decompose: error: argument --modular-filter: needs --refine",
+    ]
     # 3: factorization budget exhausted (decompose factorizes ell, a
     # semiprime of two 10-digit primes)
     code, _, err = run(

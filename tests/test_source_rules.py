@@ -10,7 +10,8 @@
   product, as the product of two (p, q) pairs does.
 - A quick start: records are `NamedTuple`s, and importing the CLI loads
   neither `dataclasses` nor the modules it pulls in, nor `pathlib`, nor
-  `random`, which only the largest factorizations use.
+  `random`, which only the largest factorizations use, nor `argparse`,
+  which only help and usage errors use.
 - No module-global mutable state beyond the listed caches: every
   `lru_cache` or `cache` in the package is allowed by name with a reason."""
 
@@ -332,26 +333,37 @@ def test_cache_scan_catches_each_form():
 # Loaded by `import dataclasses` (inspect, ast, dis, tokenize) or by a path
 # object; none of them answers a question of the paper.
 SLOW_IMPORTS = ("dataclasses", "inspect", "ast", "dis", "tokenize", "pathlib")
-# Used only by Miller-Rabin's extra bases from psi_13 on and by Brent's rho,
-# which run on cofactors of at least 10^12 alone; they import it on first use.
-LAZY_IMPORTS = ("random",)
+# Imported on first use, each by the only code that needs it: random by
+# Miller-Rabin's extra bases from psi_13 on and by Brent's rho, which run on
+# cofactors of at least 10^12 alone; argparse (which imports gettext) by
+# help and usage errors alone.
+LAZY_IMPORTS = ("random", "argparse", "gettext")
 
 
 def test_cli_import_loads_no_slow_module():
     """A fresh `python -S` (no site, so no `.pth` file can import one of
     them first) imports the CLI without loading any of SLOW_IMPORTS or
-    LAZY_IMPORTS."""
+    LAZY_IMPORTS, and answers `factor 5 6 2` without loading argparse or
+    gettext; the usage error of `unit` without N loads argparse."""
     env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
     names = SLOW_IMPORTS + LAZY_IMPORTS
     probe = (
-        "import sys, artifact.cli; "
-        f"print(' '.join(m for m in {names!r} if m in sys.modules))"
+        "import sys, artifact.cli\n"
+        f"def loaded(): return ' '.join(m for m in {names!r} if m in sys.modules)\n"
+        "seen = [loaded()]\n"
+        "artifact.cli.main(['factor', '5', '6', '2'])\n"
+        "seen.append(loaded())\n"
+        "try: artifact.cli.main(['unit'])\n"
+        "except SystemExit as err: seen.append(f'{err.code}: {loaded()}')\n"
+        "print(seen)\n"
     )
     out = subprocess.run(
         [sys.executable, "-S", "-c", probe],
         env=env, capture_output=True, text=True, check=True,
     ).stdout
-    assert out.split() == []
+    assert out.splitlines() == [
+        "ell=2 m=2 delta=000", "['', '', '2: argparse gettext']",
+    ]
 
 
 def dataclass_imports(tree):

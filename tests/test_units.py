@@ -5,12 +5,14 @@ import pytest
 from artifact import units
 from artifact.cli import main
 from artifact.dnumbers import kappas, pell_witness
-from artifact.quadring import InternalInconsistency, NotApplicable, is_square
+from artifact.quadring import InternalInconsistency, NotApplicable, is_square, make
 from artifact.units import cf_expand, fundamental_unit
 from oracles import (
+    NoPowerWitness,
     cf_digits,
     cf_period_by_seen_states,
     pell_witness_search,
+    power_nonresidue_certificate,
     squarefree_range,
     unit_by_norm_test,
 )
@@ -76,6 +78,27 @@ def test_unit_is_fundamental():
                 # any unit (p+q sqrtN)/2 > 1 with both parts positive would
                 # be a unit smaller than eps
                 assert d != 4 and d != -4
+
+
+def test_unit_certified_by_power_nonresidues():
+    """The unit of each field, up to N = 10^8+7, is no k-th power for any
+    prime k up to the certificate's bound (24 primes at 10^6+3, 146 at
+    10^8+7), each by a witness (k, p, r) checked here by pow alone; eps^2
+    has no witness at k = 2, nor eps^3 at k = 3."""
+    primes_k = {}
+    for N in (2, 3, 5, 13, 94, 10**6 + 3, 10**8 + 7):
+        fu = fundamental_unit(N)
+        witnesses = power_nonresidue_certificate(N, fu.t, fu.u)
+        for k, p, r in witnesses:
+            assert (p - 1) % (2 * k) == 0 and (r * r - N) % p == 0, (N, k)
+            assert pow((fu.t + fu.u * r) * pow(2, -1, p), (p - 1) // k, p) != 1
+        primes_k[N] = len(witnesses)
+        eps = make(N, fu.t, fu.u)
+        for k in (2, 3):
+            with pytest.raises(NoPowerWitness) as failed:
+                power_nonresidue_certificate(N, (eps**k).p, (eps**k).q)
+            assert failed.value.k == k
+    assert (primes_k[10**6 + 3], primes_k[10**8 + 7]) == (24, 146)
 
 
 def test_cf_expand_sqrt():
