@@ -10,9 +10,10 @@ name goes to stderr), 2 usage error, 3 factorization budget exhausted, 4
 internal inconsistency (a bug), 141 stdout closed by its reader before the
 output ended (as after SIGPIPE), which also stops the computation.
 
-Every argument of every subcommand is declared once, in _COMMANDS.  _scan
-reads a well-formed argv straight from that table; argparse is imported and
-built from it only for the rest (help, usage errors, abbreviated or `=`
+Every argument of every subcommand is declared once, in _COMMANDS.  At
+import the table is split into one grammar per command, and _scan reads a
+well-formed argv by those grammars alone; argparse is imported and built
+from the table only for the rest (help, usage errors, abbreviated or `=`
 spellings), so it alone prints help and usage.
 
 Every handler makes the library calls that can raise a domain error or
@@ -308,9 +309,9 @@ def _ints(names: str) -> tuple:
 
 
 # an argument is (name, keywords of argparse's add_argument), an option when
-# name starts with "--"; _scan reads "type", "choices", "default" and "action"
-# (always "store_true").  _COMMANDS lists every subcommand in --help's order,
-# with its handler, its help and its arguments, in --help's order too
+# name starts with "--"; _grammar reads "type", "choices", "default" and
+# "action" (always "store_true").  _COMMANDS lists every subcommand in
+# --help's order, with its handler, its help and its arguments, in --help's order too
 _GLOBAL_ARGS = (
     ("--json", {"action": "store_true", "help": "emit JSON records"}),
     ("--budget", {"type": positive, "metavar": "B",
@@ -347,51 +348,75 @@ _COMMANDS = {
 }
 
 
+def _grammar(args: tuple, **defaults) -> tuple:
+    """An argument list's grammar: {flag: (dest, converter, choices)}, the
+    converter None for a switch; the positionals' (dest, converter,
+    choices); and the defaults: those given, as to a subparser's
+    set_defaults, and each option's."""
+    options, positionals = {}, []
+    for name, kw in args:
+        switch = "action" in kw
+        spec = None if switch else kw.get("type", str), kw.get("choices")
+        if name.startswith("--"):
+            dest = name[2:].replace("-", "_")
+            options[name] = dest, *spec
+            defaults[dest] = kw.get("default", False if switch else None)
+        else:
+            positionals.append((name, *spec))  # its dest is its name
+    return options, tuple(positionals), defaults
+
+
+_GLOBAL_GRAMMAR = _grammar(_GLOBAL_ARGS)
+_GRAMMARS = {
+    command: _grammar(args, command=command, func=handler)
+    for command, (handler, _, args) in _COMMANDS.items()
+}
+
+
 def _scan(argv: list[str]) -> SimpleNamespace | None:
-    """The namespace that argparse parses from argv, read straight from the
-    table: global options, the command, then its exact long flags anywhere
-    among its positionals.  None leaves argv to argparse: help, usage
-    errors, and the spellings only argparse reads (abbreviations,
-    --flag=value, --, a negative not spelled in ASCII digits)."""
-    at = next((i for i, token in enumerate(argv) if token in _COMMANDS), None)
+    """The namespace that argparse parses from argv, read by the grammars:
+    global options, the command, then its exact long flags anywhere among
+    its positionals.  None leaves argv to argparse: help, usage errors,
+    and the spellings only argparse reads (abbreviations, --flag=value,
+    --, a negative not spelled in ASCII digits)."""
+    at = next((i for i, token in enumerate(argv) if token in _GRAMMARS), None)
     if at is None:
         return None
-    handler, _, args = _COMMANDS[argv[at]]
-    values = {"command": argv[at], "func": handler}
-    read = _read(argv[:at], _GLOBAL_ARGS, values) and _read(argv[at + 1 :], args, values)
+    values = {}
+    read = (_read(argv[:at], _GLOBAL_GRAMMAR, values)
+            and _read(argv[at + 1 :], _GRAMMARS[argv[at]], values))
     return SimpleNamespace(**values) if read else None
 
 
-def _read(tokens: list[str], args: tuple, values: dict) -> bool:
-    """Read tokens by args into values as argparse does, or return False:
+def _read(tokens: list[str], grammar: tuple, values: dict) -> bool:
+    """Read tokens by grammar into values as argparse does, or return False:
     one token per positional, and a repeated option keeps its last value.
     A value starts with "-" only as a negative in ASCII digits, which
     argparse reads as a value since no dnum option looks like a number."""
-    options = {name: kw for name, kw in args if name.startswith("--")}
-    positionals = [(name, kw) for name, kw in args if name not in options]
-    for name, kw in options.items():
-        default = False if "action" in kw else None
-        values[name[2:].replace("-", "_")] = kw.get("default", default)
-    tokens = iter(tokens)
+    options, positionals, defaults = grammar
+    values.update(defaults)
+    tokens, count = iter(tokens), 0
     for token in tokens:
         if token in options:
-            dest, kw = token[2:].replace("-", "_"), options[token]
-            if "action" in kw:
+            dest, convert, choices = options[token]
+            if convert is None:
                 values[dest] = True
                 continue
-            token = next(tokens, "-")  # a missing value reads as no value
-        elif positionals:
-            dest, kw = positionals.pop(0)  # a positional's dest is its name
+            if (token := next(tokens, None)) is None:
+                return False
+        elif count < len(positionals):
+            dest, convert, choices = positionals[count]
+            count += 1
         else:
             return False
         dash = token[:1] == "-" and not (token[1:].isascii() and token[1:].isdigit())
-        if dash or token not in kw.get("choices", (token,)):
+        if dash or choices is not None and token not in choices:
             return False
         try:
-            values[dest] = kw.get("type", str)(token)
+            values[dest] = convert(token)
         except ValueError:
             return False
-    return not positionals
+    return count == len(positionals)
 
 
 @lru_cache(maxsize=None)

@@ -424,6 +424,25 @@ def typed(values: dict) -> dict:
     return {k: (type(v), v) for k, v in values.items()}
 
 
+class Sealed:
+    """Stands in for the command table: any use of it raises."""
+
+    def refuse(self, *args):
+        raise AssertionError("the command table was read after import")
+
+    __getattr__ = __contains__ = __getitem__ = __iter__ = __len__ = refuse
+
+
+def test_scan_reads_only_the_grammars_built_at_import(monkeypatch):
+    """_scan reads argv by the grammars split from the table at import,
+    never by the table itself."""
+    argvs = [*PARSED, "--budget 300000 factor 15 0 2"]
+    before = [typed(vars(cli._scan(argv.split()))) for argv in argvs]
+    monkeypatch.setattr(cli, "_COMMANDS", Sealed())
+    monkeypatch.setattr(cli, "_GLOBAL_ARGS", Sealed())
+    assert [typed(vars(cli._scan(argv.split()))) for argv in argvs] == before
+
+
 # tokens for the argv corpus: good values, then spellings that only argparse
 # reads (+, _, non-ASCII digits, a fraction after a minus sign) or that it
 # refuses
@@ -547,6 +566,13 @@ def test_exit_codes(capsys, monkeypatch):
         USAGE["decompose"],
         "dnum decompose: error: argument --modular-filter: needs --refine",
     ]
+    # an option that takes a value, with none after it: argparse's error
+    for argv in ("pell 21 --witness-bound", "enumerate 5 --field",
+                 "--budget factor 5 6 2"):
+        assert cli._scan(argv.split()) is None, argv
+        with pytest.raises(SystemExit) as exc:
+            main(argv.split())
+        assert exc.value.code == 2 and capsys.readouterr().out == "", argv
     # 3: factorization budget exhausted (decompose factorizes ell, a
     # semiprime of two 10-digit primes)
     code, _, err = run(

@@ -81,12 +81,12 @@ def test_unit_is_fundamental():
 
 
 def test_unit_certified_by_power_nonresidues():
-    """The unit of each field, up to N = 10^8+7, is no k-th power for any
+    """The unit of each field, up to N = 10^11+3, is no k-th power for any
     prime k up to the certificate's bound (24 primes at 10^6+3, 146 at
-    10^8+7), each by a witness (k, p, r) checked here by pow alone; eps^2
-    has no witness at k = 2, nor eps^3 at k = 3."""
+    10^8+7, 871 at 10^11+3), each by a witness (k, p, r) checked here by
+    pow alone; eps^2 has no witness at k = 2, nor eps^3 at k = 3."""
     primes_k = {}
-    for N in (2, 3, 5, 13, 94, 10**6 + 3, 10**8 + 7):
+    for N in (2, 3, 5, 13, 94, 10**6 + 3, 10**8 + 7, 10**11 + 3):
         fu = fundamental_unit(N)
         witnesses = power_nonresidue_certificate(N, fu.t, fu.u)
         for k, p, r in witnesses:
@@ -98,7 +98,7 @@ def test_unit_certified_by_power_nonresidues():
             with pytest.raises(NoPowerWitness) as failed:
                 power_nonresidue_certificate(N, (eps**k).p, (eps**k).q)
             assert failed.value.k == k
-    assert (primes_k[10**6 + 3], primes_k[10**8 + 7]) == (24, 146)
+    assert [primes_k[N] for N in (10**6 + 3, 10**8 + 7, 10**11 + 3)] == [24, 146, 871]
 
 
 def test_cf_expand_sqrt():
