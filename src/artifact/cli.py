@@ -379,8 +379,10 @@ def _scan(argv: list[str]) -> SimpleNamespace | None:
     its positionals.  None leaves argv to argparse: help, usage errors,
     and the spellings only argparse reads (abbreviations, --flag=value,
     --, a negative not spelled in ASCII digits)."""
-    at = next((i for i, token in enumerate(argv) if token in _GRAMMARS), None)
-    if at is None:
+    for at, token in enumerate(argv):
+        if token in _GRAMMARS:
+            break
+    else:
         return None
     values = {}
     read = (_read(argv[:at], _GLOBAL_GRAMMAR, values)

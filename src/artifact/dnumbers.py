@@ -253,32 +253,36 @@ def canonical_factor(x: QuadInt) -> CanonicalFactorization:
     """The unique (ell, m, delta) with x = ell * eps^m * g^delta.
 
     delta's key is the one of at most four distinct squarefree keys k with
-    |N(x)| = k * a square (exact roots; |N(x)| is never factorized).  Three
-    exact steps on integer coordinates prove the answer, so it is not
-    evaluated again: dividing by g^delta leaves no remainder (y * g^delta =
-    x), dividing by ell leaves none (u * ell = y), and the descent checks
-    that the eps^m it builds equals u.
+    |N(x)| = k * r^2 (exact roots; |N(x)| is never factorized).  The record
+    certifies |N(g^delta)| = k * g^2, so ell = +-r/g with x's sign, and the
+    g^delta quotient and the descent run on eps^m * g^delta, whatever ell's
+    size.  Exact steps on integer coordinates prove x = ell*eps^m*g^delta,
+    so it is not evaluated again: ell divides p and q with p/ell = q/ell
+    (mod 2), so z = x/ell, and z * conj(g^delta) halves exactly as g^delta
+    is in the ring; dividing z by g^delta leaves no remainder (u * g^delta
+    = z); and the descent checks that the eps^m it builds equals u.
     """
     N = x.N
     if N < 0:
         raise NotApplicable("canonical factorization needs a real field")
     if x.is_zero():
         raise ZeroElement("0 has no canonical factorization")
-    n = x.norm()
-    if x.p * x.p % n:
+    p, q = x.p, x.q
+    n = abs(x.norm())
+    if p * p % n:
         raise NotADNumber(f"{x} is not a d-number")
     rec = _field_record(N)
     for delta, (key, gp, gq, gn) in zip(rec.deltas, rec.rows):
-        if n % key == 0 and is_square(abs(n) // key):
+        if n % key == 0 and (r := math.isqrt(n // key)) * r * key == n:
             break
     else:
         raise InternalInconsistency(f"norm {n} is no key times a square, N={N}")
-    # y = x/g^delta has |N(y)| = ell^2 and x's sign (g^delta, eps^m > 0), or
-    # u = y/ell is no power of eps and the descent rejects it
-    ell = math.isqrt(abs(n // gn)) * _sign(x.p, x.q, N)
-    y = _quotient(x.p, x.q, gp, gq, gn, N)
-    u = _quotient(*y, 2 * ell, 0, ell * ell, N) if y else None
-    if u is None:  # every division here is certain: a failed one is a bug
+    g = math.isqrt(abs(gn) // key)
+    ell = r // g * _sign(p, q, N) if g and r % g == 0 else 0
+    if not ell or p % ell or (p - q) % (2 * ell):
+        raise InternalInconsistency(f"{r} over {g} is no ell of {x}, N={N}")
+    u = _quotient(p // ell, q // ell, gp, gq, gn, N)
+    if u is None:
         raise InternalInconsistency(f"{x} is no {ell} * g^{delta} * a unit, N={N}")
     m = _unit_exponent(*u, N, *rec.eps)
     return CanonicalFactorization(N, ell, m, delta, rec.case)

@@ -598,23 +598,26 @@ def _unit_exponent(p: int, q: int, N: int, t: int, u: int) -> int:
     eps_5 has trace 1), so square eps^(2^k) until the trace passes v's,
     then keep the bits of m, top down, whose product still has trace <= v's.
     """
-    if (p, q) == (2, 0):
+    if p == 2 and q == 0:
         return 0
     sign = _sign(p - 2, q, N)  # v > 1 or v < 1
     if sign < 0:
         n = (p * p - N * q * q) // 4
         p, q = n * p, -n * q
-    powers = [(t, u)]
+    ts, us = [t], [u]  # eps^(2^k) = (ts[k] + us[k]*sqrt(N))/2
     while t <= p:
         t, u = (t * t + N * u * u) // 2, t * u
-        powers.append((t, u))
+        ts.append(t)
+        us.append(u)
     m, ap, aq = 0, 2, 0
-    for k in range(len(powers) - 1, -1, -1):
-        t, u = powers[k]
-        sp, sq = (ap * t + N * aq * u) // 2, (ap * u + aq * t) // 2
+    k = len(ts)
+    while k:
+        k -= 1
+        t, u = ts[k], us[k]
+        sp = (ap * t + N * aq * u) // 2
         if sp <= p:
-            m, ap, aq = m + (1 << k), sp, sq
-    if (ap, aq) != (p, q):
+            m, ap, aq = m + (1 << k), sp, (ap * u + aq * t) // 2
+    if ap != p or aq != q:
         raise InternalInconsistency(f"({p}, {q}) is no power of eps_{N}")
     return sign * m
 

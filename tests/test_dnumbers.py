@@ -1,5 +1,7 @@
+import itertools
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -230,6 +232,8 @@ def test_canonical_factor_rejects():
         canonical_factor(make(3, 2, 4))  # 1+2sqrt3
     with pytest.raises(NotADNumber):
         canonical_factor(make(13, 5, 1))  # (5+sqrt13)/2: 25 over 3
+    with pytest.raises(NotADNumber):
+        canonical_factor(make(2, 22, 12))  # (3+sqrt2)^2: norm 49 = 1*7^2, key 1
     with pytest.raises(NotApplicable):
         canonical_factor(make(-1, 2, 2))
 
@@ -383,6 +387,40 @@ def test_integer_path_matches_quadint_oracle():
         assert (canonical_factor(x).ell, canonical_factor(x).m) == (3, 400)
 
 
+def _large_ells(rng):
+    """+-ell built as the benchmark's factor requests build theirs: a prime
+    of 10^8..10^9, two of 10^7..10^8, two of 10^8..10^9 (up to 10^18), a
+    squared prime of 10^6..10^7 times one of 10^8..10^9, three of 10^6..10^7."""
+    def prime(lo, hi):
+        return next(n for n in itertools.count(rng.randrange(lo, hi) | 1, 2)
+                    if quadring._is_probable_prime(n))
+    while True:
+        a, b, c = prime(10**6, 10**7), prime(10**6, 10**7), prime(10**8, 10**9)
+        for ell in (c, prime(10**7, 10**8) * prime(10**7, 10**8),
+                    c * prime(10**8, 10**9), a * a * c, a * b * prime(10**6, 10**7)):
+            yield rng.choice((1, -1)) * ell
+
+
+def test_large_ell_matches_quadint_oracle():
+    """ell of the size of the factor requests (about 10^9 to 10^23, squared
+    primes included) with m in -6..6, negative m and negative ell included,
+    over every delta of three fields of each case <= 97: the integer path and
+    the QuadInt oracle both give f back."""
+    rng = random.Random(32)
+    ells = _large_ells(rng)
+    by_case = {}
+    for N in squarefree_range(97)[1:]:
+        by_case.setdefault(generator_set(N).case, []).append(N)
+    assert len(by_case) == 5
+    for N in (N for fields in by_case.values() for N in rng.sample(fields, 3)):
+        gs = generator_set(N)
+        for delta in gs.delta_combos():
+            for m in range(-6, 7):
+                f = CanonicalFactorization(N, next(ells), m, delta, gs.case)
+                x = evaluate(f)
+                assert canonical_factor(x) == f == oracles.canonical_factor(x), f
+
+
 def test_field_record_matches_quadint_oracle():
     """The integer record against the oracle's QuadInt generator set on
     every real field N <= 3000, which covers all five cases and both unit
@@ -442,6 +480,25 @@ def test_failed_table_division_is_a_bug(monkeypatch):
     monkeypatch.setattr(dnumbers, "_field_record", lambda N: corrupt)
     for x in (make(3, 6, 2), make(3, 4, 2), make(3, 0, 2)):
         with pytest.raises(InternalInconsistency):
+            canonical_factor(x)
+
+
+def test_corrupt_record_fails_at_ell(monkeypatch):
+    """ell = r/g is checked before any division: a record whose rows break
+    r % g == 0 (the row of 2 in place of 1, so g = 2, against x = 3 with
+    r = 3; a zero row, g = 0) or ell | p raises InternalInconsistency, never
+    a bare ZeroDivisionError.  An integer key k leaves r/g a divisor of
+    x's ell, as k * r^2 = |N(x)| = sqf * ell^2; a key of 1/9 does not: x = 2
+    has |N(x)| = 4 = 6^2/9, so ell = 6."""
+    rec = generator_set(3)
+    for row, x in (
+        ((1, 4, 0, 4), make(3, 6, 0)),
+        ((1, 0, 0, 0), make(3, 6, 0)),
+        ((Fraction(1, 9), 2, 0, Fraction(1, 9)), make(3, 4, 0)),
+    ):
+        corrupt = rec._replace(rows=(row, *rec.rows[1:]))
+        monkeypatch.setattr(dnumbers, "_field_record", lambda N: corrupt)
+        with pytest.raises(InternalInconsistency, match="no ell"):
             canonical_factor(x)
 
 
