@@ -27,6 +27,7 @@ from .quadring import (
     QuadField,
     QuadInt,
     ZeroElement,
+    _content,
     _mul,
     _power,
     _quotient,
@@ -58,15 +59,19 @@ def is_dnumber(x: QuadInt) -> bool:
 
 
 def dnumber_order(x: QuadInt) -> int:
-    """1 for integer multiples of units, 2 for every other d-number."""
+    """1 for integer multiples of units, 2 for every other d-number.
+
+    1 exactly when |N(x)| = c^2, c the content of x (`quadring._content`).
+    If x = ell*v with v a unit, v is primitive (c' | v gives c'^2 | N(v) =
+    +-1), so c = |ell| and |N(x)| = ell^2.  If |N(x)| = c^2, x/c is in the
+    ring with norm +-1, so it is a unit (its inverse is +-conj(x/c))."""
     if x.is_zero():
         raise ZeroElement("0 is not a d-number")
     if not is_dnumber(x):
         raise NotADNumber(f"{x} is not a d-number")
     n = abs(x.norm())
-    s = math.isqrt(n)  # |N(x)| = s^2 and s | x leave |N(x/s)| = 1
-    unit = s * s == n and _quotient(x.p, x.q, 2 * s, 0, n, x.N) is not None
-    return 1 if unit else 2
+    c = _content(x.p, x.q, x.N, n)
+    return 1 if n == c * c else 2
 
 
 # ---------------------------------------------------------------------------
@@ -131,7 +136,7 @@ class FieldRecord(NamedTuple):
 
     eps = (t + u*sqrt(N))/2 and 1/eps are doubled coordinates (t, u).
     rows[i] = (key, p, q, n) holds g^deltas[i] = (p + q*sqrt(N))/2, of norm
-    n, keyed by the squarefree part of |n|: at most four distinct keys.
+    n = +-key with key squarefree: at most four distinct keys.
     kappa1 and kappa2 are None when the unit norm is -1."""
 
     N: int
@@ -206,8 +211,8 @@ def _field_record(N: int) -> FieldRecord:
         if len({1} | {key for key, _, _, _ in gens.values()}) != 4:
             raise InternalInconsistency(f"norm signatures collide for N={N}")
     for key, _, _, n in gens.values():
-        if n % key or not is_square(abs(n) // key):
-            raise InternalInconsistency(f"norm {n} is no {key} times a square, N={N}")
+        if abs(n) != key:
+            raise InternalInconsistency(f"norm {n} is not +-{key}, N={N}")
     inverse = (fu.unit_norm * t, -fu.unit_norm * u)  # N(eps) * conj(eps)
     deltas = ((0, 0, 0), *gens)
     rows = ((1, 2, 0, 1), *gens.values())
@@ -241,46 +246,54 @@ class CanonicalFactorization(NamedTuple):
 
 def evaluate(fact: CanonicalFactorization) -> QuadInt:
     """ell * eps^m * g^delta from the field record; ValueError off its deltas."""
-    N = fact.N
+    N, ell, m, delta, _ = fact
     rec = _field_record(N)
-    _, p, q, _ = rec.rows[rec.deltas.index(fact.delta)]
-    t, u = rec.eps if fact.m >= 0 else rec.inverse
-    p, q = _power(p, q, t, u, abs(fact.m), N)
-    return _raw(rec.field, p * fact.ell, q * fact.ell)
+    _, p, q, _ = rec.rows[rec.deltas.index(delta)]
+    t, u = rec.eps if m >= 0 else rec.inverse
+    p, q = _power(p, q, t, u, abs(m), N)
+    return _raw(rec.field, p * ell, q * ell)
 
 
 def canonical_factor(x: QuadInt) -> CanonicalFactorization:
     """The unique (ell, m, delta) with x = ell * eps^m * g^delta.
 
-    delta's key is the one of at most four distinct squarefree keys k with
-    |N(x)| = k * r^2 (exact roots; |N(x)| is never factorized).  The record
-    certifies |N(g^delta)| = k * g^2, so ell = +-r/g with x's sign, and the
-    g^delta quotient and the descent run on eps^m * g^delta, whatever ell's
-    size.  Exact steps on integer coordinates prove x = ell*eps^m*g^delta,
-    so it is not evaluated again: ell divides p and q with p/ell = q/ell
-    (mod 2), so z = x/ell, and z * conj(g^delta) halves exactly as g^delta
-    is in the ring; dividing z by g^delta leaves no remainder (u * g^delta
-    = z); and the descent checks that the eps^m it builds equals u.
+    |ell| is the content c of x (`quadring._content`) and delta is the row
+    keyed |N(x)|/c^2, so no square root is taken.  Every key is squarefree
+    (1, N, kappa_1, kappa_2 or a squarefree product of two of them), and the
+    record checks |N(g^delta)| = key on every row.  So, in the paper's form:
+    - g^delta is primitive (no integer > 1 divides it): c' | y gives
+      c'^2 | N(y), and a squarefree norm has no square factor c'^2 > 1;
+    - eps^m * g^delta is primitive, since eps^-m is in the ring;
+    - so c = |ell|, as gcd(p, q) scales by |ell| and the parities of p and
+      q over it stay; then |N(x)| = c^2 * key, and the keys are distinct.
+    Exact steps on integer coordinates prove x = ell*eps^m*g^delta, so it
+    is not evaluated again: ell = c * sign(x) divides x in the ring, so
+    z = x/ell; z * conj(g^delta) halves exactly as g^delta is in the ring;
+    dividing z by g^delta leaves no remainder (u * g^delta = z); and the
+    descent checks that the eps^m it builds equals u.  The quotient and the
+    descent run on eps^m * g^delta, whatever ell's size.
     """
-    N = x.N
+    N, p, q = x.field.N, x.p, x.q
     if N < 0:
         raise NotApplicable("canonical factorization needs a real field")
-    if x.is_zero():
+    if not (p or q):
         raise ZeroElement("0 has no canonical factorization")
-    p, q = x.p, x.q
-    n = abs(x.norm())
-    if p * p % n:
+    pp = p * p
+    n = pp - N * q * q
+    if n % 4:
+        raise InternalInconsistency(f"{x!r} has a non-integral norm")
+    n = abs(n) >> 2
+    if pp % n:
         raise NotADNumber(f"{x} is not a d-number")
+    c = _content(p, q, N, n)
+    key, rem = divmod(n, c * c)
     rec = _field_record(N)
-    for delta, (key, gp, gq, gn) in zip(rec.deltas, rec.rows):
-        if n % key == 0 and (r := math.isqrt(n // key)) * r * key == n:
+    for delta, (k, gp, gq, gn) in zip(rec.deltas, rec.rows):
+        if k == key == abs(gn) and not rem:
             break
     else:
-        raise InternalInconsistency(f"norm {n} is no key times a square, N={N}")
-    g = math.isqrt(abs(gn) // key)
-    ell = r // g * _sign(p, q, N) if g and r % g == 0 else 0
-    if not ell or p % ell or (p - q) % (2 * ell):
-        raise InternalInconsistency(f"{r} over {g} is no ell of {x}, N={N}")
+        raise InternalInconsistency(f"no row of norm +-{n}/{c}^2 for {x}, N={N}")
+    ell = c * _sign(p, q, N)
     u = _quotient(p // ell, q // ell, gp, gq, gn, N)
     if u is None:
         raise InternalInconsistency(f"{x} is no {ell} * g^{delta} * a unit, N={N}")

@@ -575,6 +575,27 @@ def _quotient(p: int, q: int, r: int, s: int, n: int, N: int) -> tuple[int, int]
     return None if (p - q) % 2 or (N % 4 != 1 and p % 2) else (p, q)
 
 
+def _content(p: int, q: int, N: int, n: int) -> int:
+    """The content of x = (p + q*sqrt(N))/2 != 0, n = |N(x)|: the largest
+    integer c >= 1 with x/c in the ring.  Every integer dividing x divides c.
+
+    x/c is in the ring exactly when p/c and q/c are integers with the ring's
+    parity: equal mod 2, and both even unless N = 1 (mod 4).  So c divides
+    G = gcd(p, q); write c = G/d.  p/G and q/G are coprime, so not both even.
+    - N = 1 (mod 4) and p/G, q/G both odd: every d works, so c = G.
+    - Otherwise d*p/G and d*q/G have the ring's parity exactly when d is
+      even: for odd d they keep the parities of p/G and q/G, one of them
+      odd, and the two differ when N = 1 (mod 4).  G is even here (p and q
+      are, or p - q is even while (p - q)/G is odd), so c = G/2.
+    So G is c or 2c.  c^2 divides n = c^2 * |N(x/c)|, so D = gcd(n, p, q),
+    which c divides and which divides G, is c or 2c too: c exactly when x/D
+    is in the ring.  For a small multiple of a huge unit's power, n is small
+    and gcd(n, p, q) reduces p and q mod n at once, where gcd(p, q) would
+    run on their full size."""
+    d = math.gcd(n, p, q)
+    return d if (p - q) % (2 * d) == 0 and (N % 4 == 1 or p % (2 * d) == 0) else d >> 1
+
+
 def _power(p: int, q: int, t: int, u: int, m: int, N: int) -> tuple[int, int]:
     """x * e^m on doubled coordinates, x = (p + q*sqrt(N))/2, e = (t +
     u*sqrt(N))/2 and m >= 0, by right-to-left binary powering; a negative m

@@ -1,7 +1,6 @@
 import itertools
 import math
 import random
-from fractions import Fraction
 
 import pytest
 
@@ -405,7 +404,8 @@ def test_large_ell_matches_quadint_oracle():
     """ell of the size of the factor requests (about 10^9 to 10^23, squared
     primes included) with m in -6..6, negative m and negative ell included,
     over every delta of three fields of each case <= 97: the integer path and
-    the QuadInt oracle both give f back."""
+    the QuadInt oracle both give f back, and x has order 1 exactly when
+    delta = 0."""
     rng = random.Random(32)
     ells = _large_ells(rng)
     by_case = {}
@@ -419,13 +419,14 @@ def test_large_ell_matches_quadint_oracle():
                 f = CanonicalFactorization(N, next(ells), m, delta, gs.case)
                 x = evaluate(f)
                 assert canonical_factor(x) == f == oracles.canonical_factor(x), f
+                assert (dnumber_order(x) == 1) == (delta == (0, 0, 0)), f
 
 
 def test_field_record_matches_quadint_oracle():
     """The integer record against the oracle's QuadInt generator set on
     every real field N <= 3000, which covers all five cases and both unit
-    norms: case, kappas, keys, deltas, rows (g^delta and its norm) and
-    generators; eps and 1/eps multiply to 1."""
+    norms: case, kappas, keys, deltas, rows (g^delta and its norm, which is
+    +-key) and generators; eps and 1/eps multiply to 1."""
     cases = set()
     for N in squarefree_range(3000)[1:]:
         rec, gs, fu = generator_set(N), oracles.generator_set(N), fundamental_unit(N)
@@ -435,9 +436,10 @@ def test_field_record_matches_quadint_oracle():
         assert make(N, *rec.eps) * make(N, *rec.inverse) == 1
         assert rec.deltas == gs.delta_combos()
         assert tuple(key for key, _, _, _ in rec.rows) == tuple(gs.signature_map)
-        for delta, (_, p, q, n) in zip(rec.deltas, rec.rows):
+        for delta, (key, p, q, n) in zip(rec.deltas, rec.rows):
             g = gs.evaluate_delta(delta)
             assert (p, q, n) == (g.p, g.q, g.norm()), (N, delta)
+            assert abs(n) == key, (N, delta)
         assert rec.generators == gs.generators
         cases.add((rec.case, fu.unit_norm))
     assert len(cases) == 5
@@ -484,22 +486,19 @@ def test_failed_table_division_is_a_bug(monkeypatch):
 
 
 def test_corrupt_record_fails_at_ell(monkeypatch):
-    """ell = r/g is checked before any division: a record whose rows break
-    r % g == 0 (the row of 2 in place of 1, so g = 2, against x = 3 with
-    r = 3; a zero row, g = 0) or ell | p raises InternalInconsistency, never
-    a bare ZeroDivisionError.  An integer key k leaves r/g a divisor of
-    x's ell, as k * r^2 = |N(x)| = sqf * ell^2; a key of 1/9 does not: x = 2
-    has |N(x)| = 4 = 6^2/9, so ell = 6."""
+    """ell is the content of x, and the row of key |N(x)|/ell^2 must have
+    norm +-key before any division: for x = 3 (key 1), a row whose norm 4
+    is not its key, a zero row, or a record with no row of key 1 raises
+    InternalInconsistency, never a bare ZeroDivisionError."""
     rec = generator_set(3)
-    for row, x in (
-        ((1, 4, 0, 4), make(3, 6, 0)),
-        ((1, 0, 0, 0), make(3, 6, 0)),
-        ((Fraction(1, 9), 2, 0, Fraction(1, 9)), make(3, 4, 0)),
+    for corrupt in (
+        rec._replace(rows=((1, 4, 0, 4), *rec.rows[1:])),
+        rec._replace(rows=((1, 0, 0, 0), *rec.rows[1:])),
+        rec._replace(deltas=rec.deltas[1:], rows=rec.rows[1:]),
     ):
-        corrupt = rec._replace(rows=(row, *rec.rows[1:]))
         monkeypatch.setattr(dnumbers, "_field_record", lambda N: corrupt)
-        with pytest.raises(InternalInconsistency, match="no ell"):
-            canonical_factor(x)
+        with pytest.raises(InternalInconsistency, match="no row"):
+            canonical_factor(make(3, 6, 0))
 
 
 def test_dnumber_divides_examples():

@@ -147,6 +147,35 @@ def test_exact_divide_random_roundtrip():
         assert exact_divide(a * b, b) == a
 
 
+def test_content_against_exact_division():
+    """_content is the largest c >= 1 with x/c in the ring, found by trying
+    every c up to x's largest coordinate: N = 1 (mod 4) and the other
+    classes, negative coordinates, q = 0, and odd and even gcds."""
+    assert [qr._content(p, q, 5, abs(p * p - 5 * q * q) // 4)
+            for p, q in ((2, 2), (4, 2), (6, 2))] == [2, 1, 2]
+    rng = random.Random(33)
+    seen = set()
+    for N in (5, 13, 21, -3, -7, 2, 3, 6, 7, 10, -1, -2):
+        one_mod_4 = N % 4 == 1
+        for i in range(40):
+            p, q = rng.randrange(-12, 13), 0 if i % 5 == 0 else rng.randrange(-12, 13)
+            if not one_mod_4:
+                p, q = 2 * p, 2 * q
+            elif (p - q) % 2:
+                p += 1
+            c0 = rng.choice((1, 2, 3, 4, 5, 6))
+            p, q = c0 * p, c0 * q
+            if not (p or q):
+                continue
+            x = make(N, p, q)
+            best = max(c for c in range(1, max(abs(p), abs(q)) + 1)
+                       if qr.divides(make(N, 2 * c, 0), x))
+            assert qr._content(p, q, N, abs(x.norm())) == best, (N, p, q)
+            seen.add((one_mod_4, math.gcd(p, q) % 2, q == 0, p < 0 or q < 0))
+    # every combination but an odd gcd off N = 1 (mod 4) or with q = 0
+    assert len(seen) == 10
+
+
 def test_inverse_and_negative_powers():
     eps = make(2, 2, 2)  # 1 + sqrt2, norm -1
     assert eps.inverse() == make(2, -2, 2)
