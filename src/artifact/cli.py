@@ -124,11 +124,12 @@ def _cmd_enumerate(args):
 
 
 def _cmd_pell(args):
-    fu = units.fundamental_unit(args.N)
-    payload: dict = {"N": args.N, "solvable": fu.unit_norm == -1}
+    rec = dnumbers.generator_set(args.N)
+    payload: dict = {"N": args.N, "solvable": rec.unit_norm == -1}
     if payload["solvable"]:
         # smallest power of eps with integer coordinates and norm -1
-        wit = fu.eps if fu.eps.p % 2 == 0 else fu.eps**3
+        eps = make(args.N, *rec.eps)
+        wit = eps if eps.p % 2 == 0 else eps**3
         payload["witness"] = {"x": wit.p // 2, "y": wit.q // 2}
     else:
         found = dnumbers.pell_witness(args.N, args.witness_bound)

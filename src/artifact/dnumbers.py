@@ -10,6 +10,7 @@ generators survive, and which products collapse, splits into five cases on
 
 One cached `FieldRecord` per real field holds that split on integers, built
 from the unit's (t, u) alone; each square root is checked by its square.
+It is the one source of eps and N(eps) for the layers above `units`.
 """
 
 from __future__ import annotations
@@ -123,18 +124,19 @@ def pell_witness(field_or_n, bound: int) -> tuple[int, int] | None:
       and no witness is in bound when (kappa_1, r) is not.
     Norm -1 fields have no witness at all.
     """
-    fu = fundamental_unit(field_or_n)
-    if fu.unit_norm == -1:
+    rec = generator_set(field_or_n)
+    if rec.unit_norm == -1:
         return None
-    kappa = _field_record(fu.N).kappa1
-    r = math.isqrt((fu.t + 2) // kappa)
+    kappa = rec.kappa1
+    r = math.isqrt((rec.eps[0] + 2) // kappa)
     return (kappa, r) if max(kappa, r) <= bound else None
 
 
 class FieldRecord(NamedTuple):
     """The classification of one real field, on integers.
 
-    eps = (t + u*sqrt(N))/2 and 1/eps are doubled coordinates (t, u).
+    eps = (t + u*sqrt(N))/2 as (t, u), and unit_norm = N(eps) = +-1, so
+    1/eps = N(eps) * conj(eps).
     rows[i] = (key, p, q, n) holds g^deltas[i] = (p + q*sqrt(N))/2, of norm
     n = +-key with key squarefree: at most four distinct keys.
     kappa1 and kappa2 are None when the unit norm is -1."""
@@ -145,7 +147,7 @@ class FieldRecord(NamedTuple):
     kappa1: int | None
     kappa2: int | None
     eps: tuple[int, int]
-    inverse: tuple[int, int]
+    unit_norm: int
     deltas: tuple[tuple[int, int, int], ...]
     rows: tuple[tuple[int, int, int, int], ...]
 
@@ -213,18 +215,14 @@ def _field_record(N: int) -> FieldRecord:
     for key, _, _, n in gens.values():
         if abs(n) != key:
             raise InternalInconsistency(f"norm {n} is not +-{key}, N={N}")
-    inverse = (fu.unit_norm * t, -fu.unit_norm * u)  # N(eps) * conj(eps)
     deltas = ((0, 0, 0), *gens)
     rows = ((1, 2, 0, 1), *gens.values())
-    return FieldRecord(N, field(N), case, k1, k2, (t, u), inverse, deltas, rows)
+    return FieldRecord(N, field(N), case, k1, k2, (t, u), fu.unit_norm, deltas, rows)
 
 
 def generator_set(field_or_n) -> FieldRecord:
-    """The per-field record of a real field."""
-    fld = field(field_or_n)
-    if fld.N < 0:
-        raise NotApplicable("use complex_classify for imaginary fields")
-    return _field_record(fld.N)
+    """The per-field record of a real field; NotApplicable for N < 0."""
+    return _field_record(field(field_or_n).N)
 
 
 # ---------------------------------------------------------------------------
@@ -249,7 +247,9 @@ def evaluate(fact: CanonicalFactorization) -> QuadInt:
     N, ell, m, delta, _ = fact
     rec = _field_record(N)
     _, p, q, _ = rec.rows[rec.deltas.index(delta)]
-    t, u = rec.eps if m >= 0 else rec.inverse
+    t, u = rec.eps
+    if m < 0:  # 1/eps = N(eps) * conj(eps)
+        t, u = rec.unit_norm * t, -rec.unit_norm * u
     p, q = _power(p, q, t, u, abs(m), N)
     return _raw(rec.field, p * ell, q * ell)
 
@@ -411,9 +411,10 @@ def sqrt_classes(j_parity: int, field_or_n) -> frozenset[int]:
         raise NotApplicable("square classes are a real-field notion")
     if j_parity == 0:
         return frozenset((1, fld.N))
-    if fundamental_unit(fld).unit_norm == -1:
+    rec = _field_record(fld.N)
+    if rec.unit_norm == -1:
         return frozenset()
-    k1, k2 = kappas(fld)
+    k1, k2 = rec.kappa1, rec.kappa2
     return frozenset(
         [k1, k2] + [fld.N * k for k in (k1, k2) if math.gcd(fld.N, k) == 1]
     )

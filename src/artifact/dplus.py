@@ -40,7 +40,6 @@ from .quadring import (
     is_square,
     squarefree_decompose,
 )
-from .units import fundamental_unit
 
 
 class DPlusElement(NamedTuple):
@@ -105,7 +104,8 @@ def _cutoff(M) -> tuple[int, int]:
 def _cell_walk(N: int, a: int, b: int) -> list[DPlusElement]:
     """Every dominant irrational d-number ell * eps^m * g^delta <= a/b of the
     real field N, unsorted; a member that in_dplus rejects is a bug."""
-    fld, fu, rec = field(N), fundamental_unit(N), generator_set(N)
+    rec = generator_set(N)
+    (t, u), fld = rec.eps, rec.field
     found: list[DPlusElement] = []
     ep, eq, sp, sq, m = 2, 0, 2, 0, 0  # eps^m, and eps^(2m) <= every member at m
     while _sign(b * sp - 2 * a, b * sq, N) <= 0:
@@ -120,7 +120,7 @@ def _cell_walk(N: int, a: int, b: int) -> list[DPlusElement]:
                     f"m >= 0 should force dominance (N={N}, m={m})"
                 )
             # ell * sigma(base) >= 1 and ell * base <= M; norm(base) = n > 0
-            n = gn * fu.unit_norm**m
+            n = gn * rec.unit_norm**m
             first = max(1, -_floor_quadratic(-p, -q, N, 2 * n))
             last = _floor_quadratic(a * p, -a * q, N, 2 * b * n)
             for ell in range(first, last + 1):
@@ -129,7 +129,7 @@ def _cell_walk(N: int, a: int, b: int) -> list[DPlusElement]:
                     raise InternalInconsistency(f"enumerated non-member {value}")
                 fact = CanonicalFactorization(N, ell, m, delta, rec.case)
                 found.append(DPlusElement(value, fact, decimal_str(value)))
-        ep, eq, m = *_mul(ep, eq, fu.t, fu.u, N), m + 1
+        ep, eq, m = *_mul(ep, eq, t, u, N), m + 1
         sp, sq = _mul(ep, eq, ep, eq, N)
     return found
 

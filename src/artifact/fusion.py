@@ -45,7 +45,6 @@ from .quadring import (
     radical_sign,
     squarefree_decompose,
 )
-from .units import fundamental_unit
 
 # ---------------------------------------------------------------------------
 # quantum integers
@@ -65,11 +64,12 @@ def _quantum_ints(fld: QuadField):
     eps + eps^-1 = t for unit norm +1, else u*sqrt(N); only the last two
     rows are kept.  Each [k] must be rational (q = 0) when the norm is +1
     or k is odd, else in Z*sqrt(N) (p = 0): InternalInconsistency if not."""
-    fu = fundamental_unit(fld)
-    N, s = fld.N, (2 * fu.t, 0) if fu.unit_norm == 1 else (0, 2 * fu.u)
+    rec = generator_set(fld)
+    (t, u), norm_one = rec.eps, rec.unit_norm == 1
+    N, s = fld.N, (2 * t, 0) if norm_one else (0, 2 * u)
     (p0, q0), (p, q) = (-2, 0), (0, 0)
     for k in itertools.count():
-        if (q if fu.unit_norm == 1 or k % 2 else p) != 0:
+        if (q if norm_one or k % 2 else p) != 0:
             raise InternalInconsistency(f"[{k}] has the wrong shape for N={N}")
         yield p, q
         x, y = _mul(*s, p, q, N)
@@ -175,8 +175,8 @@ def decompose_global_dim(
         raise ValueError(
             f"divisor_constraint must be >= 1, got {divisor_constraint}"
         )
-    fu = fundamental_unit(fld)
-    fact = CanonicalFactorization(fld.N, ell, m, (0, 0, 0), generator_set(fld).case)
+    rec = generator_set(fld)
+    fact = CanonicalFactorization(fld.N, ell, m, (0, 0, 0), rec.case)
     target = evaluate(fact)
     if not in_dplus(target):
         raise NotInDPlus(f"{target} = {ell}*eps^{m} is not a dominant d-number")
@@ -186,12 +186,12 @@ def decompose_global_dim(
     # when the unit norm is -1, eps^-j = (P - Q*sqrt(N))/2; the first three
     # close the walk.  The box has one cap floor(target * eps^-j) per j.
     terms, scanned = [], len(pool)
-    j, P, Q = 1, fu.t, fu.u
+    (P, Q), j = rec.eps, 1
     while _sign(tp - P, tq - Q, N) >= 0:
-        if fu.unit_norm == 1 or j % 2 == 0:
+        if rec.unit_norm == 1 or j % 2 == 0:
             terms.append((j, P, Q))
             scanned *= _floor_quadratic(*_mul(tp, tq, P, -Q, N), N, 2)
-        j, (P, Q) = j + 1, _mul(P, Q, fu.t, fu.u, N)
+        j, (P, Q) = j + 1, _mul(P, Q, *rec.eps, N)
     solutions: list[Decomposition] = []
 
     def walk(idx: int, rp: int, rq: int, chosen: list[tuple[int, int]]) -> None:
@@ -520,8 +520,7 @@ def quantum_group_table() -> list[QuantumGroupDim]:
             continue
         series, *rest = line.split("\t")
         n, k, ell, power, big_n, flag = map(int, rest)
-        fu = fundamental_unit(big_n)
         base = (0, 2 * ell) if flag else (2 * ell, 0)  # ell * sqrt(N)^flag
-        value = make(big_n, *_power(*base, fu.t, fu.u, power, big_n))
+        value = make(big_n, *_power(*base, *generator_set(big_n).eps, power, big_n))
         rows.append(QuantumGroupDim(series, n, k, ell, power, big_n, bool(flag), value))
     return rows

@@ -33,7 +33,6 @@ at the stop, as the certificate of the rule.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 from typing import NamedTuple
 
 from .quadring import (
@@ -142,9 +141,13 @@ class FundamentalUnit(NamedTuple):
         return f"eps_{self.N} = {self.eps} (norm {self.unit_norm:+d})"
 
 
-@lru_cache(maxsize=None)
-def _fundamental_unit_cached(N: int) -> FundamentalUnit:
-    fld = field(N)
+def fundamental_unit(field_or_n) -> FundamentalUnit:
+    """The unit of real field N, by one continued fraction on every call:
+    the field's cached `dnumbers.FieldRecord` is what keeps its eps."""
+    fld = field(field_or_n)
+    N = fld.N
+    if N < 0:
+        raise NotApplicable("imaginary quadratic fields have no unit > 1")
     omega_basis = fld.omega_kind == HALF_ONE_PLUS_SQRT_N
     P0, Q0 = (1, 2) if omega_basis else (0, 1)  # omega = (P0 + sqrt(N))/Q0
     h1, h2, k1, k2 = 1, 0, 0, 1  # h_{-1}, h_{-2}, k_{-1}, k_{-2}
@@ -158,10 +161,3 @@ def _fundamental_unit_cached(N: int) -> FundamentalUnit:
                 raise InternalInconsistency(f"N={N}: p^2 - N q^2 = {d} at the stop")
             return FundamentalUnit(N, make(fld, p, q), p, q, d // 4)
     raise InternalInconsistency(f"no period found for N={N}")
-
-
-def fundamental_unit(field_or_n) -> FundamentalUnit:
-    fld = field(field_or_n)
-    if fld.N < 0:
-        raise NotApplicable("imaginary quadratic fields have no unit > 1")
-    return _fundamental_unit_cached(fld.N)

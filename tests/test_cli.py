@@ -589,6 +589,22 @@ def test_decompose_rejects_divisor_constraint_below_one(capsys):
         assert err == f"ValueError: divisor_constraint must be >= 1, got {bad}\n"
 
 
+NO_UNIT = "NotApplicable: imaginary quadratic fields have no unit > 1\n"
+
+
+@pytest.mark.parametrize("argv, err", [
+    ("pell -3", NO_UNIT),
+    ("decompose -1 2 1", NO_UNIT),
+    ("unit -7", NO_UNIT),
+    ("qint -1 3", "NotApplicable: quantum integers need a real field\n"),
+    ("kappa 5",
+     "NotApplicable: unit norm is -1 for N=5; kappa_i(t -+ 2) cannot be squares\n"),
+    ("generators -3", NO_UNIT),  # the record is built from the unit
+])
+def test_fields_without_the_asked_unit_exit_1(capsys, argv, err):
+    assert run(capsys, *argv.split()) == (1, "", err)
+
+
 def test_parsed_flags_do_not_leak_between_calls(capsys):
     # the parser is built once per process; each call parses afresh
     code, out, _ = run(capsys, "--json", "unit", "19")

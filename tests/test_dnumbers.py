@@ -426,14 +426,16 @@ def test_field_record_matches_quadint_oracle():
     """The integer record against the oracle's QuadInt generator set on
     every real field N <= 3000, which covers all five cases and both unit
     norms: case, kappas, keys, deltas, rows (g^delta and its norm, which is
-    +-key) and generators; eps and 1/eps multiply to 1."""
+    +-key) and generators; eps and its norm are the unit's, and evaluate
+    at m = -1 times eps is 1."""
     cases = set()
     for N in squarefree_range(3000)[1:]:
         rec, gs, fu = generator_set(N), oracles.generator_set(N), fundamental_unit(N)
         assert (rec.N, rec.field, rec.case) == (N, field(N), gs.case)
         assert (rec.kappa1, rec.kappa2) == (gs.kappa1, gs.kappa2)
-        assert rec.eps == (fu.t, fu.u)
-        assert make(N, *rec.eps) * make(N, *rec.inverse) == 1
+        assert (rec.eps, rec.unit_norm) == ((fu.t, fu.u), fu.unit_norm)
+        inverse = evaluate(CanonicalFactorization(N, 1, -1, (0, 0, 0), rec.case))
+        assert inverse * make(N, *rec.eps) == 1
         assert rec.deltas == gs.delta_combos()
         assert tuple(key for key, _, _, _ in rec.rows) == tuple(gs.signature_map)
         for delta, (key, p, q, n) in zip(rec.deltas, rec.rows):

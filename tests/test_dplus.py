@@ -8,7 +8,7 @@ from functools import cmp_to_key
 
 import pytest
 
-from artifact import dnumbers, dplus, quadring, units
+from artifact import dnumbers, dplus, quadring
 from artifact.cli import main
 from artifact.dnumbers import CanonicalFactorization, canonical_factor
 from artifact.dplus import (
@@ -241,7 +241,6 @@ def test_enumerate_all_runs_no_primality_test(monkeypatch):
     # in perfbench/expected.json
     quadring._field.cache_clear()
     dnumbers._field_record.cache_clear()
-    units._fundamental_unit_cached.cache_clear()
     calls = []
     real = quadring._is_probable_prime
     monkeypatch.setattr(

@@ -118,6 +118,50 @@ def test_fraction_scan_catches_each_import():
     assert sorted(fraction_imports(ast.parse(source))) == [1, 2, 3, 4, 5]
 
 
+# The modules that may import `units`, and why.  Every other layer reads eps
+# and N(eps) from the cached field record, so each field's unit runs once.
+UNIT_IMPORTERS = {
+    "dnumbers.py": "the field record is built from the unit",
+    "cli.py": "`dnum unit` and `table units` print the unit itself",
+}
+
+
+def unit_imports(tree):
+    """Lines of every import of the `units` module or of a name from it,
+    relative or absolute, in the tree."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            if any(alias.name.rsplit(".", 1)[-1] == "units" for alias in node.names):
+                yield node.lineno
+        elif isinstance(node, ast.ImportFrom) and (
+            (node.module or "").rsplit(".", 1)[-1] == "units"
+            or any(alias.name == "units" for alias in node.names)
+        ):
+            yield node.lineno
+
+
+def test_units_imported_only_by_the_record_and_the_cli():
+    importers = {
+        path.name
+        for path in SRC.glob("*.py")
+        if any(unit_imports(ast.parse(path.read_text())))
+    }
+    assert importers == set(UNIT_IMPORTERS)
+
+
+def test_unit_scan_catches_each_import():
+    source = (
+        "from .units import fundamental_unit\n"
+        "from . import dplus, units\n"
+        "import artifact.units\n"
+        "from artifact.units import *\n"
+        "from artifact import units as u\n"
+        "from .dnumbers import generator_set\n"
+        "from .quadring import unit\n"
+    )
+    assert sorted(unit_imports(ast.parse(source))) == [1, 2, 3, 4, 5]
+
+
 def halved_products(tree):
     """Lines of every floor division by 2 of an expression that contains a
     product, such as (p*r + N*q*s) // 2."""
@@ -271,8 +315,7 @@ def test_unused_scan_flags_each_kind_of_definition():
 # process.  Each maps an argument to a value that never changes.
 CACHES_ALLOWED = {
     "_field": "interns one QuadField per N: QuadInt compares fields by identity first",
-    "_fundamental_unit_cached": "the continued fraction of N runs once",
-    "_field_record": "the generators and rows of field N are built once",
+    "_field_record": "the unit, kappas and generator rows of field N are built once",
     "_primes": "the sieve of primes up to 10^6 is built once, on first use",
     "_prime_block": "the product of each block of sieve primes, on first use",
     "_build_parser": "the dnum parser is built once; parsing never mutates it",

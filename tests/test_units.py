@@ -1,10 +1,13 @@
 import math
+from collections import Counter
 
 import pytest
 
-from artifact import units
+from artifact import dnumbers, quadring, units
 from artifact.cli import main
-from artifact.dnumbers import kappas, pell_witness
+from artifact.dnumbers import kappas, pell_witness, sqrt_classes
+from artifact.dplus import enumerate_all
+from artifact.fusion import decompose_global_dim, quantum_group_table, refine_simple_dims
 from artifact.quadring import InternalInconsistency, NotApplicable, is_square, make
 from artifact.units import cf_expand, fundamental_unit
 from oracles import (
@@ -266,13 +269,42 @@ def test_certificate_guards_the_stop(capsys, monkeypatch, stream):
     unit makes `fundamental_unit` raise, and `dnum unit` exit 4, rather than
     return it: the +-4 check at the stop is what catches it."""
     monkeypatch.setattr(units, "_cf_states", stream)
-    units._fundamental_unit_cached.cache_clear()
     for N in (19, 21):  # the sqrt(N) and the omega basis
         with pytest.raises(InternalInconsistency, match="at the stop"):
             fundamental_unit(N)
     assert main(["unit", "19"]) == 4
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("InternalInconsistency: N=19: p^2 - N q^2 = ")
+
+
+def test_each_field_expands_once(capsys, monkeypatch):
+    """From empty per-field caches, as in a new process, every layer reads
+    eps from the field record, so no field's continued fraction runs twice:
+    enumeration, decomposition with the filtered refinement, the
+    quantum-group table twice, the square classes and Pell witnesses of the
+    same fields, and `dnum pell` on a norm +1 and a norm -1 field."""
+    quadring._field.cache_clear()
+    dnumbers._field_record.cache_clear()
+    expanded = Counter()
+
+    def spy(N, P0, Q0):
+        expanded[N] += 1
+        return _true_states(N, P0, Q0)
+
+    monkeypatch.setattr(units, "_cf_states", spy)
+    enumerate_all(33, include_integers=True)
+    for N, ell, m in ((5, 76, 2), (3, 40, 2), (2, 12, 2), (21, 21, 1)):
+        for sol in decompose_global_dim(N, ell, m).solutions:
+            refine_simple_dims(sol, apply_modular_filter=True)
+    quantum_group_table()
+    quantum_group_table()
+    for N in list(expanded):
+        sqrt_classes(1, N)
+        pell_witness(N, 100)
+    assert main(["pell", "46"]) == main(["pell", "13"]) == 0
+    capsys.readouterr()
+    assert {2, 3, 5, 13, 21, 46} <= set(expanded) and len(expanded) > 20
+    assert [N for N, count in expanded.items() if count > 1] == []
 
 
 def test_pell_witness_known_values():
