@@ -33,6 +33,7 @@ from .quadring import (
     _power,
     _quotient,
     _raw,
+    _same_field,
     _sign,
     _unit_exponent,
     exact_divide,
@@ -319,8 +320,7 @@ def dnumber_divides(y: QuadInt, x: QuadInt) -> DivisibilityVerdict:
     generic case, where it can misfire), exact division as the final
     authority.
     """
-    if y.field != x.field:
-        raise FieldMismatch(f"{y.field} vs {x.field}")
+    _same_field(y, x)
     if y.is_zero() or x.is_zero():
         raise ZeroElement("divisibility needs nonzero d-numbers")
     if not is_dnumber(y) or not is_dnumber(x):

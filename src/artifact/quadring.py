@@ -17,12 +17,12 @@ multiples of square roots by squaring, with no interval, and is handed
 integer coefficients.  A `Fraction` appears only where a rational cutoff
 enters.
 
-The pair format is this module's alone: other modules call `_mul`,
-`_quotient`, `_power` and `_unit_exponent` (its inverse), and only this
-module checks parity: where coordinates enter (`make`) and where a
-quotient may leave the ring (`_quotient`).  Ring results come from the
-unchecked `_raw`, since sums, products, conjugates and powers of
-algebraic integers are algebraic integers.
+Other modules build and scale pairs (p, q), but only this one multiplies
+two pairs, so no other module halves a product: they call `_mul`,
+`_quotient`, `_power` and its inverse `_unit_exponent`.  Only this module
+checks parity, in `make` and `_quotient`; sums, products and powers
+stay in the ring, so they come from the unchecked `_raw`.  `_coordinates`
+is the one reader of a real value.
 """
 
 from __future__ import annotations
@@ -430,9 +430,7 @@ class QuadInt:
 
     def _coerce(self, other):
         if isinstance(other, QuadInt):
-            # fields are interned by field(), so identity settles most calls
-            if other.field is not self.field and other.field != self.field:
-                raise FieldMismatch(f"{self.field} vs {other.field}")
+            _same_field(self, other)
             return other
         if isinstance(other, int):
             return _raw(self.field, 2 * other, 0)
@@ -509,29 +507,15 @@ class QuadInt:
 
     def sign(self) -> int:
         """Sign of the real value; NotApplicable for imaginary fields."""
-        N = self.field.N
-        if N < 0:
-            raise NotApplicable("no real ordering for N < 0")
-        return _sign(self.p, self.q, N)
+        return self._cmp(0)
 
     def _cmp(self, other) -> int:
-        """Sign of self - other; 2*d*(self - n/d) keeps integer coordinates."""
-        N = self.field.N
-        if isinstance(other, QuadInt):
-            if other.field is not self.field and other.field != self.field:
-                raise FieldMismatch(
-                    "ordering two quadratic integers needs a common field; "
-                    "use compare_values for cross-field comparison"
-                )
-            a, b = self.p - other.p, self.q - other.q
-        elif isinstance(other, (int, Fraction)):
-            d = other.denominator
-            a, b = self.p * d - 2 * other.numerator, self.q * d
-        else:
-            raise TypeError(f"cannot order QuadInt and {type(other).__name__}")
-        if N < 0:
-            raise NotApplicable("no real ordering for N < 0")
-        return _sign(a, b, N)
+        """Sign of 2*d*(self - other) on integer coordinates, d = other's
+        denominator."""
+        _same_field(self, other)
+        P, Q, _, d = _coordinates(other)
+        p, q, N, _ = _coordinates(self)
+        return _sign(p * d - 2 * P, q * d - 2 * Q, N)
 
     def __lt__(self, other):
         return self._cmp(other) < 0
@@ -558,6 +542,13 @@ class QuadInt:
 _set_field = QuadInt.field.__set__
 _set_p = QuadInt.p.__set__
 _set_q = QuadInt.q.__set__
+
+
+def _same_field(x: QuadInt, y) -> None:
+    """FieldMismatch if y is a QuadInt of another field."""
+    # fields are interned by field(), so identity settles most calls
+    if isinstance(y, QuadInt) and y.field is not x.field and y.field != x.field:
+        raise FieldMismatch(f"{x.field} vs {y.field}")
 
 
 def _mul(p: int, q: int, r: int, s: int, N: int) -> tuple[int, int]:
@@ -682,8 +673,7 @@ def compare(x: QuadInt, y) -> int:
 
 def exact_divide(x: QuadInt, y: QuadInt) -> QuadInt:
     """x / y when the quotient lies in the ring; NotDivisible otherwise."""
-    if y.field is not x.field and y.field != x.field:
-        raise FieldMismatch(f"{x.field} vs {y.field}")
+    _same_field(x, y)
     if y.is_zero():
         raise DivByZero("division by zero element")
     if (z := _quotient(x.p, x.q, y.p, y.q, y.norm(), x.N)) is None:
@@ -817,26 +807,12 @@ def decimal_str(x, places: int = 6) -> str:
 # rendering
 
 
-def _radical_str(N: int) -> str:
-    return f"√{N}"
-
-
 def render(x: QuadInt) -> str:
-    """Canonical text form: a+b*sqrt(N) when q is even, (p+q*sqrt(N))/2 else."""
+    """a+b√N without a coefficient 1 or an integer part 0; odd q over 2."""
     p, q, N = x.p, x.q, x.N
-    rad = _radical_str(N)
     if q == 0:
         return str(p // 2)
-    if q % 2 == 0:
-        a, b = p // 2, q // 2
-        if b < 0:
-            bs = rad if b == -1 else f"{-b}{rad}"
-            return f"-{bs}" if a == 0 else f"{a}-{bs}"
-        bs = rad if b == 1 else f"{b}{rad}"
-        return bs if a == 0 else f"{a}+{bs}"
-    # half-integer coordinates
-    if q < 0:
-        qs = rad if q == -1 else f"{-q}{rad}"
-        return f"({p}-{qs})/2"
-    qs = rad if q == 1 else f"{q}{rad}"
-    return f"({p}+{qs})/2"
+    a, b = (p, q) if q % 2 else (p // 2, q // 2)
+    op = "-" if b < 0 else "+" if a else ""
+    text = f"{a or ''}{op}{'' if abs(b) == 1 else abs(b)}√{N}"
+    return f"({text})/2" if q % 2 else text

@@ -12,7 +12,7 @@ import pytest
 
 from artifact import cli, dplus, fusion, units
 from artifact.cli import main
-from artifact.quadring import InternalInconsistency, factorize
+from artifact.quadring import InternalInconsistency, factorize, make
 from artifact.units import fundamental_unit
 from oracles import dnum_parser, squarefree_range
 
@@ -212,6 +212,11 @@ def test_closed_pipe_stops_the_computation(capsys, monkeypatch):
     """Records print as they are produced, so the first write to a closed
     pipe ends the run: `decompose 5 76 2 --refine` writes its summary line
     first, and exits 141 before it refines any of its 17 solutions."""
+    def lowest_free_descriptor():
+        probe = os.open(os.devnull, os.O_RDONLY)
+        os.close(probe)
+        return probe
+
     fd = os.open(os.devnull, os.O_WRONLY)  # harmless target of the dup2
 
     class ClosedPipe:
@@ -233,7 +238,9 @@ def test_closed_pipe_stops_the_computation(capsys, monkeypatch):
     monkeypatch.setattr(fusion, "refine_simple_dims", counted)
     monkeypatch.setattr(sys, "stdout", ClosedPipe())
     try:
+        free = lowest_free_descriptor()
         assert main(["decompose", "5", "76", "2", "--refine"]) == 141
+        assert lowest_free_descriptor() == free  # devnull's descriptor closed
     finally:
         os.close(fd)
     assert calls == [] and capsys.readouterr().err == ""
@@ -690,6 +697,25 @@ def test_table_checks_every_row_before_printing(capsys, monkeypatch, tmp_path):
         assert run(capsys, *flags, "table", "fig3") == (
             4, "", "InternalInconsistency: table row A1,4 failed checks\n"
         )
+
+
+@pytest.mark.parametrize("p, q", [(2, 4), (0, 0), (4, 2)])
+def test_bad_table_value_exits_4(capsys, monkeypatch, p, q):
+    """A shipped row whose value is no d-number (1+2√3), zero, or a d-number
+    outside D+ (2+√3) is a bug in the data, so `table fig3` exits 4 on each,
+    also where checking the row raises a domain error."""
+    real = fusion.quantum_group_table
+
+    def corrupt():
+        rows = real()
+        i = next(i for i, row in enumerate(rows) if row.N == 3)
+        rows[i] = rows[i]._replace(value=make(3, p, q))
+        return rows
+
+    monkeypatch.setattr(fusion, "quantum_group_table", corrupt)
+    code, out, err = run(capsys, "table", "fig3")
+    assert code == 4 and out == ""
+    assert err.startswith("InternalInconsistency: table row")
 
 
 def test_inconsistency_midway_follows_partial_output(capsys, monkeypatch):

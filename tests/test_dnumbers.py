@@ -422,6 +422,26 @@ def test_large_ell_matches_quadint_oracle():
                 assert (dnumber_order(x) == 1) == (delta == (0, 0, 0)), f
 
 
+def test_roundtrip_at_a_large_unit():
+    """canonical_factor(evaluate(f)) == f at N = 10^11 + 3, whose unit has a
+    121,977-bit trace, over every delta and m in -2..2 (m = 0 with delta = 0
+    is a plain integer) with ell of both signs up to 10^6."""
+    N = 10**11 + 3
+    rng = random.Random(1011)
+    gs = generator_set(N)
+    assert gs.case == CASE_N_KAPPA2_EQ_KAPPA1 and gs.eps[0].bit_length() == 121_977
+    trips = 0
+    for delta in gs.delta_combos():
+        for m in range(-2, 3):
+            if m == 0 and delta == (0, 0, 0):
+                continue
+            ell = rng.choice((1, -1)) * rng.randrange(1, 10**6 + 1)
+            f = CanonicalFactorization(N, ell, m, delta, gs.case)
+            assert canonical_factor(evaluate(f)) == f, f
+            trips += 1
+    assert trips == 19
+
+
 def test_field_record_matches_quadint_oracle():
     """The integer record against the oracle's QuadInt generator set on
     every real field N <= 3000, which covers all five cases and both unit

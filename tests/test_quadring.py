@@ -210,6 +210,14 @@ def test_sign_and_ordering_exact():
         make(-1, 2, 2).sign()
     with pytest.raises(NotApplicable):
         make(-3, 1, 1) < make(-3, 3, 1)
+    # no float takes part in an order: a float operand is refused, and
+    # equality with one is False
+    x = make(2, 2, 2)
+    for call in (lambda: x < 2.5, lambda: qr.compare(x, 2.5)):
+        with pytest.raises(TypeError) as err:
+            call()
+        assert type(err.value) is TypeError
+    assert (make(2, 4, 0) == 2.0) is False
 
 
 def test_compare_values_cross_field():
@@ -223,6 +231,11 @@ def test_compare_values_cross_field():
     assert compare_values(Fraction(7, 2), make(13, 8, 0)) == -1
     # very close cross-field pair: sqrt(51) = 7.1414..., 5+sqrt(46)/pi-ish
     assert compare_values(make(51, 0, 2), make(2, 10, 2)) == 1  # vs 5+sqrt2
+    # a float is refused, not rounded
+    for call in (lambda: compare_values(make(2, 2, 2), 2.5), lambda: decimal_str(2.5)):
+        with pytest.raises(TypeError) as err:
+            call()
+        assert type(err.value) is TypeError
 
 
 def test_decimal_str():
