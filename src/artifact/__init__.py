@@ -24,7 +24,6 @@ from .quadring import (
     ZeroElement,
     compare,
     compare_values,
-    conjugate,
     decimal_str,
     divisors,
     exact_divide,
@@ -33,12 +32,10 @@ from .quadring import (
     is_square,
     is_squarefree,
     make,
-    norm,
     render,
     sign,
     squarefree_decompose,
     squarefree_part,
-    trace,
 )
 
 __all__ = [
@@ -57,7 +54,6 @@ __all__ = [
     "ZeroElement",
     "compare",
     "compare_values",
-    "conjugate",
     "decimal_str",
     "divisors",
     "exact_divide",
@@ -66,12 +62,10 @@ __all__ = [
     "is_square",
     "is_squarefree",
     "make",
-    "norm",
     "render",
     "sign",
     "squarefree_decompose",
     "squarefree_part",
-    "trace",
 ]
 
 __version__ = "0.1.0"

@@ -37,6 +37,7 @@ from . import dnumbers, dplus, fusion, units
 from .quadring import (
     FactorizationLimit,
     InternalInconsistency,
+    NotApplicable,
     is_squarefree,
     make,
     render,
@@ -87,6 +88,8 @@ def _cmd_generators(args):
 
 def _cmd_member(args):
     x = make(args.N, args.p, args.q)
+    if args.N < 0:  # order and factorization need a real field
+        raise NotApplicable("member needs a real field; for N < 0 use `dnum complex`")
     payload = {"N": args.N, "p": args.p, "q": args.q, "dnumber": dnumbers.is_dnumber(x)}
     if payload["dnumber"]:
         order = dnumbers.dnumber_order(x)

@@ -9,20 +9,22 @@ Everything on a correctness path is integer arithmetic: the sign of
 ``a + b*sqrt(N)`` is decided by comparing a^2 against N*b^2 (`_sign`), every
 floor of a value (P + Q*sqrt(N))/D -- decimals, cutoffs, caps, sort keys --
 is the one ``math.isqrt`` floor `_floor_quadratic`, and floating point never
-decides anything.  The order (`sign`, `<`, `compare`) and `==` against an
-int or a `Fraction` are integer-only: a rational cutoff n/d is
-cross-multiplied by d, not subtracted as a `Fraction`.  `compare_values` is
-exact for any radicands: `radical_sign` decides the sign of a sum of
-multiples of square roots by squaring, with no interval, and is handed
-integer coefficients.  A `Fraction` appears only where a rational cutoff
-enters.
+decides anything.  `_coordinates` is the one reader of an operand: it
+turns a QuadInt of any N, an int or a `Fraction` into integers (P, Q, N,
+D), so `==`, arithmetic and the order are integer-only, and a rational n/d
+is cross-multiplied by d, not subtracted as a `Fraction`.  Only the
+readers of a real value -- the order (`sign`, `<`, `compare`),
+`compare_values` and `decimal_str` -- refuse N < 0, in `_real`.
+`compare_values` is exact for any radicands: `radical_sign` decides the
+sign of a sum of multiples of square roots by squaring, with no interval,
+and is handed integer coefficients.  A `Fraction` appears only where a
+rational cutoff enters.
 
 Other modules build and scale pairs (p, q), but only this one multiplies
 two pairs, so no other module halves a product: they call `_mul`,
 `_quotient`, `_power` and its inverse `_unit_exponent`.  Only this module
 checks parity, in `make` and `_quotient`; sums, products and powers
-stay in the ring, so they come from the unchecked `_raw`.  `_coordinates`
-is the one reader of a real value.
+stay in the ring, so they come from the unchecked `_raw`.
 """
 
 from __future__ import annotations
@@ -152,7 +154,7 @@ def _is_probable_prime(n: int) -> bool:
     # psi_12 = 318665857834031151167461).  From psi_13 on, 64 more bases
     # from Random(n), fixed per n, give a probable prime: ~2^-128 is a bound
     # for random bases only (the ROADMAP plans Baillie-PSW).
-    bases = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41]
+    bases = list(_BELOW_100[:13])
     for p in bases:
         if n % p == 0:
             return n == p
@@ -423,24 +425,23 @@ class QuadInt:
             raise InternalInconsistency(f"{self!r} has a non-integral norm")
         return num // 4
 
-    def trace(self) -> int:
-        return self.p
-
     # -- arithmetic --------------------------------------------------------
 
     def _coerce(self, other):
-        if isinstance(other, QuadInt):
-            _same_field(self, other)
-            return other
-        if isinstance(other, int):
-            return _raw(self.field, 2 * other, 0)
-        return None
+        """The doubled pair (p, q) of an int or a same-field QuadInt, else
+        None: a Fraction is refused, as a sum or product with one may leave
+        the ring."""
+        if not isinstance(other, (int, QuadInt)):
+            return None
+        _same_field(self, other)
+        P, Q, _, D = _coordinates(other)
+        return 2 * P // D, 2 * Q // D
 
     def __add__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return _raw(self.field, self.p + o.p, self.q + o.q)
+        return _raw(self.field, self.p + o[0], self.q + o[1])
 
     __radd__ = __add__
 
@@ -448,24 +449,22 @@ class QuadInt:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return _raw(self.field, self.p - o.p, self.q - o.q)
+        return _raw(self.field, self.p - o[0], self.q - o[1])
 
     def __rsub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return _raw(self.field, o.p - self.p, o.q - self.q)
+        return _raw(self.field, o[0] - self.p, o[1] - self.q)
 
     def __neg__(self):
         return _raw(self.field, -self.p, -self.q)
 
     def __mul__(self, other):
-        if isinstance(other, int):
-            return _raw(self.field, self.p * other, self.q * other)
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return _raw(self.field, *_mul(self.p, self.q, o.p, o.q, self.field.N))
+        return _raw(self.field, *_mul(self.p, self.q, *o, self.field.N))
 
     __rmul__ = __mul__
 
@@ -484,21 +483,16 @@ class QuadInt:
 
     # -- comparisons (exact; real fields only for order) -------------------
 
-    # The rationals of the ring are integers (q = 0 forces p even), so an
-    # int or a Fraction n/d equals x exactly when q = 0 and p*d = 2n.
+    # The rationals of the ring are integers (q = 0 forces p even), so x
+    # equals (P + Q*sqrt(M))/D exactly when p*D = 2P and q*D = 2Q, and, for
+    # an irrational x, M = N: a rational is equal across fields.
 
     def __eq__(self, other):
-        if isinstance(other, QuadInt):
-            if self.q == 0 and other.q == 0:
-                return self.p == other.p  # same rational, any ambient field
-            return (
-                self.field == other.field
-                and self.p == other.p
-                and self.q == other.q
-            )
-        if isinstance(other, (int, Fraction)):
-            return self.q == 0 and self.p * other.denominator == 2 * other.numerator
-        return NotImplemented
+        try:
+            P, Q, M, D = _coordinates(other)
+        except TypeError:
+            return NotImplemented
+        return self.p * D == 2 * P and self.q * D == 2 * Q and (Q == 0 or M == self.N)
 
     def __hash__(self):
         if self.q == 0:
@@ -513,8 +507,8 @@ class QuadInt:
         """Sign of 2*d*(self - other) on integer coordinates, d = other's
         denominator."""
         _same_field(self, other)
-        P, Q, _, d = _coordinates(other)
-        p, q, N, _ = _coordinates(self)
+        P, Q, _, d = _real(other)
+        p, q, N, _ = _real(self)
         return _sign(p * d - 2 * P, q * d - 2 * Q, N)
 
     def __lt__(self, other):
@@ -650,18 +644,6 @@ def make(field_or_n, p: int, q: int) -> QuadInt:
     return QuadInt(field(field_or_n), p, q)
 
 
-def conjugate(x: QuadInt) -> QuadInt:
-    return x.conjugate()
-
-
-def norm(x: QuadInt) -> int:
-    return x.norm()
-
-
-def trace(x: QuadInt) -> int:
-    return x.trace()
-
-
 def sign(x: QuadInt) -> int:
     return x.sign()
 
@@ -721,15 +703,21 @@ def _floor_quadratic(P: int, Q: int, N: int, D: int) -> int:
 
 def _coordinates(x) -> tuple[int, int, int, int]:
     """(P, Q, N, D) with x = (P + Q*sqrt(N))/D, all integers and D > 0: the
-    doubled coordinates of a QuadInt, numerator and denominator (N = 0) of
-    an int or a Fraction."""
+    doubled coordinates of a QuadInt of any N, numerator and denominator
+    (N = 0) of an int or a Fraction.  The one reader of an operand."""
     if isinstance(x, QuadInt):
-        if x.N < 0:
-            raise NotApplicable("no real value for N < 0")
         return x.p, x.q, x.N, 2
     if isinstance(x, (int, Fraction)):
         return x.numerator, 0, 0, x.denominator
     raise TypeError(f"cannot interpret {type(x).__name__} as a real value")
+
+
+def _real(x) -> tuple[int, int, int, int]:
+    """`_coordinates` of a real value: NotApplicable for N < 0."""
+    P, Q, N, D = _coordinates(x)
+    if N < 0:
+        raise NotApplicable("no real value for N < 0")
+    return P, Q, N, D
 
 
 def _radical_sub(a: dict, b: dict, k=1) -> dict:
@@ -785,8 +773,8 @@ def compare_values(a, b) -> int:
     in any fields: the sign of a - b by `radical_sign`, taken on the integer
     coefficients of da*db*(a - b).  An int or a Fraction has N = 0 and
     q = 0; `_radical_sub` drops that entry, as it drops every zero."""
-    pa, qa, Na, da = _coordinates(a)
-    pb, qb, Nb, db = _coordinates(b)
+    pa, qa, Na, da = _real(a)
+    pb, qb, Nb, db = _real(b)
     return radical_sign(
         _radical_sub({1: pa * db, Na: qa * db}, {1: pb * da, Nb: qb * da})
     )
@@ -794,7 +782,7 @@ def compare_values(a, b) -> int:
 
 def decimal_str(x, places: int = 6) -> str:
     """Floor-rounded decimal rendering, computed without floating point."""
-    p, q, N, d = _coordinates(x)
+    p, q, N, d = _real(x)
     scale = 10**places
     v = _floor_quadratic(p * scale, q * scale, N, d)
     sign_str = "-" if v < 0 else ""

@@ -85,7 +85,7 @@ def is_dnumber_via_charpoly(x: QuadInt) -> bool:
     polynomial of multiplication by x over the integral basis (1, omega).
 
     Used by the test suite to cross-validate `is_dnumber`; deliberately
-    avoids the norm()/trace() helpers.
+    avoids the norm() method.
     """
     if x.is_zero():
         raise ZeroElement("0 is not a d-number")

@@ -597,6 +597,7 @@ def test_decompose_rejects_divisor_constraint_below_one(capsys):
 
 
 NO_UNIT = "NotApplicable: imaginary quadratic fields have no unit > 1\n"
+MEMBER_REAL = "NotApplicable: member needs a real field; for N < 0 use `dnum complex`\n"
 
 
 @pytest.mark.parametrize("argv, err", [
@@ -607,6 +608,9 @@ NO_UNIT = "NotApplicable: imaginary quadratic fields have no unit > 1\n"
     ("kappa 5",
      "NotApplicable: unit norm is -1 for N=5; kappa_i(t -+ 2) cannot be squares\n"),
     ("generators -3", NO_UNIT),  # the record is built from the unit
+    # a d-number (2) and a non-member (1+2i) alike: the exit code tells nothing
+    ("member -1 4 0", MEMBER_REAL),
+    ("member -1 2 4", MEMBER_REAL),
 ])
 def test_fields_without_the_asked_unit_exit_1(capsys, argv, err):
     assert run(capsys, *argv.split()) == (1, "", err)

@@ -27,7 +27,7 @@ from oracles import squarefree_range
 def test_make_validates_parity():
     # (1+sqrt5)/2 is the golden ratio, a genuine algebraic integer
     phi = make(5, 1, 1)
-    assert phi.norm() == -1 and phi.trace() == 1
+    assert phi.norm() == -1 and phi.p == 1
     # but (1+sqrt3)/2 is not: N=3 needs both coordinates even
     with pytest.raises(ParityError):
         make(3, 1, 1)
@@ -53,16 +53,16 @@ def test_field_validation():
     assert field(2).omega_kind == "SqrtN"
     assert field(-1).omega_kind == "SqrtN"
     # the second basis element: (1+sqrt21)/2, of norm -5, and sqrt2 itself
-    assert (make(21, 1, 1).trace(), make(21, 1, 1).norm()) == (1, -5)
+    assert (make(21, 1, 1).p, make(21, 1, 1).norm()) == (1, -5)
     assert make(2, 0, 2) ** 2 == 2
 
 
 def test_norm_trace_conjugate_basics():
     x = make(3, 6, 2)  # 3 + sqrt(3)
-    assert x.trace() == 6
+    assert x.p == 6
     assert x.norm() == 6
     assert x.conjugate() == make(3, 6, -2)
-    assert x + x.conjugate() == x.trace()
+    assert x + x.conjugate() == x.p
     assert x * x.conjugate() == x.norm()
 
 
@@ -84,7 +84,7 @@ def test_arithmetic_random_sweep():
             assert (a - b) + b == a
             assert a * b == b * a
             assert (a * b).norm() == a.norm() * b.norm()
-            assert (a + b).trace() == a.trace() + b.trace()
+            assert (a + b).p == a.p + b.p
             assert (a * b).conjugate() == a.conjugate() * b.conjugate()
             assert a * (b + b) == a * b * 2
             k = rng.randrange(4)
@@ -102,6 +102,29 @@ def test_int_coercion_and_equality():
     assert hash(make(5, 6, 0)) == hash(3)
     assert make(7, 10, 0) == make(5, 10, 0)  # the same rational integer
     assert make(7, 6, 2) != make(5, 6, 2)  # irrational: ambient field matters
+    # the == / hash contract over a grid of seven fields, N < 0 included: a
+    # and b are equal exactly when they are the same rational, or have the
+    # same N, p and q, and equal elements hash alike
+    grid = [
+        make(N, p, q)
+        for N in (-7, -3, -1, 2, 3, 5, 13)
+        for p in range(-4, 5)
+        for q in range(-3, 4)
+        if (p - q) % 2 == 0 and (N % 4 == 1 or p % 2 == 0)
+    ]
+    assert len(grid) == 169
+    rationals = [*range(-3, 4), Fraction(1, 2), Fraction(-3, 2), Fraction(4, 2)]
+    for a in grid:
+        for b in grid:
+            same = (a.q == b.q == 0 and a.p == b.p) or (a.N, a.p, a.q) == (b.N, b.p, b.q)
+            assert (a == b) is same and (a != b) is not same, (a, b)
+            assert not same or hash(a) == hash(b), (a, b)
+        value = Fraction(a.p, 2) if a.q == 0 else None
+        for r in rationals:
+            assert (a == r) is (r == a) is (value == r), (a, r)
+            assert value != r or hash(a) == hash(r), (a, r)
+        for other in (2.0, 0.5, None, "x"):
+            assert (a == other) is False and (a != other) is True, (a, other)
 
 
 def test_field_mismatch():

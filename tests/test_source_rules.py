@@ -6,6 +6,8 @@
   field the package defines is used by the package, or is allowed by name
   with a reason.
 - Integers inside: `fractions` is imported only where a rational enters.
+- One reader of an operand: nothing but `quadring._coordinates` asks
+  `isinstance(x, Fraction)`.
 - Doubled coordinates belong to `quadring`: no other module halves a
   product, as the product of two (p, q) pairs does.
 - A quick start: records are `NamedTuple`s, and importing the CLI loads
@@ -116,6 +118,59 @@ def test_fraction_scan_catches_each_import():
         "x = Fraction\n"
     )
     assert sorted(fraction_imports(ast.parse(source))) == [1, 2, 3, 4, 5]
+
+
+def fraction_tests(tree):
+    """(line, function) for every isinstance test against `Fraction` in the
+    tree, with the innermost function that holds it ("" at module level)."""
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield from visit(child, child.name)
+                continue
+            if (
+                isinstance(child, ast.Call)
+                and getattr(child.func, "id", None) == "isinstance"
+                and len(child.args) == 2
+                and any(
+                    getattr(sub, "id", getattr(sub, "attr", None)) == "Fraction"
+                    for sub in ast.walk(child.args[1])
+                )
+            ):
+                yield child.lineno, owner
+            yield from visit(child, owner)
+
+    return list(visit(tree, ""))
+
+
+def test_fraction_is_read_only_by_coordinates():
+    """`quadring._coordinates` is the one reader of an operand: no other
+    code asks whether a value is a Fraction."""
+    found = [
+        f"{path.name}:{line}: {owner}"
+        for path in sorted(SRC.glob("*.py"))
+        for line, owner in fraction_tests(ast.parse(path.read_text()))
+        if (path.name, owner) != ("quadring.py", "_coordinates")
+    ]
+    assert found == []
+
+
+def test_fraction_test_scan_catches_each_form():
+    source = (
+        "isinstance(x, Fraction)\n"
+        "def f(x): return isinstance(x, (int, Fraction))\n"
+        "def g(x):\n"
+        "    def h(y): return isinstance(y, fractions.Fraction)\n"
+        "    return isinstance(x, int)\n"
+        "class C:\n"
+        "    def m(self, x): return isinstance(x, (int, (bool, Fraction)))\n"
+        "y = Fraction(1, 2)\n"
+        "z = lambda x: isinstance(x, Fraction)\n"
+    )
+    assert fraction_tests(ast.parse(source)) == [
+        (1, ""), (2, "f"), (4, "h"), (7, "m"), (9, ""),
+    ]
 
 
 # The modules that may import `units`, and why.  Every other layer reads eps
