@@ -10,7 +10,11 @@ generators survive, and which products collapse, splits into five cases on
 
 One cached `FieldRecord` per real field holds that split on integers, built
 from the unit's (t, u) alone; each square root is checked by its square.
-It is the one source of eps and N(eps) for the layers above `units`.
+It is the one source of eps and N(eps) for the layers above `units`, and
+the one refusal of N < 0: an imaginary field has no unit, so building its
+record raises NotApplicable.  Each operation that needs eps reads the record
+before it looks at its argument, so for N < 0 it raises NotApplicable
+whatever the element is: zero, a d-number or not.
 """
 
 from __future__ import annotations
@@ -67,8 +71,6 @@ def dnumber_order(x: QuadInt) -> int:
     If x = ell*v with v a unit, v is primitive (c' | v gives c'^2 | N(v) =
     +-1), so c = |ell| and |N(x)| = ell^2.  If |N(x)| = c^2, x/c is in the
     ring with norm +-1, so it is a unit (its inverse is +-conj(x/c))."""
-    if x.is_zero():
-        raise ZeroElement("0 is not a d-number")
     if not is_dnumber(x):
         raise NotADNumber(f"{x} is not a d-number")
     n = abs(x.norm())
@@ -86,13 +88,10 @@ def kappas(field_or_n) -> tuple[int, int]:
     By gcds, not by factoring: (t+2)(t-2) = N*u^2, gcd(t+2, t-2) | 4 and N is
     squarefree, so kappa(a) = (odd part of gcd(a, N)) * 2^(v_2(a) mod 2), a
     divisor of 2N; a = kappa * r^2 certifies it."""
-    fld = field(field_or_n)
-    if fld.N < 0:
-        raise NotApplicable("kappa invariants live in real fields")
-    rec = _field_record(fld.N)
+    rec = _field_record(field(field_or_n).N)
     if rec.kappa1 is None:
         raise NotApplicable(
-            f"unit norm is -1 for N={fld.N}; kappa_i(t -+ 2) cannot be squares"
+            f"unit norm is -1 for N={rec.N}; kappa_i(t -+ 2) cannot be squares"
         )
     return rec.kappa1, rec.kappa2
 
@@ -275,8 +274,7 @@ def canonical_factor(x: QuadInt) -> CanonicalFactorization:
     descent run on eps^m * g^delta, whatever ell's size.
     """
     N, p, q = x.field.N, x.p, x.q
-    if N < 0:
-        raise NotApplicable("canonical factorization needs a real field")
+    rec = _field_record(N)
     if not (p or q):
         raise ZeroElement("0 has no canonical factorization")
     pp = p * p
@@ -288,7 +286,6 @@ def canonical_factor(x: QuadInt) -> CanonicalFactorization:
         raise NotADNumber(f"{x} is not a d-number")
     c = _content(p, q, N, n)
     key, rem = divmod(n, c * c)
-    rec = _field_record(N)
     for delta, (k, gp, gq, gn) in zip(rec.deltas, rec.rows):
         if k == key == abs(gn) and not rem:
             break
@@ -318,13 +315,9 @@ def dnumber_divides(y: QuadInt, x: QuadInt) -> DivisibilityVerdict:
     """Does d-number y divide d-number x?  Cheap necessary filters first
     (integral parts must divide; the kappa-corollary bound outside the
     generic case, where it can misfire), exact division as the final
-    authority.
+    authority.  The canonical forms of y, then x, refuse a bad argument.
     """
     _same_field(y, x)
-    if y.is_zero() or x.is_zero():
-        raise ZeroElement("divisibility needs nonzero d-numbers")
-    if not is_dnumber(y) or not is_dnumber(x):
-        raise NotADNumber("both arguments must be d-numbers")
     fy = canonical_factor(y)
     fx = canonical_factor(x)
     if abs(fx.ell) % abs(fy.ell):
@@ -404,17 +397,14 @@ def sqrt_classes(j_parity: int, field_or_n) -> frozenset[int]:
     into the former; N and kappa_i are squarefree, so exactly when they are
     coprime).  Odd j with unit norm -1: none.
     """
+    rec = _field_record(field(field_or_n).N)
     if j_parity not in (0, 1):
         raise ValueError("j_parity is 0 or 1")
-    fld = field(field_or_n)
-    if fld.N < 0:
-        raise NotApplicable("square classes are a real-field notion")
     if j_parity == 0:
-        return frozenset((1, fld.N))
-    rec = _field_record(fld.N)
+        return frozenset((1, rec.N))
     if rec.unit_norm == -1:
         return frozenset()
     k1, k2 = rec.kappa1, rec.kappa2
     return frozenset(
-        [k1, k2] + [fld.N * k for k in (k1, k2) if math.gcd(fld.N, k) == 1]
+        [k1, k2] + [rec.N * k for k in (k1, k2) if math.gcd(rec.N, k) == 1]
     )

@@ -19,11 +19,10 @@ the integers a and b, and one key (`_value_order`) sorts both lists.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cmp_to_key
 from typing import NamedTuple
 
-from .dnumbers import CanonicalFactorization, generator_set, is_dnumber
+from .dnumbers import CanonicalFactorization, FieldRecord, generator_set, is_dnumber
 from .quadring import (
     InternalInconsistency,
     NotApplicable,
@@ -94,18 +93,20 @@ def _value_order(e: DPlusElement):
 
 
 def _cutoff(M) -> tuple[int, int]:
-    """The cutoff M >= 1 as the integers a, b of M = a/b in lowest terms."""
-    M = Fraction(M)
-    if M < 1:
+    """The cutoff M >= 1, an int or a Fraction, as the integers a, b of
+    M = a/b in lowest terms; TypeError for any other value."""
+    a, _, N, b = _coordinates(M)
+    if N:
+        raise TypeError("cutoff M must be an int or a Fraction")
+    if a < b:
         raise ValueError("cutoff M must be at least 1")
-    return M.numerator, M.denominator
+    return a, b
 
 
-def _cell_walk(N: int, a: int, b: int) -> list[DPlusElement]:
+def _cell_walk(rec: FieldRecord, a: int, b: int) -> list[DPlusElement]:
     """Every dominant irrational d-number ell * eps^m * g^delta <= a/b of the
-    real field N, unsorted; a member that in_dplus rejects is a bug."""
-    rec = generator_set(N)
-    (t, u), fld = rec.eps, rec.field
+    field of record rec, unsorted; a member that in_dplus rejects is a bug."""
+    (t, u), fld, N = rec.eps, rec.field, rec.N
     found: list[DPlusElement] = []
     ep, eq, sp, sq, m = 2, 0, 2, 0, 0  # eps^m, and eps^(2m) <= every member at m
     while _sign(b * sp - 2 * a, b * sq, N) <= 0:
@@ -140,10 +141,8 @@ def enumerate_field(field_or_n, M) -> list[DPlusElement]:
     Rational integers are left to enumerate_all, so they appear once
     globally instead of once per field.
     """
-    fld = field(field_or_n)
-    if fld.N < 2:
-        raise NotApplicable("enumeration needs a real field")
-    return sorted(_cell_walk(fld.N, *_cutoff(M)), key=_value_order)
+    rec = generator_set(field_or_n)  # before M: N < 0 is refused whatever M is
+    return sorted(_cell_walk(rec, *_cutoff(M)), key=_value_order)
 
 
 def _trace_walk(a: int, b: int) -> list[tuple[int, int, int]]:
@@ -184,7 +183,8 @@ def enumerate_all(M, include_integers: bool = False) -> list[DPlusElement]:
     """
     a, b = _cutoff(M)
     hits = set(_trace_walk(a, b))
-    out = [e for N in {N for N, _, _ in hits} for e in _cell_walk(N, a, b)]
+    out = [e for N in {N for N, _, _ in hits}
+           for e in _cell_walk(generator_set(N), a, b)]
     built = {(e.value.N, e.value.p, e.value.q): e.value for e in out}
     if odd := built.keys() ^ hits:
         N, p, q = key = min(odd)

@@ -80,8 +80,6 @@ def quantum_int(field_or_n, m: int) -> QuantumInt:
     """[m] = (eps^m - eps^-m)/(eps - eps^-1) = -[-m], the |m|-th row of
     _quantum_ints, which asserts each [k]'s shape on integers."""
     fld = field(field_or_n)
-    if fld.N < 2:
-        raise NotApplicable("quantum integers need a real field")
     p, q = next(itertools.islice(_quantum_ints(fld), abs(m), None))
     return QuantumInt(fld, m, make(fld, p, q) if m >= 0 else make(fld, -p, -q))
 
@@ -168,14 +166,14 @@ def decompose_global_dim(
     with [0], ..., [K] taken from _quantum_ints: every j lies in 1, ..., J,
     the largest j of the walk, so K = max(m, J - m) bounds every |j - m|.
     """
-    fld = field(field_or_n)
+    rec = generator_set(field_or_n)
+    fld = rec.field
     if ell < 1 or m < 0:
         raise ValueError("need ell >= 1 and m >= 0")
     if divisor_constraint is not None and divisor_constraint < 1:
         raise ValueError(
             f"divisor_constraint must be >= 1, got {divisor_constraint}"
         )
-    rec = generator_set(fld)
     fact = CanonicalFactorization(fld.N, ell, m, (0, 0, 0), rec.case)
     target = evaluate(fact)
     if not in_dplus(target):

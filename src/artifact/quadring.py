@@ -397,7 +397,7 @@ class QuadInt:
     __slots__ = ("field", "p", "q")
 
     def __init__(self, fld: QuadField, p: int, q: int):
-        if not isinstance(p, int) or not isinstance(q, int):
+        if type(p) is not int or type(q) is not int:  # a bool is refused too
             raise TypeError("coordinates must be int")
         _check_parity(fld, p, q)
         _set_field(self, fld)
@@ -780,15 +780,12 @@ def compare_values(a, b) -> int:
     )
 
 
-def decimal_str(x, places: int = 6) -> str:
-    """Floor-rounded decimal rendering, computed without floating point."""
+def decimal_str(x) -> str:
+    """Floored to six decimal places, computed without floating point."""
     p, q, N, d = _real(x)
-    scale = 10**places
-    v = _floor_quadratic(p * scale, q * scale, N, d)
-    sign_str = "-" if v < 0 else ""
-    v = abs(v)
-    whole, frac = divmod(v, scale)
-    return f"{sign_str}{whole}.{frac:0{places}d}" if places else f"{sign_str}{whole}"
+    v = _floor_quadratic(p * 10**6, q * 10**6, N, d)
+    whole, frac = divmod(abs(v), 10**6)
+    return f"{'-' if v < 0 else ''}{whole}.{frac:06d}"
 
 
 # ---------------------------------------------------------------------------

@@ -604,7 +604,7 @@ MEMBER_REAL = "NotApplicable: member needs a real field; for N < 0 use `dnum com
     ("pell -3", NO_UNIT),
     ("decompose -1 2 1", NO_UNIT),
     ("unit -7", NO_UNIT),
-    ("qint -1 3", "NotApplicable: quantum integers need a real field\n"),
+    ("qint -1 3", NO_UNIT),
     ("kappa 5",
      "NotApplicable: unit norm is -1 for N=5; kappa_i(t -+ 2) cannot be squares\n"),
     ("generators -3", NO_UNIT),  # the record is built from the unit
@@ -614,6 +614,34 @@ MEMBER_REAL = "NotApplicable: member needs a real field; for N < 0 use `dnum com
 ])
 def test_fields_without_the_asked_unit_exit_1(capsys, argv, err):
     assert run(capsys, *argv.split()) == (1, "", err)
+
+
+# the arguments after N of every real-field command: where it takes an
+# element, the d-numbers 2 and sqrt(N), 1 + 2*sqrt(N) (not one) and zero
+ELEMENTS = ("4 0", "0 2", "2 4", "0 0")
+REAL_FIELD_ARGUMENTS = {
+    "unit": [""], "kappa": [""], "generators": [""], "pell": [""],
+    "member": ELEMENTS, "factor": ELEMENTS, "screen": ELEMENTS,
+    "divides": [f"{y} {x}" for y in ELEMENTS for x in ELEMENTS],
+    "enumerate": ["5", "37/10", "0"],  # the cutoff M, after --field N
+    "qint": ["0", "3", "-2"],
+    "decompose": ["2 1", "1 0", "0 0"],
+}
+
+
+@pytest.mark.parametrize("N", [-1, -2, -3, -5, -7])
+@pytest.mark.parametrize("command", REAL_FIELD_ARGUMENTS)
+def test_imaginary_fields_refuse_every_argument_alike(capsys, command, N):
+    """A real-field command on N < 0 refuses before it reads its element,
+    so its one answer tells nothing about the element."""
+    head = f"enumerate --field {N}" if command == "enumerate" else f"{command} {N}"
+    answers = {
+        run(capsys, *f"{head} {rest}".split())
+        for rest in REAL_FIELD_ARGUMENTS[command]
+    }
+    assert len(answers) == 1, answers
+    [(code, out, err)] = answers
+    assert (code, out) == (1, "") and err.startswith("NotApplicable: "), err
 
 
 def test_parsed_flags_do_not_leak_between_calls(capsys):

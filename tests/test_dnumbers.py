@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -22,6 +23,8 @@ from artifact.dnumbers import (
     kappas,
     sqrt_classes,
 )
+from artifact.dplus import enumerate_field
+from artifact.fusion import quantum_int
 from artifact.quadring import (
     FieldMismatch,
     InternalInconsistency,
@@ -235,6 +238,26 @@ def test_canonical_factor_rejects():
         canonical_factor(make(2, 22, 12))  # (3+sqrt2)^2: norm 49 = 1*7^2, key 1
     with pytest.raises(NotApplicable):
         canonical_factor(make(-1, 2, 2))
+
+
+@pytest.mark.parametrize("N", [-1, -2, -3, -5, -7, -15])
+def test_real_field_operations_refuse_every_imaginary_argument(N):
+    """The field record refuses N < 0 before any element is read: zero,
+    the d-numbers 2 and sqrt(N), and 1 + 2*sqrt(N), not one, alike."""
+    xs = [make(N, p, q) for p, q in ((0, 0), (4, 0), (0, 2), (2, 4))]
+    assert [is_dnumber(x) for x in xs[1:]] == [True, True, False]
+    calls = [
+        lambda: kappas(N),
+        lambda: sqrt_classes(0, N),
+        lambda: sqrt_classes(1, N),
+        *(lambda m=m: quantum_int(N, m) for m in (0, 3, -2)),
+        *(lambda M=M: enumerate_field(N, M) for M in (5, Fraction(37, 10), 0)),
+        *(lambda x=x: canonical_factor(x) for x in xs),
+        *(lambda y=y, x=x: dnumber_divides(y, x) for y in xs for x in xs),
+    ]
+    for call in calls:
+        with pytest.raises(NotApplicable):
+            call()
 
 
 def test_canonical_factor_roundtrip_sweep():

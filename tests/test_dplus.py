@@ -79,6 +79,16 @@ def test_enumerate_field_examples():
         enumerate_field(5, Fraction(1, 2))
 
 
+def test_cutoff_is_an_int_or_a_fraction():
+    # a float (whose binary value would set the cutoff), a str and a
+    # QuadInt, even a rational one, are refused
+    for M in (3.3, 5.0, "37/10", make(5, 5, 1), make(5, 8, 0)):
+        with pytest.raises(TypeError):
+            enumerate_all(M)
+        with pytest.raises(TypeError):
+            enumerate_field(5, M)
+
+
 def test_enumerate_field_makes_no_quadint_arithmetic(quadint_calls):
     """The cell walk, its cutoffs and its sort run on integer coordinates;
     each member builds one QuadInt, its value, with no operator or order."""

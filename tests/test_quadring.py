@@ -39,6 +39,10 @@ def test_make_validates_parity():
     make(-3, 1, 1)
     with pytest.raises(ParityError):
         make(-1, 1, 1)
+    # a bool is an int, but not a coordinate: no (True+√5)/2
+    for p, q in ((True, True), (2, False), (False, 0)):
+        with pytest.raises(TypeError, match="coordinates must be int"):
+            make(5, p, q)
 
 
 def test_field_validation():
@@ -267,7 +271,7 @@ def test_decimal_str():
     assert decimal_str(make(3, 6, 2)) == "4.732050"
     assert decimal_str(make(2, -2, -2)) == "-2.414214"
     assert decimal_str(make(7, 6, 0)) == "3.000000"
-    assert decimal_str(Fraction(1, 3), places=4) == "0.3333"
+    assert decimal_str(Fraction(1, 3)) == "0.333333"
     assert decimal_str(7) == "7.000000"
 
 

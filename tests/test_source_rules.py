@@ -78,7 +78,6 @@ def test_scan_catches_each_forbidden_construct():
 # The modules that may import `fractions`, and why.
 FRACTION_IMPORTERS = {
     "cli.py": "a user's cutoff M is parsed as a Fraction",
-    "dplus.py": "the enumerators take a cutoff M = a/b as a Fraction",
     "quadring.py": "QuadInt ==, order and compare_values accept a Fraction",
 }
 
