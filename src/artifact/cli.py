@@ -135,14 +135,13 @@ def _cmd_pell(args):
         wit = eps if eps.p % 2 == 0 else eps**3
         payload["witness"] = {"x": wit.p // 2, "y": wit.q // 2}
     else:
-        found = dnumbers.pell_witness(args.N, args.witness_bound)
-        payload["witness_bound"] = args.witness_bound
-        payload["witness"] = None if found is None else {"kappa": found[0], "n": found[1]}
+        kappa, n = dnumbers.pell_witness(args.N)
+        payload["witness"] = {"kappa": kappa, "n": n}
     yield "pell", payload
 
 
 def _cmd_qint(args):
-    v = fusion.quantum_int(args.N, args.m).value
+    v = fusion.quantum_int(args.N, args.m)
     yield "qint", {"N": args.N, "m": args.m, "p": v.p, "q": v.q, "value": render(v)}
 
 
@@ -212,7 +211,8 @@ def _cmd_complex(args):
     cls = dnumbers.complex_classify(args.N)
     yield "complex", {
         "N": args.N, "p": args.p, "q": args.q, "kind": cls.kind,
-        "description": cls.description, "dnumber": cls.member(make(args.N, args.p, args.q)),
+        "description": cls.description,
+        "dnumber": dnumbers.is_dnumber(make(args.N, args.p, args.q)),
     }
 
 
@@ -231,8 +231,6 @@ def _pell_text(r: dict) -> str:
     wit = r["witness"]
     if r["solvable"]:
         return "negative_pell=yes witness: x={x} y={y}".format_map(wit)
-    if wit is None:
-        return f"negative_pell=no witness=none within bound {r['witness_bound']}"
     return "negative_pell=no witness: kappa={kappa} n={n}".format_map(wit)
 
 
@@ -291,14 +289,6 @@ def fraction(text: str) -> Fraction:
         raise ValueError(f"zero denominator in {text!r}") from None
 
 
-def nonnegative(text: str) -> int:
-    """The type of the witness bound; a negative one is a usage error."""
-    value = int(text)
-    if value < 0:
-        raise ValueError(f"negative bound {value}")
-    return value
-
-
 def positive(text: str) -> int:
     """The type of the factor budget; one below 1 is a usage error."""
     value = int(text)
@@ -333,10 +323,7 @@ _COMMANDS = {
         ("--no-integers", {"action": "store_true",
                            "help": "omit the rational integers from the global listing"}),
     )),
-    "pell": (_cmd_pell, "negative Pell solvability and witness", (
-        *_ints("N"),
-        ("--witness-bound", {"type": nonnegative, "default": 100, "metavar": "B"}),
-    )),
+    "pell": (_cmd_pell, "negative Pell solvability and witness", _ints("N")),
     "qint": (_cmd_qint, "quantum integer [m]", _ints("N m")),
     "decompose": (_cmd_decompose, "split ell*eps^m into d_int + sum ell_j eps^j", (
         *_ints("N ell m"), ("--dint-divides", {"type": int, "metavar": "D"}),

@@ -24,7 +24,6 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .quadring import (
-    FieldMismatch,
     InternalInconsistency,
     NotADNumber,
     NotApplicable,
@@ -105,13 +104,13 @@ def _kappa(a: int, N: int) -> int:
     return kappa
 
 
-def pell_witness(field_or_n, bound: int) -> tuple[int, int] | None:
-    """Least (kappa, n) <= bound certifying unit norm +1, or None.
+def pell_witness(field_or_n) -> tuple[int, int] | None:
+    """The least (kappa, n) certifying unit norm +1; None for norm -1.
 
     A witness is squarefree kappa >= 2 and n >= 1 with kappa*n^2 - 4 > 0 not
-    a square and kappa*(kappa*n^2 - 4) = N*s^2; least is lexicographic, with
-    both kappa and n capped by `bound`.  No search is needed: for norm +1,
-    `_kappa` certifies t + 2 = kappa_1*r^2, and (kappa_1, r) is the least.
+    a square and kappa*(kappa*n^2 - 4) = N*s^2; least is lexicographic.  No
+    search is needed: for norm +1, `_kappa` certifies t + 2 = kappa_1*r^2,
+    and (kappa_1, r) is the least.
     - It is a witness: kappa_1*r^2 - 4 = t - 2, and (t+2)(t-2) = N*u^2 gives
       kappa_1*(t - 2) = N*(u/r)^2.  kappa_1 >= 2 and t - 2 is not a square,
       or sqrt(eps) = (sqrt(t+2) + sqrt(t-2))/2 would be a unit.
@@ -120,16 +119,13 @@ def pell_witness(field_or_n, bound: int) -> tuple[int, int] | None:
       t_k = kappa*n^2 - 2.  k is odd, or t_k + 2 = trace(eps^(k/2))^2 is no
       squarefree kappa >= 2 times a square.  kappa_1*eps^k is the square of
       a root of norm +kappa_1, so kappa_1*(t_k + 2) is a square: kappa =
-      kappa_1 and n^2 = (t_k + 2)/kappa_1, which rises with k.  So n >= r,
-      and no witness is in bound when (kappa_1, r) is not.
+      kappa_1 and n^2 = (t_k + 2)/kappa_1, which rises with k.  So n >= r.
     Norm -1 fields have no witness at all.
     """
     rec = generator_set(field_or_n)
     if rec.unit_norm == -1:
         return None
-    kappa = rec.kappa1
-    r = math.isqrt((rec.eps[0] + 2) // kappa)
-    return (kappa, r) if max(kappa, r) <= bound else None
+    return rec.kappa1, math.isqrt((rec.eps[0] + 2) // rec.kappa1)
 
 
 class FieldRecord(NamedTuple):
@@ -347,23 +343,11 @@ class ComplexClassification(NamedTuple):
     kind: str  # "Generic", "Gaussian", or "Eisenstein"
     description: str
 
-    def member(self, x: QuadInt) -> bool:
-        if x.N != self.N:
-            raise FieldMismatch(f"expected N={self.N}, got N={x.N}")
-        if x.is_zero():
-            raise ZeroElement("0 is not a d-number")
-        p, q = abs(x.p), abs(x.q)
-        if self.kind == "Gaussian":
-            return p == 0 or q == 0 or p == q
-        if self.kind == "Eisenstein":
-            return p == 0 or q == 0 or p == q or p == 3 * q
-        return p == 0 or q == 0
-
 
 def complex_classify(field_or_n) -> ComplexClassification:
     """Shape of the d-number set for N < 0: rational multiples of 1 and
     sqrt(N), plus the extra unit orbits in the Gaussian and Eisenstein
-    rings."""
+    rings.  Membership is `is_dnumber`, as in every field."""
     fld = field(field_or_n)
     N = fld.N
     if N > 0:

@@ -50,14 +50,6 @@ from .quadring import (
 # quantum integers
 
 
-class QuantumInt(NamedTuple):
-    """[m] = (eps^m - eps^-m)/(eps - eps^-1), always an algebraic integer."""
-
-    field: QuadField
-    m: int
-    value: QuadInt
-
-
 def _quantum_ints(fld: QuadField):
     """Yield the doubled coordinates (p, q) of [0], [1], ... by the integer
     recurrence [k+1] = s*[k] - [k-1], from [-1] = -1 and [0] = 0, with s =
@@ -76,12 +68,13 @@ def _quantum_ints(fld: QuadField):
         (p0, q0), (p, q) = (p, q), (x - p0, y - q0)
 
 
-def quantum_int(field_or_n, m: int) -> QuantumInt:
-    """[m] = (eps^m - eps^-m)/(eps - eps^-1) = -[-m], the |m|-th row of
-    _quantum_ints, which asserts each [k]'s shape on integers."""
+def quantum_int(field_or_n, m: int) -> QuadInt:
+    """[m] = (eps^m - eps^-m)/(eps - eps^-1) = -[-m], always an algebraic
+    integer: the |m|-th row of _quantum_ints, which asserts each [k]'s
+    shape on integers."""
     fld = field(field_or_n)
     p, q = next(itertools.islice(_quantum_ints(fld), abs(m), None))
-    return QuantumInt(fld, m, make(fld, p, q) if m >= 0 else make(fld, -p, -q))
+    return make(fld, p, q) if m >= 0 else make(fld, -p, -q)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 """Independent oracles for the tests; the library never runs them.
 
 - Membership by characteristic polynomial (`is_dnumber_via_charpoly`).
+- The shape classification of the d-numbers of an imaginary field
+  (`complex_shape_member`), which `dnumbers.is_dnumber` must match.
 - A brute-force scan of coordinate pairs for the enumerators, and the lower
   bounds of unit norm -1 fields.
 - The trace walk over every divisor of p^2 (`trace_walk_all_divisors`),
@@ -108,6 +110,20 @@ def is_dnumber_via_charpoly(x: QuadInt) -> bool:
     # monic lambda^2 + a1*lambda + a2: need a1^2 divisible by a2^1
     a1, a2 = -tr, det
     return (a1 * a1) % a2 == 0
+
+
+def complex_shape_member(cls, x: QuadInt) -> bool:
+    """The paper's shape classification of the d-numbers of an imaginary
+    field, cls = `dnumbers.complex_classify(x.N)`: x = (p + q*sqrt(N))/2
+    is one exactly when p = 0 or q = 0, or |p| = |q| in the Gaussian ring,
+    or |p| = |q| or |p| = 3|q| in the Eisenstein ring.  `is_dnumber` must
+    agree on every nonzero x."""
+    p, q = abs(x.p), abs(x.q)
+    if cls.kind == "Gaussian":
+        return p == 0 or q == 0 or p == q
+    if cls.kind == "Eisenstein":
+        return p == 0 or q == 0 or p == q or p == 3 * q
+    return p == 0 or q == 0
 
 
 def norm_minus_one_field_filter(N: int, M) -> bool:
@@ -470,7 +486,6 @@ def dnum_parser():
     p.add_argument("M", type=cli.fraction)
     p.add_argument("--field", type=int)
     p.add_argument("--no-integers", action="store_true")
-    sub.choices["pell"].add_argument("--witness-bound", type=cli.nonnegative, default=100)
     p = sub.choices["decompose"]
     p.add_argument("--dint-divides", type=int)
     p.add_argument("--refine", action="store_true")

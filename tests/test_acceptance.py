@@ -269,7 +269,7 @@ def test_criterion_09_property_suites():
         denom = fu.eps - fu.eps**-1
         for m in range(-12, 13):
             want = exact_divide(fu.eps**m - fu.eps**-m, denom)
-            assert quantum_int(N, m).value == want
+            assert quantum_int(N, m) == want
 
     # negative Pell solvable exactly when the unit norm is -1
     for N in squarefree_range(500):

@@ -12,7 +12,7 @@ import pytest
 
 from artifact import cli, dplus, fusion, units
 from artifact.cli import main
-from artifact.quadring import InternalInconsistency, factorize, make
+from artifact.quadring import InternalInconsistency, factorize, is_square, make
 from artifact.units import fundamental_unit
 from oracles import dnum_parser, squarefree_range
 
@@ -36,7 +36,7 @@ def test_answers_beyond_the_int_str_digit_limit(capsys):
     of 4300 on str() of an int: text and --json both print it, and main
     restores the limit for its caller."""
     limit = sys.get_int_max_str_digits()
-    b = fusion.quantum_int(2, 20000).value.q // 2
+    b = fusion.quantum_int(2, 20000).q // 2
     code, out, err = run(capsys, "qint", "2", "20000")
     assert (code, err) == (0, "") and out.endswith("√2\n")
     digits = out[: -len("√2\n")]
@@ -295,22 +295,22 @@ def test_pell_output(capsys):
     assert out == "negative_pell=yes witness: x=18 y=5\n"
     code, out, _ = run(capsys, "pell", "21")
     assert out == "negative_pell=no witness: kappa=7 n=1\n"
-    code, out, _ = run(capsys, "pell", "21", "--witness-bound", "2")
-    assert out == "negative_pell=no witness=none within bound 2\n"
-    # large norm +1 fields: the least witness is far beyond the bound
-    for N in ("1000003", "99991"):
-        assert run(capsys, "pell", N) == (
-            0, "negative_pell=no witness=none within bound 100\n", ""
-        )
-    # the least witness of N = 46 is (2, 156): in bound exactly from 156
-    _, out, _ = run(capsys, "pell", "46", "--witness-bound", "155")
-    assert out == "negative_pell=no witness=none within bound 155\n"
-    _, out, _ = run(capsys, "pell", "46", "--witness-bound", "156")
+    # the least witness of N = 46 is (2, 156)
+    _, out, _ = run(capsys, "pell", "46")
     assert out == "negative_pell=no witness: kappa=2 n=156\n"
+    # large norm +1 fields print their witness too, far beyond 100
+    for N in (1000003, 99991):
+        code, out, err = run(capsys, "pell", str(N))
+        prefix = "negative_pell=no witness: kappa="
+        assert (code, err) == (0, "") and out.startswith(prefix) and out.endswith("\n")
+        kappa, n = map(int, out[len(prefix) : -1].split(" n="))
+        v = kappa * n * n - 4
+        assert max(kappa, n) > 100 and not is_square(v), N
+        assert kappa * v % N == 0 and is_square(kappa * v // N), N
     _, out, _ = run(capsys, "--json", "pell", "34")
     assert out == (
         '{"command":"pell","payload":{"N":34,"solvable":false,'
-        '"witness":{"kappa":2,"n":6},"witness_bound":100},"schema_version":1}\n'
+        '"witness":{"kappa":2,"n":6}},"schema_version":1}\n'
     )
 
 
@@ -361,6 +361,17 @@ def test_screen_and_complex_output(capsys):
     assert out == "kind=Generic dnumber=no\n"
 
 
+@pytest.mark.parametrize("argv, err", [
+    ("complex 5 2 0", "NotApplicable: complex_classify is for N < 0\n"),
+    ("complex -1 0 0", "ZeroElement: 0 is not a d-number\n"),
+    ("complex -4 2 0", "ValueError: N must be squarefree and != 0, 1 (got -4)\n"),
+])
+def test_complex_refusals(capsys, argv, err):
+    """`complex` refuses a real field, zero and a non-squarefree N, each
+    with its own error and empty stdout."""
+    assert run(capsys, *argv.split()) == (1, "", err)
+
+
 # the usage line of `dnum` and of each subcommand, in --help's order
 USAGE = {
     "": "usage: dnum [-h] [--json] [--budget B] {unit,kappa,generators,member,"
@@ -372,7 +383,7 @@ USAGE = {
     "factor": "usage: dnum factor [-h] N p q",
     "divides": "usage: dnum divides [-h] N p1 q1 p2 q2",
     "enumerate": "usage: dnum enumerate [-h] [--field N] [--no-integers] M",
-    "pell": "usage: dnum pell [-h] [--witness-bound B] N",
+    "pell": "usage: dnum pell [-h] N",
     "qint": "usage: dnum qint [-h] N m",
     "decompose": "usage: dnum decompose [-h] [--dint-divides D] [--refine]"
     " [--modular-filter] N ell m",
@@ -391,7 +402,7 @@ PARSED = {
     "enumerate 37/10 --field 5": {
         "M": Fraction(37, 10), "field": 5, "no_integers": False,
     },
-    "pell 21 --witness-bound 2": {"N": 21, "witness_bound": 2},
+    "pell 21": {"N": 21},
     "qint 2 -3": {"N": 2, "m": -3},
     "decompose 21 21 1 --dint-divides 7 --refine": {
         "N": 21, "ell": 21, "m": 1, "dint_divides": 7, "refine": True,
@@ -553,13 +564,10 @@ def test_exit_codes(capsys, monkeypatch):
             main(["enumerate", bad])
         assert exc.value.code == 2
         assert "invalid fraction value" in capsys.readouterr().err
-    with pytest.raises(SystemExit) as exc:  # a negative witness bound too
-        main(["pell", "21", "--witness-bound", "-1"])
+    with pytest.raises(SystemExit) as exc:  # pell takes no witness bound
+        main(["pell", "21", "--witness-bound", "2"])
     assert exc.value.code == 2
-    assert "invalid nonnegative value" in capsys.readouterr().err
-    assert run(capsys, "pell", "21", "--witness-bound", "0") == (
-        0, "negative_pell=no witness=none within bound 0\n", ""
-    )
+    assert "unrecognized arguments: --witness-bound 2" in capsys.readouterr().err
     for bad in ("0", "-5"):  # and a factor budget below 1
         with pytest.raises(SystemExit) as exc:
             main(["--budget", bad, "unit", "2"])
@@ -574,8 +582,7 @@ def test_exit_codes(capsys, monkeypatch):
         "dnum decompose: error: argument --modular-filter: needs --refine",
     ]
     # an option that takes a value, with none after it: argparse's error
-    for argv in ("pell 21 --witness-bound", "enumerate 5 --field",
-                 "--budget factor 5 6 2"):
+    for argv in ("enumerate 5 --field", "--budget factor 5 6 2"):
         assert cli._scan(argv.split()) is None, argv
         with pytest.raises(SystemExit) as exc:
             main(argv.split())

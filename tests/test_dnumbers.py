@@ -608,20 +608,21 @@ def test_divides_filters_never_reject_true_divisors():
 
 
 def test_complex_classify():
+    shape = oracles.complex_shape_member
     c = complex_classify(-7)
     assert c.kind == "Generic"
-    assert c.member(make(-7, 0, 4))  # 2*sqrt(-7)
-    assert not c.member(make(-7, 2, 2))  # 1+sqrt(-7)
+    assert shape(c, make(-7, 0, 4))  # 2*sqrt(-7)
+    assert not shape(c, make(-7, 2, 2))  # 1+sqrt(-7)
     c = complex_classify(-1)
     assert c.kind == "Gaussian"
-    assert c.member(make(-1, 6, 6))  # 3+3i
-    assert c.member(make(-1, 6, 0)) and c.member(make(-1, 0, U := 6))
-    assert not c.member(make(-1, 4, 2))  # 2+i
+    assert shape(c, make(-1, 6, 6))  # 3+3i
+    assert shape(c, make(-1, 6, 0)) and shape(c, make(-1, 0, U := 6))
+    assert not shape(c, make(-1, 4, 2))  # 2+i
     c = complex_classify(-3)
     assert c.kind == "Eisenstein"
-    assert c.member(make(-3, 3, 1))  # (3+sqrt-3)/2
-    assert c.member(make(-3, 1, 1)) and c.member(make(-3, 0, 2))
-    assert not c.member(make(-3, 5, 1))
+    assert shape(c, make(-3, 3, 1))  # (3+sqrt-3)/2
+    assert shape(c, make(-3, 1, 1)) and shape(c, make(-3, 0, 2))
+    assert not shape(c, make(-3, 5, 1))
     with pytest.raises(NotApplicable):
         complex_classify(7)
 
@@ -638,7 +639,7 @@ def test_complex_classify_agrees_with_criterion():
                 if p == 0 and q == 0:
                     continue
                 x = make(N, p, q)
-                assert c.member(x) == is_dnumber(x), repr(x)
+                assert oracles.complex_shape_member(c, x) == is_dnumber(x), repr(x)
 
 
 def test_sqrt_class():

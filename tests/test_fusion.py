@@ -42,15 +42,15 @@ from oracles import partitions_per_part, squarefree_range
 
 
 def test_quantum_int_small_values():
-    assert quantum_int(21, 0).value == 0
-    assert quantum_int(21, 1).value == 1
-    assert quantum_int(21, 2).value == 5
-    assert quantum_int(21, 3).value == 24
-    assert quantum_int(21, -3).value == -24
+    assert quantum_int(21, 0) == 0
+    assert quantum_int(21, 1) == 1
+    assert quantum_int(21, 2) == 5
+    assert quantum_int(21, 3) == 24
+    assert quantum_int(21, -3) == -24
     # norm -1 field: even index values live in Z*sqrt(N)
-    assert quantum_int(2, 2).value == make(2, 0, 4)  # 2*sqrt(2)
-    assert quantum_int(2, -2).value == make(2, 0, -4)
-    assert quantum_int(2, 3).value == 7  # (2*sqrt2)^2 - 1
+    assert quantum_int(2, 2) == make(2, 0, 4)  # 2*sqrt(2)
+    assert quantum_int(2, -2) == make(2, 0, -4)
+    assert quantum_int(2, 3) == 7  # (2*sqrt2)^2 - 1
     with pytest.raises(NotApplicable):
         quantum_int(-1, 2)
 
@@ -62,7 +62,7 @@ def test_quantum_int_keeps_two_rows():
     fundamental_unit(2)  # cached before tracing starts
     tracemalloc.start()
     try:
-        value = quantum_int(2, 20000).value
+        value = quantum_int(2, 20000)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -79,7 +79,7 @@ def test_quantum_int_matches_direct_formula():
         fu = fundamental_unit(N)
         denom = fu.eps - fu.eps**-1
         for m in range(-20, 21):
-            got = quantum_int(N, m).value
+            got = quantum_int(N, m)
             want = exact_divide(fu.eps**m - fu.eps**-m, denom)
             assert got == want, (N, m)
             if fu.unit_norm == 1 or m % 2:
@@ -135,9 +135,9 @@ def test_decompose_solutions_satisfy_both_identities():
             for j, lj in sol.coeffs:
                 assert lj > 0
                 total = total + fu.eps**j * lj
-                rhs = rhs + quantum_int(N, j - m).value * lj
+                rhs = rhs + quantum_int(N, j - m) * lj
             assert total == target
-            assert quantum_int(N, m).value * sol.d_int == rhs
+            assert quantum_int(N, m) * sol.d_int == rhs
             if fu.unit_norm == -1:
                 assert all(j % 2 == 0 for j, _ in sol.coeffs)
 

@@ -4,7 +4,7 @@
   `math` function beyond the integer ones, and no true division.
 - No dead API: every function, class, method, property or NamedTuple
   field the package defines is used by the package, or is allowed by name
-  with a reason.
+  with a reason.  The names that perfbench looks up exist.
 - Integers inside: `fractions` is imported only where a rational enters.
 - One reader of an operand: nothing but `quadring._coordinates` asks
   `isinstance(x, Fraction)`.
@@ -18,6 +18,7 @@
   `lru_cache` or `cache` in the package is allowed by name with a reason."""
 
 import ast
+import importlib
 import os
 import subprocess
 import sys
@@ -25,12 +26,15 @@ from pathlib import Path
 
 import pytest
 
-from artifact.dnumbers import DivisibilityVerdict
-from artifact.fusion import decompose_global_dim, quantum_group_table, quantum_int
+from artifact.dnumbers import DivisibilityVerdict, FieldRecord
+from artifact.dplus import DPlusElement
+from artifact.fusion import decompose_global_dim, quantum_group_table
+from artifact.quadring import QuadInt
 from artifact.units import cf_expand, fundamental_unit
 from oracles import cf_digits
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "artifact"
+PERFBENCH = SRC.parent.parent / "perfbench"
 INTEGER_MATH = {"isqrt", "gcd", "lcm", "prod"}
 
 
@@ -262,6 +266,7 @@ UNUSED_ALLOWED = {
     "haagerup_izumi_dim": "a family formula of the paper; public API",
     "generalized_near_group_check": "a family formula of the paper; public API",
     "cardinality_bound": "the paper's bound on the count below M; public API",
+    # test_the_names_perfbench_looks_up_exist checks these three
     "cf_expand": "perfbench's tracer looks it up by name",
     "delta_combos": "perfbench's worker draws its deltas from it",
     "record": "perfbench's enumerate digest joins it",
@@ -333,6 +338,34 @@ def test_no_unused_definitions_in_the_package():
     assert [f for f in found if f.rsplit(" ", 1)[1] not in UNUSED_ALLOWED] == []
     # an allowed name that is used again, or gone, leaves the list
     assert sorted(f.rsplit(" ", 1)[1] for f in found) == sorted(UNUSED_ALLOWED)
+
+
+def tracer_constant(name: str):
+    """The literal value of the module-level constant `name` of
+    perfbench/tracer.py, read from its source."""
+    tree = ast.parse((PERFBENCH / "tracer.py").read_text())
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == [name]:
+            return ast.literal_eval(node.value)
+    raise AssertionError(f"perfbench/tracer.py has no {name}")
+
+
+def test_the_names_perfbench_looks_up_exist():
+    """perfbench's tracer wraps each (module, name) of FUNCTIONS and each
+    QuadInt method of QUADINT_GROUPS, and its worker calls
+    FieldRecord.delta_combos and DPlusElement.record: a cleanup that drops
+    one breaks `perfbench/run.py --trace 1`, which no other test runs."""
+    functions = tracer_constant("FUNCTIONS")
+    assert functions
+    for _, module, name in functions:
+        found = getattr(importlib.import_module(f"artifact.{module}"), name, None)
+        assert callable(found), (module, name)
+    for methods in tracer_constant("QUADINT_GROUPS").values():
+        for method in methods:
+            assert method in QuadInt.__dict__, method
+    worker = (PERFBENCH / "worker.py").read_text()
+    for cls, name in ((FieldRecord, "delta_combos"), (DPlusElement, "record")):
+        assert f".{name}()" in worker and callable(getattr(cls, name, None)), name
 
 
 def test_unused_scan_flags_each_kind_of_definition():
@@ -493,7 +526,7 @@ def test_records_keep_their_semantics():
     assert str(fu) == f"eps_5 = {fu.eps} (norm -1)"
     scan = decompose_global_dim(5, 72, 2)
     row = quantum_group_table()[0]
-    records = [fu, cf_expand(7), scan, scan.solutions[0], quantum_int(5, 3), row]
+    records = [fu, cf_expand(7), scan, scan.solutions[0], row]
     for record in records:
         with pytest.raises(AttributeError):
             setattr(record, record._fields[0], None)

@@ -147,7 +147,7 @@ def test_cf_not_applicable_imaginary():
     with pytest.raises(NotApplicable):
         fundamental_unit(-3)
     with pytest.raises(NotApplicable):
-        pell_witness(-2, 10)
+        pell_witness(-2)
 
 
 def test_large_unit_2593():
@@ -300,7 +300,7 @@ def test_each_field_expands_once(capsys, monkeypatch):
     quantum_group_table()
     for N in list(expanded):
         sqrt_classes(1, N)
-        pell_witness(N, 100)
+        pell_witness(N)
     assert main(["pell", "46"]) == main(["pell", "13"]) == 0
     capsys.readouterr()
     assert {2, 3, 5, 13, 21, 46} <= set(expanded) and len(expanded) > 20
@@ -308,11 +308,10 @@ def test_each_field_expands_once(capsys, monkeypatch):
 
 
 def test_pell_witness_known_values():
-    assert pell_witness(3, 100) == (6, 1)
-    assert pell_witness(7, 100) == (2, 3)
+    assert pell_witness(3) == (6, 1)
+    assert pell_witness(7) == (2, 3)
     # kappa_1 = 2 with n = 156 squares into eps_46: 2*(2*156^2 - 4) = 46*46^2
-    assert pell_witness(46, 200) == (2, 156)
-    assert pell_witness(46, 155) is None
+    assert pell_witness(46) == (2, 156)
 
 
 def _witness_edge(N):
@@ -326,24 +325,31 @@ def _witness_edge(N):
     return M, M - 1
 
 
+def _in_bound(N, bound):
+    """pell_witness(N) where max(kappa, n) <= bound, else None."""
+    found = pell_witness(N)
+    return found if found is not None and max(found) <= bound else None
+
+
 def test_pell_witness_matches_search_oracle():
-    """The closed form equals the residue search on every field N <= 400 at
-    bounds 0, 1, 2, 100 and the witness edge (searches above 300 skipped),
-    and on the fields 400 < N <= 1200 whose edge is at most 400."""
+    """The residue search, capped by a bound, finds the closed form's witness
+    exactly when it is in bound, and none otherwise: on every field N <= 400
+    at bounds 0, 1, 2, 100 and the witness edge (searches above 300
+    skipped), and on the fields 400 < N <= 1200 whose edge is at most 400."""
     for N in squarefree_range(400)[1:]:
         for bound in {0, 1, 2, 100, *_witness_edge(N)}:
             if bound <= 300:
-                assert pell_witness(N, bound) == pell_witness_search(N, bound), N
+                assert pell_witness_search(N, bound) == _in_bound(N, bound), N
     for N in [N for N in squarefree_range(1200) if N > 400]:
         edge = _witness_edge(N)
         if edge and edge[0] <= 400:
             for bound in edge:
-                assert pell_witness(N, bound) == pell_witness_search(N, bound), N
+                assert pell_witness_search(N, bound) == _in_bound(N, bound), N
 
 
 def test_pell_witness_certificate_and_minimality():
     for N, bound in ((3, 50), (6, 50), (7, 50), (11, 50), (21, 50), (33, 60)):
-        kappa, n = pell_witness(N, bound)
+        kappa, n = pell_witness(N)
         v = kappa * n * n - 4
         assert v > 0 and not is_square(v)
         m = kappa * v
@@ -370,14 +376,11 @@ def test_pell_witness_none_for_negative_pell_fields():
     for N in squarefree_range(100):
         if N < 2 or len(cf_expand(N).period) % 2 == 0:
             continue
-        assert pell_witness(N, 100) is None
-    # spot checks at a larger bound
-    assert pell_witness(2, 300) is None
-    assert pell_witness(29, 300) is None
+        assert pell_witness(N) is None
 
 
 def test_pell_witness_found_for_norm_plus_one_fields():
     for N, _, _, nrm in UNITS_TABLE:
         if nrm == 1:
-            w = pell_witness(N, 250)
+            w = pell_witness(N)
             assert w is not None, f"N={N}"
