@@ -36,13 +36,11 @@ from .quadring import (
     _floor_quadratic,
     _mul,
     _power,
-    _radical_sub,
     _sign,
     divisors,
     exact_divide,
     field,
     make,
-    radical_sign,
     squarefree_decompose,
 )
 
@@ -385,8 +383,16 @@ def generalized_near_group_check(
 # the small-dimension screen
 #
 # A value v is stored doubled, as {radicand: coefficient} integers with
-# v = (sum c*sqrt(r))/2, radicand 1 holding the rational part.  The screen
-# adds and subtracts such sums and asks only `radical_sign`, which is exact.
+# v = (sum c*sqrt(r))/2, radicand 1 holding the rational part.  The
+# radicands are distinct and squarefree, so their square roots are linearly
+# independent over Q (Besicovitch 1940): two such sums are equal exactly when
+# their dicts are, once zero entries are dropped.  The screen asks only that.
+#
+# Every 4cos^2(pi/n) and every 2cos(pi/n) is at least 1, so bounds on the
+# number of parts follow from the value they must sum to:
+# - target - 1 < 4 is a sum of at most floor(target - 1) <= 3 parts;
+# - every need of the tensor-square test is at most 1 + sqrt(3) < 3, a sum
+#   of at most 2 dims.
 #
 # Only n with phi(n) <= 4 can occur, by Lehmer (1933): 2cos(2pi/n) has
 # degree phi(n)/2, so 4cos^2(pi/n) = 2 + 2cos(2pi/n) is rational or
@@ -420,36 +426,34 @@ _EXACT_COS_DIMS = {
 }
 
 
-def _combinations(need: dict, parts: list[dict]):
-    """Yield every tuple of counts k_i >= 0 with sum k_i * parts[i] == need,
-    for positive parts, k_0 slowest and each k_i ascending."""
-
-    def rec(idx: int, rest: dict, counts: tuple[int, ...]):
-        # returns whether rest >= 0, so the caller stops raising k at False
-        sign = radical_sign(rest)
-        if sign < 0:
-            return False
-        if idx == len(parts):
-            if sign == 0:
-                yield counts
-            return True
-        k = 0
-        while (yield from rec(idx + 1, rest, counts + (k,))):
-            rest, k = _radical_sub(rest, parts[idx]), k + 1
-        return True
-
-    return rec(0, need, ())
+def _sums_to(goal: dict, parts: dict[int, dict], most: int) -> list[tuple]:
+    """Every ascending multiset of at most `most` keys of parts whose values
+    add up to goal; each value has positive coefficients only, so a sum
+    holds no zero entry, and goal's zero entries are dropped."""
+    goal = {r: c for r, c in goal.items() if c}
+    out = []
+    for size in range(most + 1):
+        for combo in itertools.combinations_with_replacement(sorted(parts), size):
+            total: dict[int, int] = {}
+            for n in combo:
+                for r, c in parts[n].items():
+                    total[r] = total.get(r, 0) + c
+            if total == goal:
+                out.append(combo)
+    return out
 
 
 def _tensor_square_consistent(members: tuple[int, ...]) -> bool:
     """Necessary fusion condition on a candidate simple-dimension multiset:
     for each member X, dim(X)^2 - 1 must be a nonnegative-integer
-    combination of the members' dimensions (X (x) dual(X) minus the unit)."""
-    kinds = sorted(set(members))
-    dims = [_EXACT_COS_DIMS[n] for n in kinds if n <= 6]
+    combination of the members' dimensions (X (x) dual(X) minus the unit),
+    of at most 2 of them."""
+    kinds = set(members)
+    dims = {n: _EXACT_COS_DIMS[n] for n in kinds if n <= 6}
     for n in kinds:
-        need = _radical_sub(_EXACT_COS_SQUARES[n], {1: 2})
-        if next(_combinations(need, dims), None) is None:
+        need = dict(_EXACT_COS_SQUARES[n])
+        need[1] -= 2
+        if not _sums_to(need, dims, 2):
             return False
     return True
 
@@ -468,11 +472,8 @@ def kronecker_screen(
     if _sign(target.p - 10, target.q, target.N) >= 0:
         raise NotApplicable("screen needs target - 1 < 4")
     goal = {1: target.p - 2, target.N: target.q}  # target - 1, doubled
-    ns = sorted(_EXACT_COS_SQUARES, reverse=True)
-    survivors = [
-        tuple(sorted(n for n, k in zip(ns, counts) for _ in range(k)))
-        for counts in _combinations(goal, [_EXACT_COS_SQUARES[n] for n in ns])
-    ]
+    most = _floor_quadratic(target.p - 2, target.q, target.N, 2)
+    survivors = _sums_to(goal, _EXACT_COS_SQUARES, most)
     if apply_tensor_filter:
         survivors = [s for s in survivors if _tensor_square_consistent(s)]
     return sorted(survivors)

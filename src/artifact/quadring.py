@@ -15,10 +15,10 @@ D), so `==`, arithmetic and the order are integer-only, and a rational n/d
 is cross-multiplied by d, not subtracted as a `Fraction`.  Only the
 readers of a real value -- the order (`sign`, `<`, `compare`),
 `compare_values` and `decimal_str` -- refuse N < 0, in `_real`.
-`compare_values` is exact for any radicands: `radical_sign` decides the
-sign of a sum of multiples of square roots by squaring, with no interval,
-and is handed integer coefficients.  A `Fraction` appears only where a
-rational cutoff enters.
+`compare_values` is exact across fields: a difference of values in two
+fields has at most the radicands 1, Na and Nb, and its sign takes at most
+one squaring and two `_sign` calls, with no interval.  A `Fraction`
+appears only where a rational cutoff enters.
 
 Other modules build and scale pairs (p, q), but only this one multiplies
 two pairs, so no other module halves a product: they call `_mul`,
@@ -720,64 +720,23 @@ def _real(x) -> tuple[int, int, int, int]:
     return P, Q, N, D
 
 
-def _radical_sub(a: dict, b: dict, k=1) -> dict:
-    """a - k*b for {radicand: coefficient} sums, without zero entries."""
-    out = dict(a)
-    for r, c in b.items():
-        out[r] = out.get(r, 0) - k * c
-    return {r: c for r, c in out.items() if c}
-
-
-def _radical_square(terms: dict[int, int]) -> dict[int, int]:
-    """The square of sum c*sqrt(r), as such a sum: for squarefree r and s
-    with g = gcd(r, s), sqrt(r)*sqrt(s) = g*sqrt((r/g)*(s/g)), squarefree."""
-    out: dict[int, int] = {}
-    for r, c in terms.items():
-        for s, e in terms.items():
-            g = math.gcd(r, s)
-            key = r // g * (s // g)
-            out[key] = out.get(key, 0) + c * e * g
-    return out
-
-
-def radical_sign(terms: dict) -> int:
-    """Sign of sum(c * sqrt(r) for r, c in terms.items()), exactly.
-
-    Each r is a positive squarefree integer, r = 1 holding the rational
-    part, and each c an int.  Square roots of distinct squarefree integers
-    are linearly independent over Q (Besicovitch 1940), so the sum is zero
-    only when every c is.
-    """
-    if len(terms) <= 1:
-        return _sign(sum(terms.values()), 0, 1)
-    # p > 1 dividing the largest radicand, shrunk by gcds until it divides
-    # every radicand or is coprime to it
-    p = max(terms)
-    for r in terms:
-        g = math.gcd(p, r)
-        if g > 1:
-            p = g
-    # sum = X + sqrt(p)*Y, and no radicand of X or Y shares a prime with p
-    x = {r: c for r, c in terms.items() if r % p}
-    y = {r // p: c for r, c in terms.items() if r % p == 0}
-    sx, sy = radical_sign(x), radical_sign(y)
-    if sx * sy >= 0:
-        return sx or sy
-    # opposite signs: |X| against sqrt(p)*|Y|, compared by their squares,
-    # whose radicands again share no prime with p, so the recursion ends
-    return sx * radical_sign(_radical_sub(_radical_square(x), _radical_square(y), p))
-
-
 def compare_values(a, b) -> int:
     """Exact three-way comparison of mixed QuadInt / int / Fraction values,
-    in any fields: the sign of a - b by `radical_sign`, taken on the integer
-    coefficients of da*db*(a - b).  An int or a Fraction has N = 0 and
-    q = 0; `_radical_sub` drops that entry, as it drops every zero."""
+    in any fields: the sign of da*db*(a - b) = x + y*sqrt(Na) + z*sqrt(Nb)
+    on integers, where an int or a Fraction has N = 0 and q = 0.  In one
+    field, or for z = 0, that is one `_sign`.  Otherwise let s and t be the
+    signs of X = x + y*sqrt(Na) and of z: when they differ, |X| against
+    |z|*sqrt(Nb) is decided by their squares, X^2 - z^2*Nb = (x^2 + y^2*Na
+    - z^2*Nb) + 2xy*sqrt(Na), one `_sign` again."""
     pa, qa, Na, da = _real(a)
     pb, qb, Nb, db = _real(b)
-    return radical_sign(
-        _radical_sub({1: pa * db, Na: qa * db}, {1: pb * da, Nb: qb * da})
-    )
+    x, y, z = pa * db - pb * da, qa * db, -qb * da
+    if Na == Nb or z == 0:
+        return _sign(x, y + z, Na)
+    s, t = _sign(x, y, Na), 1 if z > 0 else -1
+    if s * t >= 0:
+        return s or t
+    return s * _sign(x * x + y * y * Na - z * z * Nb, 2 * x * y, Na)
 
 
 def decimal_str(x) -> str:

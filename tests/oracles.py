@@ -35,6 +35,9 @@
 - A certificate that the unit is fundamental by power non-residues
   (`power_nonresidue_certificate`), which shares no code with the
   continued fraction of `units.fundamental_unit`.
+- The order of two real values in any fields by integer brackets at a
+  rising decimal scale (`compare_by_brackets`), which
+  `quadring.compare_values` must match.
 
 `squarefree_range` lists the fields the tests sweep.
 """
@@ -441,6 +444,45 @@ def pell_witness_search(field_or_n, bound: int) -> tuple[int, int] | None:
             if m % N == 0 and is_square(m // N):
                 return kappa, n
     return None
+
+
+def _value_coordinates(x) -> tuple[int, int, int, int]:
+    """(p, q, N, d) with x = (p + q*sqrt(N))/d: the doubled coordinates of a
+    QuadInt, the numerator and denominator of an int or a Fraction."""
+    if isinstance(x, QuadInt):
+        return x.p, x.q, x.N, 2
+    return x.numerator, 0, 0, x.denominator
+
+
+def _scaled_bracket(p: int, q: int, N: int, k: int) -> tuple[int, int]:
+    """Integers lo <= 10^k * (p + q*sqrt(N)) <= hi for N >= 0; lo = hi when
+    q = 0, and N squarefree and > 1 otherwise."""
+    scale = 10**k
+    r = math.isqrt(q * q * scale * scale * N)  # r <= |q|*10^k*sqrt(N) < r + 1
+    lo, hi = (r, r + (q != 0)) if q >= 0 else (-r - 1, -r)
+    return p * scale + lo, p * scale + hi
+
+
+def compare_by_brackets(a, b) -> int:
+    """-1, 0 or 1 as a <, =, > b, for QuadInts of real fields, ints and
+    Fractions, on integers only.  Equal values are told by their
+    coordinates: square roots of distinct squarefree N are linearly
+    independent over Q, so an irrational value equals only one of its own
+    field.  Unequal values are bracketed at scale 10^k, k = 0, 1, ..., by
+    math.isqrt, until the brackets separate."""
+    pa, qa, Na, da = _value_coordinates(a)
+    pb, qb, Nb, db = _value_coordinates(b)
+    if pa * db == pb * da and qa * db == qb * da and (qa == 0 or Na == Nb):
+        return 0
+    k = 0
+    while True:  # a in [la/da, ha/da] and b in [lb/db, hb/db], scaled by 10^k
+        la, ha = _scaled_bracket(pa, qa, Na, k)
+        lb, hb = _scaled_bracket(pb, qb, Nb, k)
+        if ha * db < lb * da:
+            return -1
+        if la * db > hb * da:
+            return 1
+        k += 1
 
 
 def partitions_per_part(total: int, parts: list[int]) -> list[tuple[int, ...]]:

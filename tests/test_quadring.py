@@ -1,4 +1,5 @@
 import contextvars
+import itertools
 import math
 import random
 import re
@@ -21,6 +22,7 @@ from artifact.quadring import (
     render,
 )
 from artifact.units import fundamental_unit
+import oracles
 from oracles import squarefree_range
 
 
@@ -659,53 +661,23 @@ def test_ring_operations_stay_integral():
 
 
 # ---------------------------------------------------------------------------
-# the exact sign of a sum of square roots
-
-
-_NINE_PRIMES = 2 * 3 * 5 * 7 * 11 * 13 * 17 * 19 * 23
-_RADICANDS = [2, 3, 5, 6, 7, 10, 30, 105, 1001, _NINE_PRIMES, _NINE_PRIMES // 6]
-
-
-def _cleared(terms):
-    """terms times the lcm of their denominators: integer coefficients and
-    the same sign."""
-    d = math.lcm(*(c.denominator for c in terms.values()))
-    return {r: int(c * d) for r, c in terms.items()}
+# compare_values across fields
 
 
 def _mp_sign(mpmath, terms):
     """Sign of sum c*sqrt(r) at the working precision, which must leave no
     doubt: the value is asserted to be far above the rounding error."""
-    value = mpmath.fsum(
-        mpmath.mpf(c.numerator) / c.denominator * mpmath.sqrt(r)
-        for r, c in terms.items()
-    )
+    value = mpmath.fsum(c * mpmath.sqrt(r) for r, c in terms.items())
     assert abs(value) > mpmath.mpf(10) ** -400
     return (value > 0) - (value < 0)
 
 
-def test_radical_sign_against_mpmath():
-    """Random sums over products of up to nine primes; in half of them the
-    rational part cancels the irrational part to within 10^-40.  Then
-    compare_values on near pairs from different fields."""
+def test_compare_values_against_mpmath():
+    """compare_values on near pairs from different fields, with x up to
+    10^6 * sqrt(1001) and y beside it."""
     mpmath = pytest.importorskip("mpmath")
     rng = random.Random(6)
     with mpmath.workdps(500):
-        for i in range(300):
-            terms = {
-                r: Fraction(rng.randrange(-10**6, 10**6) or 1, rng.randrange(1, 1000))
-                for r in rng.sample(_RADICANDS, rng.randrange(1, 6))
-            }
-            if i % 2:
-                irrational = mpmath.fsum(
-                    mpmath.mpf(c.numerator) / c.denominator * mpmath.sqrt(r)
-                    for r, c in terms.items()
-                )
-                tip = int(mpmath.floor(-irrational * 10**40)) + rng.randrange(2)
-                terms[1] = Fraction(tip, 10**40)
-            else:
-                terms[1] = Fraction(rng.randrange(-100, 100), rng.randrange(1, 9))
-            assert qr.radical_sign(_cleared(terms)) == _mp_sign(mpmath, terms), terms
         for _ in range(200):
             N1, N2 = rng.sample([2, 3, 5, 6, 7, 30, 105, 1001], 2)
             x = make(N1, 0, 2 * rng.randrange(1, 10**6))
@@ -719,25 +691,41 @@ def test_radical_sign_against_mpmath():
             assert compare_values(y, x) == -want
 
 
-def test_radical_sign_zero_and_near_zero_over_2_3_6():
-    """Sums over {1, 2, 3, 6} that cancel or nearly cancel, with integer
-    square-root brackets as the oracle.  Splitting off only the largest
-    radical never ends on such sums; radical_sign must return."""
-    assert qr.radical_sign({}) == 0
-    assert qr.radical_sign({1: 0, 2: 0}) == 0
-    square = {1: 6, 2: 2, 3: 2, 6: 2}  # (1 + sqrt2 + sqrt3)^2, by hand
-    assert qr._radical_square({1: 1, 2: 1, 3: 1}) == square
-    assert qr.radical_sign(qr._radical_sub(square, square)) == 0
-    for k in range(1, 60):
-        ten = 10**k
-        root2, root3 = math.isqrt(2 * ten * ten), math.isqrt(3 * ten * ten)
-        # (1 + sqrt2 + sqrt3) * ten lies in (s, s + 2); compare squares * ten^2
-        s = ten + root2 + root3
-        scaled = {r: c * ten * ten for r, c in square.items()}
-        assert qr.radical_sign(qr._radical_sub(scaled, {1: s * s})) == 1
-        assert qr.radical_sign(qr._radical_sub(scaled, {1: (s + 2) ** 2})) == -1
-        # c < (sqrt2 + sqrt3)/sqrt6 = sqrt3/3 + sqrt2/2 < c + 1/ten, c = a/d
-        a, d = 2 * root3 + 3 * root2, 6 * ten
-        assert qr.radical_sign({2: d, 3: d, 6: -a}) == 1
-        assert qr.radical_sign({2: d, 3: d, 6: -a - 6}) == -1
-        assert qr.radical_sign({2: -d, 3: -d, 6: a}) == -1
+# fundamental units, each with its trace: eps^n + sigma(eps^n) is the
+# integer trace of eps^n, and sigma(eps^n) = +-eps^-n is tiny
+_UNITS = {2: (2, 2), 3: (4, 2), 5: (1, 1), 6: (10, 4), 7: (16, 6), 13: (3, 1)}
+
+
+def test_compare_values_against_bracket_oracle():
+    """compare_values against the integer bracket oracle, in both argument
+    orders: values with nonzero rational and irrational parts in two
+    fields, an int or a Fraction against an irrational (its own rational
+    part among them), equal rationals in two fields, and near ties eps1^n
+    against eps2^m + t, t the difference of their traces, which differ by
+    sigma(eps2^m) - sigma(eps1^n), down to 10^-37."""
+    rng = random.Random(41)
+    fields = [2, 3, 5, 6, 7, 13, 21, 30, 105, 1001]
+    pairs = []
+    for _ in range(600):
+        N1, N2 = rng.sample(fields, 2)
+        box = 10 ** rng.randrange(1, 20)
+        x, y = (_random_element(rng, N, box) for N in (N1, N2))
+        if x.p and x.q and y.p and y.q:
+            pairs.append((x, y))
+        # a rational just beside x, from its floor at scale 10^6
+        f = qr._floor_quadratic(x.p * 10**6, x.q * 10**6, N1, 2)
+        pairs += [(x, Fraction(f, 10**6)), (x, Fraction(f + 1, 10**6))]
+        pairs += [(x, f // 10**6), (x, f // 10**6 + 1), (x, Fraction(x.p, 2))]
+        k = rng.randrange(-box, box)
+        pairs += [(make(N1, 2 * k, 0), make(N2, 2 * k, 0)), (make(N1, 2 * k, 0), k)]
+        pairs += [(make(N1, 2 * k, 0), Fraction(k)), (x, make(N1, x.p, x.q))]
+    for N1, N2 in itertools.permutations(_UNITS, 2):
+        e1, e2 = make(N1, *_UNITS[N1]), make(N2, *_UNITS[N2])
+        for n in range(1, 40, 3):
+            for m in range(1, 40, 4):
+                x, y = e1**n, e2**m
+                pairs.append((x, y + (x.p - y.p)))  # traces x.p and y.p
+    for x, y in pairs:
+        want = oracles.compare_by_brackets(x, y)
+        assert compare_values(x, y) == want, (x, y)
+        assert compare_values(y, x) == -want, (y, x)
