@@ -7,18 +7,18 @@ plus sigma-positivity force m >= 0 and kill most delta combinations, and
 ell is squeezed between 1/sigma(base) and M/base.  The cell walk covers
 exactly that cell structure, one field at a time, and is the only code
 that builds a member; enumerate_field runs it on one field.  enumerate_all
-runs it on every field that a second walk hits, a walk over traces p and
-norms p^2/k for the divisors 5 <= k <= p of p^2, which needs no unit.
+runs it on every field that a second walk hits, a walk over k = p^2/n
+and the traces p with k | p^2, which needs no unit and factorizes nothing.
 Both walks are complete, so the members that the cell walks list must be
-exactly the trace-walk hits, and a member that either walk misses is a
-bug.  Both walks run on integer coordinates: the cell walk reads each
-g^delta from the field record's rows and keeps eps^m as a pair, each ell
-cutoff is one `_floor_quadratic`, the cutoff M = a/b enters every test as
-the integers a and b, and one key (`_value_order`) sorts both lists.
+exactly the trace-walk hits.  Both walks run on integers: the cell walk
+reads each g^delta from the field record's rows and keeps eps^m as a pair,
+each ell cutoff is one `_floor_quadratic`, the cutoff M = a/b enters every
+test as a and b, and one key (`_value_order`) sorts both lists.
 """
 
 from __future__ import annotations
 
+import math
 from functools import cmp_to_key
 from typing import NamedTuple
 
@@ -28,17 +28,17 @@ from .quadring import (
     NotApplicable,
     QuadInt,
     _coordinates,
+    _decimal,
     _floor_quadratic,
     _mul,
     _raw,
     _sign,
     compare_values,
     decimal_str,
-    divisors,
     field,
-    is_square,
-    squarefree_decompose,
 )
+
+_COLUMNS = ("N", "p", "q", "ell", "m", "delta", "approx")
 
 
 class DPlusElement(NamedTuple):
@@ -48,22 +48,21 @@ class DPlusElement(NamedTuple):
     factorization: CanonicalFactorization | None  # None for rational integers
     approx: str
 
+    def _row(self) -> tuple:
+        """The _COLUMNS values, delta as d0d1d2; N=1 for rationals."""
+        x, f = self.value, self.factorization
+        if f is None:
+            return 1, 2 * x, 0, x, 0, "000", self.approx
+        d = f.delta
+        return x.N, x.p, x.q, f.ell, f.m, f"{d[0]}{d[1]}{d[2]}", self.approx
+
     def columns(self) -> dict:
-        """N, p, q, ell, m, delta (as d0d1d2) and approx, in record order;
-        N=1 for rationals."""
-        if isinstance(self.value, QuadInt):
-            f = self.factorization
-            n, p, q = self.value.N, self.value.p, self.value.q
-            ell, m, d = f.ell, f.m, f.delta
-        else:
-            n, p, q = 1, 2 * self.value, 0
-            ell, m, d = self.value, 0, (0, 0, 0)
-        return {"N": n, "p": p, "q": q, "ell": ell, "m": m,
-                "delta": f"{d[0]}{d[1]}{d[2]}", "approx": self.approx}
+        """The row by column name."""
+        return dict(zip(_COLUMNS, self._row()))
 
     def record(self) -> str:
-        """The columns, tab-separated."""
-        return "\t".join(map(str, self.columns().values()))
+        """The row, tab-separated."""
+        return "\t".join(map(str, self._row()))
 
     def __str__(self) -> str:
         return str(self.value)
@@ -129,7 +128,7 @@ def _cell_walk(rec: FieldRecord, a: int, b: int) -> list[DPlusElement]:
                 if not in_dplus(value):
                     raise InternalInconsistency(f"enumerated non-member {value}")
                 fact = CanonicalFactorization(N, ell, m, delta, rec.case)
-                found.append(DPlusElement(value, fact, decimal_str(value)))
+                found.append(DPlusElement(value, fact, _decimal(value.p, value.q, N, 2)))
         ep, eq, m = *_mul(ep, eq, t, u, N), m + 1
         sp, sq = _mul(ep, eq, ep, eq, N)
     return found
@@ -147,27 +146,40 @@ def enumerate_field(field_or_n, M) -> list[DPlusElement]:
 
 def _trace_walk(a: int, b: int) -> list[tuple[int, int, int]]:
     """(N, p, q) of every dominant irrational d-number (p + q*sqrt(N))/2
-    <= M = a/b.
+    <= M = a/b, unordered.
 
     With D = q^2 * N the norm is n = (p^2 - D)/4.  sigma(x) >= 1 and x <= M
-    bound sqrt(D) by p - 2 and by 2M - p >= 0, so b^2*D is at most both
-    (b*(p - 2))^2 and (2a - b*p)^2.  x is a d-number iff n | p^2
-    (x/sigma(x) has norm 1 and trace p^2/n - 2).  D = p^2 - 4n forces the
-    parity of (p, q), so every hit is an algebraic integer.  The walk takes
-    n = p^2/k for the divisors 5 <= k <= p of p^2 alone: D <= (p - 2)^2
-    forces n >= p - 1, so k <= p^2/(p - 1) < p + 2; k = p + 1 is coprime
-    to p, so it never divides p^2; and k <= 4 gives D <= 0.
+    bound sqrt(D) by p - 2 and by 2M - p >= 0.  x is a d-number iff n | p^2
+    (x/sigma(x) has norm 1 and trace p^2/n - 2), and D = p^2 - 4n forces
+    the parity of (p, q).  For k = p^2/n, 0 < D <= (p - 2)^2 iff 5 <= k <= p
+    (k = p + 1 is coprime to p), and k | p^2 iff root(k) | p, root(k) =
+    prod r^ceil(e/2) over k = prod r^e.  D*k^2 = p^2*k(k - 4), so D is a
+    square iff k(k - 4) = (k - 2)^2 - 4 is: never.  With k(k - 4) = N*w^2,
+    N squarefree, q = p*w/k.  A smallest-prime-factor table to P = 2M gives
+    the squarefree part c(n) of each n <= P, and root(k) = isqrt(k*c(k)).
     """
+    P = 2 * a // b
+    spf = list(range(P + 1))
+    for r in range(math.isqrt(P), 1, -1):  # descending: n's least prime is last
+        spf[r * r :: r] = [r] * ((P - r * r) // r + 1)
+    core = [0, 1] + [0] * (P - 1)  # c(n): n's squarefree part
+    for n in range(2, P + 1):
+        r = spf[n]
+        c = core[n // r]
+        core[n] = c // r if c % r == 0 else c * r
     found: list[tuple[int, int, int]] = []
-    for p in range(5, 2 * a // b + 1):
-        bound = min(b * (p - 2), 2 * a - b * p) ** 2
-        for k in divisors(p * p):
-            if k > p:
-                break
-            D = p * p - 4 * (p * p // k)
-            if k >= 5 and b * b * D <= bound and not is_square(D):
-                q, N = squarefree_decompose(D)
-                found.append((N, p, q))
+    for k in range(5, P + 1):
+        g = math.gcd(core[k], core[k - 4])
+        N = core[k] // g * (core[k - 4] // g)
+        w, root = math.isqrt(k * (k - 4) // N), math.isqrt(k * core[k])
+        for p in range(k, P + 1, root):  # root | k
+            D = p * p // k * (k - 4)
+            if b * b * D > (2 * a - b * p) ** 2:
+                break  # D rises and 2M - p falls with p
+            q = p * w // k
+            if q * q * N != D:
+                raise InternalInconsistency(f"trace walk: D={D} is not {q}^2*{N}")
+            found.append((N, p, q))
     return found
 
 
@@ -175,8 +187,7 @@ def enumerate_all(M, include_integers: bool = False) -> list[DPlusElement]:
     """Dominant d-numbers in [1, M] across every real field, ascending.
 
     The trace walk names the fields that own members, and the cell walk of
-    each lists them.  Both walks are complete, so each must find exactly
-    the members the other finds; a member that one of them misses is a bug.
+    each lists them; a member that one of the two misses is a bug.
     A field that the trace walk misses whole escapes this check; the tests
     sweep every field up to (2M - 1)^2 for that case.
     Rational integers join once, not per field, and only on request.

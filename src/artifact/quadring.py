@@ -741,7 +741,11 @@ def compare_values(a, b) -> int:
 
 def decimal_str(x) -> str:
     """Floored to six decimal places, computed without floating point."""
-    p, q, N, d = _real(x)
+    return _decimal(*_real(x))
+
+
+def _decimal(p: int, q: int, N: int, d: int) -> str:
+    """decimal_str of (p + q*sqrt(N))/d, for N >= 0 and d > 0."""
     v = _floor_quadratic(p * 10**6, q * 10**6, N, d)
     whole, frac = divmod(abs(v), 10**6)
     return f"{'-' if v < 0 else ''}{whole}.{frac:06d}"

@@ -6,7 +6,8 @@
 - A brute-force scan of coordinate pairs for the enumerators, and the lower
   bounds of unit norm -1 fields.
 - The trace walk over every divisor of p^2 (`trace_walk_all_divisors`),
-  which the library's walk over the divisors k = p^2/n <= p must match.
+  which the library's walk over 5 <= k <= p and the multiples p of root(k)
+  (k = p^2/n, read from a smallest-prime-factor table) must match.
 - The generators of each real field on QuadInt arithmetic (`GeneratorSet`,
   `generator_set`), kappa_1 and kappa_2 found among the divisors of 2N
   (`squarefree_part_dividing`) and square roots checked by QuadInt

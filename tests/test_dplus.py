@@ -116,6 +116,14 @@ def test_enumerate_all_up_to_five():
     assert enumerate_all(1) == []
 
 
+def test_record_and_columns_read_one_row():
+    members = enumerate_all(33, include_integers=True) + enumerate_field(2, 200)
+    for e in members:
+        assert list(e.columns()) == ["N", "p", "q", "ell", "m", "delta", "approx"]
+        assert e.record() == "\t".join(map(str, e.columns().values()))
+        assert e.approx == decimal_str(e.value)
+
+
 def test_enumerate_all_records():
     lines = [e.record() for e in enumerate_all(5, include_integers=True)]
     assert lines == [
@@ -244,11 +252,30 @@ def test_trace_walk_matches_all_divisor_walk():
         assert walked == sorted(trace_walk_all_divisors(a, b)), M
 
 
+def test_trace_walk_factorizes_nothing(monkeypatch):
+    # the walk reads its own smallest-prime-factor table; from fresh
+    # per-field caches, what enumerate_all factorizes is each field's N,
+    # once, for the squarefree check of its record
+    calls = []
+    real = quadring.factorize
+    monkeypatch.setattr(quadring, "factorize", lambda n: calls.append(n) or real(n))
+    for M in [Fraction(k, 7) for k in range(7, 400)] + [Fraction(1000)]:
+        dplus._trace_walk(M.numerator, M.denominator)
+    assert calls == []
+    for M in (5, Fraction(121, 4), 33, 60):
+        quadring._field.cache_clear()
+        dnumbers._field_record.cache_clear()
+        fields = sorted({e.value.N for e in enumerate_all(M)})
+        assert sorted(calls) == fields
+        assert len(fields) == dnumbers._field_record.cache_info().currsize
+        calls.clear()
+
+
 def test_enumerate_all_runs_no_primality_test(monkeypatch):
     # from fresh per-field caches, as in a new process: trial division
-    # finishes every factorization below M = 33 (fields, kappas, the walk's
-    # traces and discriminants), and the listing is the one pinned for 33
-    # in perfbench/expected.json
+    # finishes every factorization below M = 33 (each field's squarefree
+    # check; the walks factorize nothing), and the listing is the one
+    # pinned for 33 in perfbench/expected.json
     quadring._field.cache_clear()
     dnumbers._field_record.cache_clear()
     calls = []
